@@ -6,7 +6,7 @@ scrambles across the n-grid, fits the log2-log2 slope, and compares it
 with the predicted exponent gamma*(1/2 + 1/(4 d_u - 2)).  A plain Monte
 Carlo baseline runs alongside the discontinuous cases for contrast.
 
-    python3 scripts/run_rate_studies.py [--quick] [--workers W] [--out-dir DIR]
+    python3 scripts/run_rate_studies.py [--quick] [--seed S] [--out-dir DIR]
 """
 
 import argparse
@@ -29,7 +29,6 @@ def main() -> None:
         action="store_true",
         help="n up to 2^12 with R=16 (seconds instead of minutes)",
     )
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
         "--out-dir", default=None, help="write per-study CSV and JSON here"
@@ -55,7 +54,7 @@ def main() -> None:
     for name, extra in jobs:
         t0 = time.time()
         config = catalog_config(name, **overrides, **extra)
-        report = run_study(config, workers=args.workers)
+        report = run_study(config)
         print(
             f"{config.integrand_name:<38}{config.sampler:<15}"
             f"{report.fit.slope:>+9.3f}{-report.exponent:>+9.3f}"

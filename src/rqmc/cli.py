@@ -9,6 +9,7 @@ All output is deterministic given the flags and seed; floats print with
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -26,6 +27,7 @@ from .experiment import (
     CATALOG_NAMES,
     DEFAULT_N_GRID,
     StudyConfig,
+    _g17,
     catalog_config,
     replicate_estimates,
     report_to_csv,
@@ -42,10 +44,6 @@ from .scrambling import ScrambleSeed, scramble
 
 _MAX_POINTS_M = 20
 _MAX_POINTS_D = 64
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -196,7 +194,7 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
 
 def _cmd_rate_study(args) -> int:
     config = _study_config_from_file(args.config, args.seed)
-    report = run_study(config, workers=args.workers)
+    report = run_study(config)
     text = (
         report_to_json(report) if args.format == "json" else report_to_csv(report)
     )
@@ -233,7 +231,7 @@ def _cmd_price(args) -> int:
         master_seed=args.seed,
         factor_method=args.factor,
     )
-    estimates = replicate_estimates(config, args.n, workers=args.workers)
+    estimates = replicate_estimates(config, args.n)
     estimate = float(estimates.mean())
     std_error = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
     result: dict = {
@@ -247,8 +245,6 @@ def _cmd_price(args) -> int:
     if spec.kind == "geometric_indicator_payoff":
         result["oracle"] = geometric_asian_price(model)
     if args.format == "json":
-        import json
-
         text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     else:
         text = (
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1, help="replicate threads")
     p.set_defaults(func=_cmd_rate_study)
 
     p = sub.add_parser("price", help="RQMC price / Greek with replicate error")
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=2**16, help="points per replicate")
     p.add_argument("-R", "--replications", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_price)

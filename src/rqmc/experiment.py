@@ -7,6 +7,11 @@ baseline), so the R replicate estimates are independent and identically
 distributed and their absolute errors estimate the expected error
 directly, with a standard error of their own.
 
+Each replicate is drawn once, at the largest n of the grid.  The scramble
+and the uniform stream act point by point, so the first n points of that
+draw are exactly the replicate at n, and the estimate at every smaller n
+is the mean over a prefix.
+
 Rates are read off a log2-log2 ordinary-least-squares fit of the mean
 absolute error against n, and compared with the predicted exponent
 
@@ -28,13 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .digital_nets import PRECISION_DEPTH, PointSet, generate_points
+from .digital_nets import PRECISION_DEPTH, generate_points
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
     GbmModel,
@@ -42,6 +46,7 @@ from .finance import (
     generate_path,
     geometric_asian_price,
     path_factor,
+    payoff_eval,
 )
 from .scrambling import ScrambleSeed, scramble, uniform_points
 
@@ -190,6 +195,7 @@ def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray
         factor = path_factor(spec.model, config.factor_method)
 
         def f(u: np.ndarray) -> np.ndarray:
+            """Payoff per row; row i's value depends only on row i of u."""
             return payoff_values(spec, factor, u)
 
         return f
@@ -201,42 +207,29 @@ def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray
 
 def payoff_values(spec: PayoffSpec, factor, u: np.ndarray) -> np.ndarray:
     """Discounted payoff at each u-point (the composed integrand)."""
-    from .finance import payoff_eval
-
     return payoff_eval(spec, generate_path(u, spec.model, factor))
 
 
-_net_cache: dict[tuple[int, int], PointSet] = {}
+def _replicate_means(config: StudyConfig, n_grid: Sequence[int]) -> np.ndarray:
+    """Estimates Ihat_k at each n of an increasing grid, shape (len(n_grid), R).
 
-
-def _net_points(n: int, d: int) -> PointSet:
-    key = (n, d)
-    if key not in _net_cache:
-        _net_cache[key] = generate_points(
-            np.arange(n, dtype=np.uint64), d, depth=PRECISION_DEPTH
-        )
-    return _net_cache[key]
-
-
-def _replicate_points(config: StudyConfig, n: int, k: int) -> np.ndarray:
-    seed = ScrambleSeed(config.master_seed, k)
-    if config.sampler == "scrambled_net":
-        return scramble(_net_points(n, config.dimension), seed).coords
-    return uniform_points(seed, n, config.dimension)
-
-
-def replicate_estimates(
-    config: StudyConfig, n: int, workers: int = 1
-) -> np.ndarray:
-    """The R independent estimates Ihat_k at sample size n.
-
-    Replicate k is a pure function of (config, n, k); the aggregation
-    order is fixed by k, so results match for any worker count.
+    Each replicate is drawn once at the largest n; its estimate at n is
+    the mean of the first n values, which equals a separate draw at n.
     """
     f = _resolve_integrand(config)
+    n_max = n_grid[-1]
+    if config.sampler == "scrambled_net":
+        net = generate_points(
+            np.arange(n_max, dtype=np.uint64), config.dimension, depth=PRECISION_DEPTH
+        )
 
-    def one(k: int) -> float:
-        u = _replicate_points(config, n, k)
+    def prefix_means(k: int) -> list[float]:
+        # u and vals die on return, before the next replicate is drawn.
+        seed = ScrambleSeed(config.master_seed, k)
+        if config.sampler == "scrambled_net":
+            u = scramble(net, seed).coords
+        else:
+            u = uniform_points(seed, n_max, config.dimension)
         vals = np.asarray(f(u), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             i = int(np.argmin(np.isfinite(vals)))
@@ -244,19 +237,23 @@ def replicate_estimates(
                 f"integrand returned a non-finite value at point {u[i].tolist()} "
                 f"(replicate {k})"
             )
-        return float(vals.mean())
+        return [vals[:n].mean() for n in n_grid]
 
-    ks = range(config.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(one, ks)))
-    return np.array([one(k) for k in ks])
+    return np.array([prefix_means(k) for k in range(config.replications)]).T
 
 
-def expected_abs_error(config: StudyConfig, n: int, workers: int = 1) -> ErrorRecord:
+def replicate_estimates(config: StudyConfig, n: int) -> np.ndarray:
+    """The R independent estimates Ihat_k at sample size n.
+
+    Replicate k is a pure function of (config, n, k).
+    """
+    return _replicate_means(config, (n,))[0]
+
+
+def expected_abs_error(config: StudyConfig, n: int) -> ErrorRecord:
     """Mean over replicates of |I - Ihat| at sample size n."""
     reference = _resolve_reference(config)
-    estimates = replicate_estimates(config, n, workers)
+    estimates = replicate_estimates(config, n)
     return ErrorRecord(n=n, reference=reference, estimates=tuple(estimates))
 
 
@@ -314,7 +311,7 @@ class StudyReport:
         return self.verdict == "consistent"
 
 
-def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
+def run_study(config: StudyConfig) -> StudyReport:
     """Measure errors across the n-grid, fit the rate, compare with theory.
 
     The prediction is an upper bound: the verdict is "consistent" when
@@ -324,7 +321,12 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     exponent = theoretical_exponent(
         config.dimension, config.irregular_dimension, config.max_growth
     )
-    records = tuple(expected_abs_error(config, n, workers) for n in config.n_grid)
+    reference = _resolve_reference(config)
+    means = _replicate_means(config, config.n_grid)
+    records = tuple(
+        ErrorRecord(n=n, reference=reference, estimates=tuple(row))
+        for n, row in zip(config.n_grid, means)
+    )
     fit = fit_rate(records, theoretical_exponent=exponent)
     consistent = fit.slope <= -exponent + config.slack
     return StudyReport(
@@ -418,7 +420,12 @@ def report_to_json(report: StudyReport) -> str:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named test integrand with its declared geometry and exact mean."""
+    """A named test integrand with its declared geometry and exact mean.
+
+    ``factory(d)`` returns a function of an (n, d) point array whose value
+    at row i depends only on row i.  Studies rely on this: they evaluate
+    each replicate once at the largest n and read smaller n off a prefix.
+    """
 
     name: str
     dimension: int | None  # None: any d >= 1

@@ -226,6 +226,8 @@ def payoff_eval(spec: PayoffSpec, s):
 
     The six arithmetic kinds share the indicator of S_A > K and vanish
     whenever S_A <= K; the geometric kind pays (S_G - K) on S_G > K.
+    Each Greek is the derivative of the discounted price V with respect
+    to its parameter; theta is dV/dT, the change per unit of maturity.
     """
     m = spec.model
     s = np.asarray(s, dtype=np.float64)
@@ -260,9 +262,10 @@ def payoff_eval(spec: PayoffSpec, s):
         dsa_dr = (m.maturity / m.d**2) * (s @ j)
         val = dsa_dr - m.maturity * (sa - m.strike)
     elif kind == "asian_theta":
-        omega = 2.0 * m.r - m.sigma**2  # ambiguous symbol; one reconstruction
+        # dS_i/dT = S_i ((r - sigma^2/2) i/(2d) + ln(S_i/S0)/(2T)) at fixed u
+        drift = m.r - 0.5 * m.sigma**2
         dsa_dt = np.mean(
-            s * (omega * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity)),
+            s * (drift * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity)),
             axis=1,
         )
         val = dsa_dt - m.r * (sa - m.strike)

@@ -153,7 +153,7 @@ def test_06_growth_condition_detector():
 
 def test_07_rate_axis_parallel_singularity():
     t0 = time.monotonic()
-    report = run_study(catalog_config("axis_singular", replications=32, master_seed=11), workers=8)
+    report = run_study(catalog_config("axis_singular", replications=32, master_seed=11))
     elapsed = time.monotonic() - t0
     ok = report.fit.slope <= -0.80 and report.verdict == "consistent" and elapsed < 300.0
     _report(7, "rate study, axis-parallel singular", ok,
@@ -162,9 +162,8 @@ def test_07_rate_axis_parallel_singularity():
 
 def test_08_rate_nonaxis_discontinuity():
     t0 = time.monotonic()
-    qmc = run_study(catalog_config("halfspace", replications=32, master_seed=11), workers=8)
-    mc = run_study(catalog_config("halfspace", replications=32, master_seed=11, sampler="plain_mc"),
-                   workers=8)
+    qmc = run_study(catalog_config("halfspace", replications=32, master_seed=11))
+    mc = run_study(catalog_config("halfspace", replications=32, master_seed=11, sampler="plain_mc"))
     elapsed = time.monotonic() - t0
     ok = (qmc.fit.slope <= -0.60
           and -0.58 <= mc.fit.slope <= -0.42
@@ -188,17 +187,17 @@ def test_09_finance_end_to_end():
 
     oracle = geometric_asian_price(model)
     rec = expected_abs_error(catalog_config("geometric_ot", replications=16, master_seed=7),
-                             2**16, workers=8)
+                             2**16)
     estimates = np.asarray(rec.estimates)
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
     price_dev = abs(estimates.mean() - oracle)
 
     se_ot = np.asarray(expected_abs_error(
         catalog_config("geometric_ot", replications=16, master_seed=7),
-        2**14, workers=8).estimates).std(ddof=1)
+        2**14).estimates).std(ddof=1)
     se_chol = np.asarray(expected_abs_error(
         catalog_config("geometric_cholesky", replications=16, master_seed=7),
-        2**14, workers=8).estimates).std(ddof=1)
+        2**14).estimates).std(ddof=1)
     elapsed = time.monotonic() - t0
     ok = exact_agreement and price_dev <= 3.0 * se and se_ot < se_chol and elapsed < 180.0
     _report(9, "finance end-to-end", ok,
@@ -210,7 +209,7 @@ def test_10_estimator_soundness():
     worst_dev = 0.0
     for name in CATALOG_NAMES:
         cfg = catalog_config(name, replications=64, master_seed=13)
-        rec = expected_abs_error(cfg, 256, workers=8)
+        rec = expected_abs_error(cfg, 256)
         estimates = np.asarray(rec.estimates)
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
         dev = abs(estimates.mean() - rec.reference) / se
@@ -218,12 +217,12 @@ def test_10_estimator_soundness():
         worst_dev = max(worst_dev, dev)
 
     cfg = catalog_config("halfspace", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
-    first, rerun, parallel = run_study(cfg), run_study(cfg), run_study(cfg, workers=8)
+    first, rerun = run_study(cfg), run_study(cfg)
     gcfg = catalog_config("geometric_ot", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
-    identical = (report_to_json(first) == report_to_json(rerun) == report_to_json(parallel)
-                 and report_to_csv(first) == report_to_csv(rerun) == report_to_csv(parallel)
-                 and report_to_json(run_study(gcfg)) == report_to_json(run_study(gcfg, workers=8)))
+    identical = (report_to_json(first) == report_to_json(rerun)
+                 and report_to_csv(first) == report_to_csv(rerun)
+                 and report_to_json(run_study(gcfg)) == report_to_json(run_study(gcfg)))
     ok = worst_dev <= 4.0 and identical
     _report(10, "estimator soundness", ok,
             f"all {len(CATALOG_NAMES)} catalog integrands unbiased within {worst_dev:.2f} SE (limit 4), "
-            f"reports byte-identical across reruns and 1 vs 8 workers")
+            f"reports byte-identical across reruns")

@@ -197,15 +197,6 @@ def test_rate_study_seed_flag_overrides(tmp_path, capsys):
     assert out1 == out3  # flag equals the config value
 
 
-def test_rate_study_worker_invariance(tmp_path, capsys):
-    cfg = write_config(tmp_path, HALFSPACE_CFG)
-    _, out1, _ = run(capsys, "rate-study", "--config", cfg, "--format", "json")
-    _, out4, _ = run(
-        capsys, "rate-study", "--config", cfg, "--format", "json", "--workers", "4"
-    )
-    assert out1 == out4
-
-
 def test_rate_study_out_file(tmp_path, capsys):
     cfg = write_config(tmp_path, HALFSPACE_CFG)
     target = tmp_path / "report.csv"
@@ -312,8 +303,7 @@ def test_price_deterministic_and_worker_invariant(capsys):
     args = ("price", "--payoff", "asian_vega", "-n", "512", "-R", "8", "--seed", "5")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
-    _, out4, _ = run(capsys, *args, "--workers", "4")
-    assert out1 == out2 == out4
+    assert out1 == out2
 
 
 def test_price_factor_choice_changes_estimate(capsys):

@@ -1,5 +1,6 @@
 """GBM paths, factorizations, payoff estimators, and the geometric reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqmc.digital_nets import generate_points
 from rqmc.errors import ContractError, NotPositiveDefiniteError
 from rqmc.finance import (
     PAYOFF_KINDS,
@@ -24,7 +26,7 @@ from rqmc.finance import (
     path_factor,
     payoff_eval,
 )
-from rqmc.scrambling import ScrambleSeed, uniform_points
+from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
 
 MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
 
@@ -317,10 +319,11 @@ def test_payoff_hand_values():
     dsa_dr = (1.0 / 4.0) * (1.0 * 1 + 1.4 * 2)
     assert rho == pytest.approx(disc * (dsa_dr - 1.0 * 0.2))
 
+    # theta = dV/dT, with dS_i/dT = S_i ((r - sigma^2/2) i/(2d) + ln(S_i/S0)/(2T))
     theta = payoff_eval(PayoffSpec("asian_theta", m), s)
-    omega = 2 * 0.05 - 0.04
+    drift = 0.05 - 0.04 / 2
     dsa_dt = 0.5 * (
-        1.0 * (omega * 1 / 4 + 0.0) + 1.4 * (omega * 2 / 4 + ln14 / 2)
+        1.0 * (drift * 1 / 4 + 0.0) + 1.4 * (drift * 2 / 4 + ln14 / 2)
     )
     assert theta == pytest.approx(disc * (dsa_dt - 0.05 * 0.2))
 
@@ -329,6 +332,38 @@ def test_payoff_hand_values():
         1.0 * (0.0 - 0.07 * 0.5) / 0.2 + 1.4 * (ln14 - 0.07 * 1.0) / 0.2
     )
     assert vega == pytest.approx(disc * dvega)
+
+
+def test_greeks_match_bump_and_reprice():
+    # Common random numbers: one scrambled net priced under bumped models.
+    # The first-order estimators are the exact derivatives of the sample
+    # price, so they match a small central bump closely; the gamma
+    # estimator only matches in expectation.
+    u = scramble(generate_points(range(2**15), MODEL.d), ScrambleSeed(3)).coords
+
+    def mean_value(kind: str, model: GbmModel) -> float:
+        paths = generate_path(u, model, path_factor(model, "ot"))
+        return float(payoff_eval(PayoffSpec(kind, model), paths).mean())
+
+    def price(**bump) -> float:
+        return mean_value("asian_call", dataclasses.replace(MODEL, **bump))
+
+    def central(field: str, h: float) -> float:
+        x = getattr(MODEL, field)
+        return (price(**{field: x + h}) - price(**{field: x - h})) / (2 * h)
+
+    h = 1e-4
+    for kind, field in [
+        ("asian_delta", "s0"),
+        ("asian_rho", "r"),
+        ("asian_theta", "maturity"),
+        ("asian_vega", "sigma"),
+    ]:
+        assert mean_value(kind, MODEL) == pytest.approx(central(field, h), rel=1e-3), kind
+
+    hg = 1e-2
+    gamma_bump = (price(s0=1.0 + hg) - 2 * price() + price(s0=1.0 - hg)) / hg**2
+    assert mean_value("asian_gamma", MODEL) == pytest.approx(gamma_bump, rel=2e-2)
 
 
 def test_geometric_payoff_values():
