@@ -2,84 +2,10 @@
 boundary singularities: digital nets, nested uniform scrambling,
 low-variation extensions, option-payoff integrands, and replicated
 convergence-rate studies.
-"""
 
-from .digital_nets import (
-    PRECISION_DEPTH,
-    DirectionTable,
-    ElementaryInterval,
-    NetSpec,
-    PointSet,
-    VerifyResult,
-    certify_t,
-    generate_net,
-    generate_points,
-    load_direction_numbers,
-    locate_cell,
-    radical_inverse,
-    verify_net,
-)
-from .errors import (
-    CapacityError,
-    ContractError,
-    InfeasibleRegimeError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    QuadratureToleranceError,
-)
-from .experiment import (
-    CATALOG,
-    CATALOG_NAMES,
-    STANDARD_MODEL,
-    CatalogEntry,
-    ErrorRecord,
-    RateFit,
-    StudyConfig,
-    StudyReport,
-    catalog_config,
-    expected_abs_error,
-    fit_rate,
-    replicate_estimates,
-    report_to_csv,
-    report_to_json,
-    run_study,
-    theoretical_exponent,
-)
-from .finance import (
-    PAYOFF_KINDS,
-    GbmModel,
-    PathFactor,
-    PayoffSpec,
-    cholesky_factor,
-    covariance,
-    generate_path,
-    geometric_asian_price,
-    geometric_threshold,
-    geometric_weight,
-    inv_norm_cdf,
-    ot_factor,
-    path_factor,
-    payoff_eval,
-)
-from .scrambling import (
-    DEFAULT_DEPTH,
-    ScrambleSeed,
-    permutation_for,
-    scramble,
-    uniform_points,
-)
-from .singularity import (
-    ANCHOR,
-    AvoidanceRegion,
-    GrowthCheckResult,
-    GrowthSpec,
-    ProductSingularFunction,
-    approx_error_1d,
-    check_growth,
-    extension_1d,
-    extension_nd_oracle,
-    k_epsilon_contains,
-    sup_extension_1d,
-)
+Public names are imported from their submodules (``rqmc.experiment``,
+``rqmc.finance``, ...); this module re-exports none of them, so a command
+loads only the modules it uses.
+"""
 
 __version__ = "0.1.0"

@@ -16,16 +16,11 @@ import sys
 import numpy as np
 
 from .digital_nets import generate_points, verify_net
-from .errors import (
-    CapacityError,
-    ContractError,
-    InfeasibleRegimeError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-)
+from .errors import CapacityError, ContractError
 from .experiment import (
     CATALOG_NAMES,
     DEFAULT_N_GRID,
+    STANDARD_MODEL,
     StudyConfig,
     _g17,
     catalog_config,
@@ -117,60 +112,68 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return out
 
 
+def _check_point_count(n: int) -> None:
+    """Cap points per replicate for `price` and `rate-study` as `points` does."""
+    if n > 2**_MAX_POINTS_M:
+        raise CapacityError(
+            f"at most 2^{_MAX_POINTS_M} points per replicate, got {n}"
+        )
+
+
 def _n_grid_from(kv: dict[str, str]) -> tuple[int, ...]:
-    n_min = int(kv["n_min"]) if "n_min" in kv else DEFAULT_N_GRID[0]
-    n_max = int(kv["n_max"]) if "n_max" in kv else DEFAULT_N_GRID[-1]
+    n_min = int(kv.pop("n_min", DEFAULT_N_GRID[0]))
+    n_max = int(kv.pop("n_max", DEFAULT_N_GRID[-1]))
     for n in (n_min, n_max):
         if n < 1 or n & (n - 1):
             raise ContractError(f"n_min/n_max must be powers of 2, got {n}")
     if n_max < n_min:
         raise ContractError("n_max must be >= n_min")
+    _check_point_count(n_max)
     lo, hi = n_min.bit_length() - 1, n_max.bit_length() - 1
     return tuple(2**k for k in range(lo, hi + 1))
 
 
 def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
+    # Every key read is popped, so the keys left over are the unused ones.
     kv = _parse_kv_file(path)
     if "integrand" not in kv:
         raise ContractError("config must name an integrand")
-    name = kv["integrand"]
+    name = kv.pop("integrand")
 
     overrides: dict = {"n_grid": _n_grid_from(kv)}
-    if "R" in kv:
-        overrides["replications"] = int(kv["R"])
-    if "sampler" in kv:
-        overrides["sampler"] = kv["sampler"]
-    if "slack" in kv:
-        overrides["slack"] = float(kv["slack"])
-    if "d_u" in kv:
-        overrides["irregular_dimension"] = int(kv["d_u"])
-    if "maxA" in kv:
-        overrides["max_growth"] = float(kv["maxA"])
+    for key, field, cast in (
+        ("R", "replications", int),
+        ("sampler", "sampler", str),
+        ("slack", "slack", float),
+        ("d_u", "irregular_dimension", int),
+        ("maxA", "max_growth", float),
+        ("seed", "master_seed", int),
+    ):
+        if key in kv:
+            overrides[field] = cast(kv.pop(key))
     if seed_flag is not None:
         overrides["master_seed"] = seed_flag
-    elif "seed" in kv:
-        overrides["master_seed"] = int(kv["seed"])
 
     if name in CATALOG_NAMES:
         if "d" in kv:
-            overrides["dimension"] = int(kv["d"])
+            overrides["dimension"] = int(kv.pop("d"))
         if "reference" in kv:
-            overrides["reference_value"] = float(kv["reference"])
-        return catalog_config(name, **overrides)
-
-    if name in PAYOFF_KINDS:
+            overrides["reference_value"] = float(kv.pop("reference"))
+        config = catalog_config(name, **overrides)
+    elif name in PAYOFF_KINDS:
+        std = STANDARD_MODEL
         model = GbmModel(
-            s0=float(kv.get("s0", 1.0)),
-            r=float(kv.get("r", 0.05)),
-            sigma=float(kv.get("sigma", 0.2)),
-            maturity=float(kv.get("T", 1.0)),
-            d=int(kv.get("d", 4)),
-            strike=float(kv.get("K", 1.0)),
+            s0=float(kv.pop("s0", std.s0)),
+            r=float(kv.pop("r", std.r)),
+            sigma=float(kv.pop("sigma", std.sigma)),
+            maturity=float(kv.pop("T", std.maturity)),
+            d=int(kv.pop("d", std.d)),
+            strike=float(kv.pop("K", std.strike)),
         )
         spec = PayoffSpec(name, model)
-        factor_method = kv.get("factor", "ot")
+        factor_method = kv.pop("factor", "ot")
         if "reference" in kv:
-            reference: float | str = float(kv["reference"])
+            reference: float | str = float(kv.pop("reference"))
         elif name == "geometric_indicator_payoff":
             reference = "oracle:geometric_asian"
         else:
@@ -181,15 +184,22 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             "irregular_dimension", 1 if factor_method == "ot" else model.d
         )
         overrides.setdefault("max_growth", 0.0)
-        return StudyConfig(
+        config = StudyConfig(
             integrand=spec,
             dimension=model.d,
             reference_value=reference,
             factor_method=factor_method,
             **overrides,
         )
+    else:
+        raise ContractError(f"unknown integrand {name!r}")
 
-    raise ContractError(f"unknown integrand {name!r}")
+    if kv:
+        raise ContractError(
+            f"config keys not used by integrand {config.integrand_name!r}: "
+            + ", ".join(sorted(kv))
+        )
+    return config
 
 
 def _cmd_rate_study(args) -> int:
@@ -209,8 +219,7 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_price(args) -> int:
-    if args.n < 1 or args.n & (args.n - 1):
-        raise ContractError(f"n must be a power of 2, got {args.n}")
+    _check_point_count(args.n)
     model = GbmModel(
         s0=args.s0,
         r=args.r,
@@ -292,13 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate_study)
 
     p = sub.add_parser("price", help="RQMC price / Greek with replicate error")
+    std = STANDARD_MODEL
     p.add_argument("--payoff", required=True, choices=PAYOFF_KINDS)
-    p.add_argument("--s0", type=float, default=1.0, help="initial price")
-    p.add_argument("--r", type=float, default=0.05, help="risk-free rate")
-    p.add_argument("--sigma", type=float, default=0.2, help="volatility")
-    p.add_argument("-T", "--maturity", type=float, default=1.0, help="maturity")
-    p.add_argument("-d", type=int, default=4, help="monitoring dates")
-    p.add_argument("-K", "--strike", type=float, default=1.0, help="strike")
+    p.add_argument("--s0", type=float, default=std.s0, help="initial price")
+    p.add_argument("--r", type=float, default=std.r, help="risk-free rate")
+    p.add_argument("--sigma", type=float, default=std.sigma, help="volatility")
+    p.add_argument(
+        "-T", "--maturity", type=float, default=std.maturity, help="maturity"
+    )
+    p.add_argument("-d", type=int, default=std.d, help="monitoring dates")
+    p.add_argument("-K", "--strike", type=float, default=std.strike, help="strike")
     p.add_argument("--factor", choices=("cholesky", "ot"), default="ot")
     p.add_argument("-n", type=int, default=2**16, help="points per replicate")
     p.add_argument("-R", "--replications", type=int, default=16)
@@ -315,15 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ContractError,
-        CapacityError,
-        NotPositiveDefiniteError,
-        InfeasibleRegimeError,
-        InsufficientDataError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ rather than float comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Sequence
 

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .digital_nets import PRECISION_DEPTH, generate_points
+from .digital_nets import generate_points
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
     GbmModel,
@@ -68,8 +68,8 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
     """
     if not 1 <= d_u <= d:
         raise ContractError("need 1 <= d_u <= d")
-    if max_growth < 0:
-        raise ContractError("growth exponent must be >= 0")
+    if not max_growth >= 0:  # also rejects NaN
+        raise ContractError(f"growth exponent must be >= 0, got {max_growth}")
     if max_growth >= 1:
         raise InfeasibleRegimeError(
             f"max growth exponent {max_growth} >= 1: the singularity bound "
@@ -114,8 +114,10 @@ class StudyConfig:
             raise ContractError(f"unknown sampler {self.sampler!r}")
         if not 1 <= self.irregular_dimension <= self.dimension:
             raise ContractError("need 1 <= irregular_dimension <= dimension")
-        if self.slack < 0:
-            raise ContractError("slack must be >= 0")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise ContractError(f"slack must be finite and >= 0, got {self.slack}")
+        if not math.isfinite(self.max_growth):
+            raise ContractError(f"max_growth must be finite, got {self.max_growth}")
         if isinstance(self.reference_value, str):
             if not self.reference_value.startswith("oracle:"):
                 raise ContractError(
@@ -219,9 +221,7 @@ def _replicate_means(config: StudyConfig, n_grid: Sequence[int]) -> np.ndarray:
     f = _resolve_integrand(config)
     n_max = n_grid[-1]
     if config.sampler == "scrambled_net":
-        net = generate_points(
-            np.arange(n_max, dtype=np.uint64), config.dimension, depth=PRECISION_DEPTH
-        )
+        net = generate_points(np.arange(n_max, dtype=np.uint64), config.dimension)
 
     def prefix_means(k: int) -> list[float]:
         # u and vals die on return, before the next replicate is drawn.

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqmc.cli
 from rqmc.cli import main
 from rqmc.digital_nets import radical_inverse
 from rqmc.finance import GbmModel, geometric_asian_price
@@ -223,6 +228,33 @@ def test_rate_study_infeasible_growth(tmp_path, capsys):
     code, _, err = run(capsys, "rate-study", "--config", cfg)
     assert code == 2
     assert "error:" in err
+    # non-finite growth or slack must not reach the report as NaN/Infinity
+    for line in ("maxA = nan", "slack = nan", "slack = inf"):
+        cfg = write_config(
+            tmp_path, f"integrand = axis_singular\n{line}\nn_min = 64\nn_max = 1024\nR = 8\n"
+        )
+        code, out, err = run(capsys, "rate-study", "--config", cfg, "--format", "json")
+        assert code == 2, line
+        assert out == ""
+        assert "error:" in err
+
+
+def test_rate_study_unused_keys_rejected(tmp_path, capsys):
+    cases = [
+        ("integrand = halfspace\nn_maxx = 4096\nR = 8\n", "n_maxx"),
+        (
+            "integrand = geometric_ot\nfactor = cholesky\nn_min = 64\nn_max = 1024\nR = 8\n",
+            "factor",
+        ),
+    ]
+    for text, key in cases:
+        code, out, err = run(
+            capsys, "rate-study", "--config", write_config(tmp_path, text),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert key in err
 
 
 def test_rate_study_bad_configs(tmp_path, capsys):
@@ -245,6 +277,14 @@ def test_rate_study_bad_configs(tmp_path, capsys):
         capsys, "rate-study", "--config", str(tmp_path / "nope.cfg"),
     )
     assert code == 2
+    # capped like `points`: fails before any allocation, without a traceback
+    code, out, err = run(
+        capsys, "rate-study", "--config",
+        write_config(tmp_path, f"integrand = halfspace\nn_max = {2**40}\nR = 8\n"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "2^20" in err
 
 
 def test_rate_study_payoff_requires_reference(tmp_path, capsys):
@@ -335,6 +375,24 @@ def test_price_validation_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "price", "--payoff", "asian_call", "-R", "4", "-n", "512")
     assert code == 2
+    code, out, err = run(capsys, "price", "--payoff", "asian_call", "-n", str(2**40))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "2^20" in err
+
+
+def test_cli_import_skips_unused_modules():
+    # the package re-exports nothing, so a command loads only what it uses
+    src = str(Path(rqmc.cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, rqmc.cli; "
+        "print('rqmc.experiment' in sys.modules, 'rqmc.singularity' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_price_out_file(tmp_path, capsys):

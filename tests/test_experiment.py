@@ -67,6 +67,8 @@ def test_theoretical_exponent_contracts():
         theoretical_exponent(2, 1, 1.0)
     with pytest.raises(InfeasibleRegimeError):
         theoretical_exponent(2, 1, 1.2)
+    with pytest.raises(ContractError):
+        theoretical_exponent(2, 1, math.nan)
 
 
 # ---------------------------------------------------------------- config
@@ -101,6 +103,11 @@ def test_config_validation():
         base_config(irregular_dimension=3)
     with pytest.raises(ContractError):
         base_config(slack=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            base_config(slack=bad)
+        with pytest.raises(ContractError):
+            base_config(max_growth=bad)
     with pytest.raises(ContractError):
         base_config(reference_value="exact")
     with pytest.raises(ContractError):
