@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .digital_nets import generate_points, verify_net
+from .digital_nets import generate_net, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
     CATALOG_NAMES,
@@ -54,7 +54,7 @@ def _cmd_points(args) -> int:
         raise CapacityError(f"m must be in 0..{_MAX_POINTS_M}")
     if args.d < 1 or args.d > _MAX_POINTS_D:
         raise CapacityError(f"d must be in 1..{_MAX_POINTS_D}")
-    points = generate_points(np.arange(2**args.m, dtype=np.uint64), args.d)
+    points = generate_net(args.m, args.d)
     if args.scramble:
         points = scramble(points, ScrambleSeed(args.seed))
     lines = [

@@ -46,7 +46,7 @@ class DirectionTable:
     def __init__(self, rows: dict[int, tuple[int, int, list[int]]]):
         self._rows = rows
         self.max_dim = max(rows) if rows else 1
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "DirectionTable":
@@ -74,8 +74,8 @@ class DirectionTable:
             rows[d] = (s, a, ms)
         return cls(rows)
 
-    def direction_integers(self, d: int, depth: int = PRECISION_DEPTH) -> np.ndarray:
-        """Direction integers ``V[j, k]`` scaled to ``depth`` digits.
+    def direction_integers(self, d: int) -> np.ndarray:
+        """Direction integers ``V[j, k]`` scaled to ``PRECISION_DEPTH`` digits.
 
         ``V[j, k]`` is the generator column for digit ``k+1`` of dimension
         ``j+1``; a point with index ``i`` is the XOR of the columns picked
@@ -88,8 +88,8 @@ class DirectionTable:
                 f"dimension {d} exceeds the bundled direction-number table "
                 f"(max {self.max_dim})"
             )
-        key = (d, depth)
-        if key not in self._cache:
+        if d not in self._cache:
+            depth = PRECISION_DEPTH
             v = np.zeros((d, depth), dtype=np.uint64)
             # Dimension 1: identity generator matrix (van der Corput).
             v[0, :] = [1 << (depth - k) for k in range(1, depth + 1)]
@@ -105,8 +105,8 @@ class DirectionTable:
                             new ^= m[k - i] << i
                     m.append(new)
                 v[j - 1, :] = [m[k] << (depth - 1 - k) for k in range(depth)]
-            self._cache[key] = v
-        return self._cache[key]
+            self._cache[d] = v
+        return self._cache[d]
 
 
 _default_table: DirectionTable | None = None
@@ -119,25 +119,6 @@ def load_direction_numbers() -> DirectionTable:
         text = resources.files("rqmc.data").joinpath(_DATA_FILE).read_text()
         _default_table = DirectionTable.from_text(text)
     return _default_table
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Parameters of a generated point set: quality t, 2^m points, d dims."""
-
-    t: int
-    m: int
-    d: int
-    b: int = 2
-    table: DirectionTable | None = None
-
-    def __post_init__(self):
-        if self.b < 2:
-            raise ContractError("base must be >= 2")
-        if self.t < 0 or self.m < 0 or self.t > self.m:
-            raise ContractError("need 0 <= t <= m")
-        if self.d < 1:
-            raise ContractError("dimension must be >= 1")
 
 
 @dataclass
@@ -229,41 +210,36 @@ def radical_inverse(i: int, b: int) -> float:
     return rev / scale
 
 
-def generate_points(
-    indices: np.ndarray | Sequence[int],
-    d: int,
-    table: DirectionTable | None = None,
-    depth: int = PRECISION_DEPTH,
-) -> PointSet:
+def generate_points(indices: np.ndarray | Sequence[int], d: int) -> PointSet:
     """Points of the base-2 digital sequence at the given index positions."""
-    table = table or load_direction_numbers()
     idx = np.asarray(indices, dtype=np.uint64)
     if idx.ndim != 1:
         raise ContractError("indices must be one-dimensional")
-    v = table.direction_integers(d, depth)
+    v = load_direction_numbers().direction_integers(d)
     out = np.zeros((idx.size, d), dtype=np.uint64)
     if idx.size:
         nbits = int(idx.max()).bit_length()
-        if nbits > depth:
+        if nbits > PRECISION_DEPTH:
             raise CapacityError(
                 f"index {int(idx.max())} needs {nbits} digits, above the "
-                f"{depth}-digit precision"
+                f"{PRECISION_DEPTH}-digit precision"
             )
         for bit in range(nbits):
             mask = (idx >> np.uint64(bit)) & np.uint64(1) == 1
             if mask.any():
                 out[mask] ^= v[:, bit]
-    return PointSet(out, depth)
+    return PointSet(out, PRECISION_DEPTH)
 
 
-def generate_net(spec: NetSpec) -> PointSet:
-    """First ``2^m`` sequence points, in natural index order."""
-    if spec.b != 2:
-        raise ContractError("generation is implemented for base 2 only")
-    if spec.m > PRECISION_DEPTH:
-        raise CapacityError(f"m={spec.m} exceeds {PRECISION_DEPTH}-digit precision")
-    table = spec.table or load_direction_numbers()
-    return generate_points(np.arange(2**spec.m, dtype=np.uint64), spec.d, table)
+def generate_net(m: int, d: int) -> PointSet:
+    """First ``2^m`` sequence points in ``d`` dimensions, in natural index order."""
+    if m < 0:
+        raise ContractError("m must be >= 0")
+    if d < 1:
+        raise ContractError("dimension must be >= 1")
+    if m > PRECISION_DEPTH:
+        raise CapacityError(f"m={m} exceeds {PRECISION_DEPTH}-digit precision")
+    return generate_points(np.arange(2**m, dtype=np.uint64), d)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -345,7 +321,11 @@ def verify_net(
         Net quality and size parameters, ``0 <= t <= m``.
     d : int, optional
         Dimension; inferred from ``points`` when omitted.
+    b : int
+        Base, ``b >= 2``.
     """
+    if b < 2:
+        raise ContractError("base must be >= 2")
     if isinstance(points, PointSet):
         n, pd = points.n, points.d
     else:
@@ -404,25 +384,19 @@ def verify_net(
     )
 
 
-def certify_t(
-    d: int,
-    m_max: int,
-    table: DirectionTable | None = None,
-    work_budget: int = 10**8,
-) -> int:
+def certify_t(d: int, m_max: int) -> int:
     """Smallest ``t`` for which the first ``2^m`` points pass verification
     for every ``m`` in ``t..m_max``.
 
     The generator's quality parameter is a property of its direction
     numbers; it is measured here rather than assumed.
     """
-    table = table or load_direction_numbers()
-    full = generate_net(NetSpec(t=0, m=m_max, d=d, table=table))
+    full = generate_net(m_max, d)
     for t in range(m_max + 1):
         ok = True
         for m in range(t, m_max + 1):
             prefix = PointSet(full.ints[: 2**m], full.depth)
-            if not verify_net(prefix, t, m, d, work_budget=work_budget):
+            if not verify_net(prefix, t, m, d):
                 ok = False
                 break
         if ok:

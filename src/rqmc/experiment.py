@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .digital_nets import generate_points
+from .digital_nets import generate_net
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
     GbmModel,
@@ -212,16 +212,17 @@ def payoff_values(spec: PayoffSpec, factor, u: np.ndarray) -> np.ndarray:
     return payoff_eval(spec, generate_path(u, spec.model, factor))
 
 
-def _replicate_means(config: StudyConfig, n_grid: Sequence[int]) -> np.ndarray:
-    """Estimates Ihat_k at each n of an increasing grid, shape (len(n_grid), R).
+def _replicate_means(config: StudyConfig) -> np.ndarray:
+    """Estimates Ihat_k at each n of the grid, shape (len(n_grid), R).
 
     Each replicate is drawn once at the largest n; its estimate at n is
     the mean of the first n values, which equals a separate draw at n.
     """
     f = _resolve_integrand(config)
+    n_grid = config.n_grid
     n_max = n_grid[-1]
     if config.sampler == "scrambled_net":
-        net = generate_points(np.arange(n_max, dtype=np.uint64), config.dimension)
+        net = generate_net(n_max.bit_length() - 1, config.dimension)
 
     def prefix_means(k: int) -> list[float]:
         # u and vals die on return, before the next replicate is drawn.
@@ -243,11 +244,11 @@ def _replicate_means(config: StudyConfig, n_grid: Sequence[int]) -> np.ndarray:
 
 
 def replicate_estimates(config: StudyConfig, n: int) -> np.ndarray:
-    """The R independent estimates Ihat_k at sample size n.
+    """The R independent estimates Ihat_k at sample size n, a power of 2.
 
     Replicate k is a pure function of (config, n, k).
     """
-    return _replicate_means(config, (n,))[0]
+    return _replicate_means(replace(config, n_grid=(n,)))[0]
 
 
 def expected_abs_error(config: StudyConfig, n: int) -> ErrorRecord:
@@ -258,9 +259,7 @@ def expected_abs_error(config: StudyConfig, n: int) -> ErrorRecord:
 
 
 def fit_rate(
-    records: Sequence[ErrorRecord],
-    n_min: int | None = None,
-    theoretical_exponent: float | None = None,
+    records: Sequence[ErrorRecord], theoretical_exponent: float | None = None
 ) -> RateFit:
     """Least-squares slope of the error decay on the log2-log2 scale.
 
@@ -269,8 +268,6 @@ def fit_rate(
     """
     usable, excluded = [], []
     for rec in records:
-        if n_min is not None and rec.n < n_min:
-            continue
         (excluded if rec.mean_abs_error == 0.0 else usable).append(rec)
     if len(usable) < 4:
         raise InsufficientDataError(
@@ -322,7 +319,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         config.dimension, config.irregular_dimension, config.max_growth
     )
     reference = _resolve_reference(config)
-    means = _replicate_means(config, config.n_grid)
+    means = _replicate_means(config)
     records = tuple(
         ErrorRecord(n=n, reference=reference, estimates=tuple(row))
         for n, row in zip(config.n_grid, means)

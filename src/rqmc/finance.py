@@ -55,6 +55,10 @@ class GbmModel:
     strike: float
 
     def __post_init__(self):
+        for name in ("s0", "r", "sigma", "maturity", "strike"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         if self.s0 <= 0:
             raise ContractError("initial price must be > 0")
         if self.sigma < 0:
@@ -163,16 +167,18 @@ def ot_factor(cov: np.ndarray, w: np.ndarray) -> PathFactor:
     return PathFactor(a0 @ h, "ot", w.copy())
 
 
-def path_factor(model: GbmModel, method: str, w: np.ndarray | None = None) -> PathFactor:
-    """Build a validated factor of the model's covariance by name."""
+def path_factor(model: GbmModel, method: str) -> PathFactor:
+    """Build a validated factor of the model's covariance by name.
+
+    The ``ot`` factor is rotated for the geometric-mean weight.
+    """
     cov = covariance(model)
     if method == "cholesky":
         factor = PathFactor(cholesky_factor(cov), "cholesky")
     elif method == "ot":
-        if w is None:
-            w = geometric_weight(model)
-            if not np.any(w):
-                w = np.ones(model.d)  # sigma = 0: indicator constant, any rotation
+        w = geometric_weight(model)
+        if not np.any(w):
+            w = np.ones(model.d)  # sigma = 0: indicator constant, any rotation
         factor = ot_factor(cov, w)
     else:
         raise ContractError(f"unknown factor method {method!r}")

@@ -106,6 +106,24 @@ def permutation_for(
     return (1, 0) if swap else (0, 1)
 
 
+def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.ndarray:
+    """XOR mask of the node swap bits at the given digit positions.
+
+    The swap bit of digit ``k`` hashes the ``k-1`` leading digits of
+    ``col`` under a key for (dimension, ``k``); a nonzero ``salt`` rekeys
+    the draw, for the filler redraw.
+    """
+    mask = np.zeros_like(col)
+    for k in digits:
+        key_k = _mix(hj ^ k)
+        if salt:
+            key_k = _mix(key_k ^ salt * _GOLDEN)
+        prefix = col >> _U64(65 - k) if k > 1 else np.zeros_like(col)
+        swaps = _mix_vec(prefix ^ _U64(key_k)) & _U64(1)
+        mask |= swaps << _U64(64 - k)
+    return mask
+
+
 def _scramble_column(
     col: np.ndarray,
     seed: ScrambleSeed,
@@ -116,15 +134,8 @@ def _scramble_column(
 ) -> np.ndarray:
     """Scramble one coordinate column given as left-aligned 64-bit digits."""
     hj = _dim_key(seed, dim)
-    mask = np.zeros_like(col)
-    for k in range(1, depth + 1):
-        if identity_prefix and k <= in_depth:
-            continue
-        key_k = _U64(_mix(hj ^ k))
-        prefix = col >> _U64(65 - k) if k > 1 else np.zeros_like(col)
-        swaps = _mix_vec(prefix ^ key_k) & _U64(1)
-        mask |= swaps << _U64(64 - k)
-    out = col ^ mask
+    first = in_depth + 1 if identity_prefix else 1
+    out = col ^ _swap_mask(col, hj, range(first, depth + 1))
 
     # Exclude float images 0.0 and 1.0 by redrawing the filler digits
     # (positions in_depth+1 .. depth) with a salted key.  Equal input
@@ -138,13 +149,7 @@ def _scramble_column(
             if not bad.any():
                 break
             salt += 1
-            refill = np.zeros(int(bad.sum()), dtype=_U64)
-            sub = col[bad]
-            for k in range(in_depth + 1, depth + 1):
-                key_k = _U64(_mix(_mix(hj ^ k) ^ salt * _GOLDEN))
-                prefix = sub >> _U64(65 - k) if k > 1 else np.zeros_like(sub)
-                swaps = _mix_vec(prefix ^ key_k) & _U64(1)
-                refill |= swaps << _U64(64 - k)
+            refill = _swap_mask(col[bad], hj, range(in_depth + 1, depth + 1), salt)
             keep = _U64(_MASK64 ^ ((1 << (64 - in_depth)) - 1))
             out[bad] = (out[bad] & keep) | refill
     return out
@@ -192,20 +197,18 @@ def scramble(
     return PointSet(out >> _U64(64 - depth), depth)
 
 
-def uniform_points(
-    seed: ScrambleSeed, n: int, d: int, start_index: int = 0
-) -> np.ndarray:
+def uniform_points(seed: ScrambleSeed, n: int, d: int) -> np.ndarray:
     """Plain-uniform points from the same keyed-hash generator.
 
-    The Monte Carlo baseline: point ``i`` is a pure function of (seed,
-    start_index + i, dimension), so prefixes of a fixed stream are shared
+    The Monte Carlo baseline: point ``i`` is a pure function of (seed, i,
+    dimension), so the first ``n`` points of a fixed stream are shared
     across sample sizes exactly as with the digital sequence.  Values lie
     strictly inside (0,1).
     """
     if n < 0 or d < 1:
         raise ContractError("need n >= 0 and d >= 1")
     base = seed._key(_DOMAIN_UNIFORM)
-    idx = np.arange(start_index, start_index + n, dtype=_U64)
+    idx = np.arange(n, dtype=_U64)
     out = np.empty((n, d), dtype=np.float64)
     for j in range(d):
         key_j = _U64(_mix(base ^ (j + 1) * _GOLDEN))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from rqmc.digital_nets import NetSpec, PointSet, certify_t, generate_net, generate_points, verify_net
+from rqmc.digital_nets import PointSet, certify_t, generate_net, generate_points, verify_net
 from rqmc.experiment import (
     CATALOG_NAMES,
     STANDARD_MODEL,
@@ -50,7 +50,7 @@ def test_01_net_correctness():
     measured = {d: certify_t(d, m_max=12) for d in range(1, 7)}
     # certify_t verifies every m in [t, 12]; re-check the largest net explicitly.
     for d, t in measured.items():
-        net = generate_net(NetSpec(t=t, m=12, d=d))
+        net = generate_net(12, d)
         assert verify_net(net, t=t, m=12, d=d).passed
     elapsed = time.monotonic() - t0
     ok = measured == CERTIFIED_T_M12 and elapsed < 60.0
@@ -63,7 +63,7 @@ def test_02_scrambling_preserves_nets():
     seeds = [int(x) for x in rng.integers(0, 2**64, size=20, dtype=np.uint64)]
     checked = 0
     for d, t in CERTIFIED_T_M10.items():
-        base = generate_net(NetSpec(t=t, m=10, d=d))
+        base = generate_net(10, d)
         for s in seeds:
             scrambled = scramble(base, ScrambleSeed(s, 0))
             # The first 2^m rows of a scrambled sequence coincide with the

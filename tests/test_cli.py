@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,13 @@ def test_verify_base3(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2", "-b", "3")
     assert code == 0
     assert "base 3" in out
+    one = tmp_path / "one.txt"
+    one.write_text("0.5 0.5\n")
+    for base in ("1", "0"):  # b^m = 1 matches the row count, but no base < 2 is valid
+        code, out, err = run(capsys, "verify-net", str(one), "-t", "0", "-m", "0", "-b", base)
+        assert code == 2
+        assert out == ""
+        assert "base must be >= 2" in err
 
 
 def test_verify_dimension_flag_mismatch(tmp_path, capsys):
@@ -379,6 +387,26 @@ def test_price_validation_errors(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and "2^20" in err
+    for flag, value, field in (
+        ("--r", "nan", "r"),
+        ("-K", "nan", "strike"),
+        ("-K", "inf", "strike"),
+        ("--s0", "inf", "s0"),
+        ("--sigma", "nan", "sigma"),
+        ("-T", "inf", "maturity"),
+        ("-T", "nan", "maturity"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "price", "--payoff", "geometric_indicator_payoff",
+                "-n", "512", "-R", "8", flag, value,
+            )
+        assert code == 2, flag
+        assert out == ""
+        assert f"error: {field} must be finite" in err, err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_import_skips_unused_modules():

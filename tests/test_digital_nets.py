@@ -11,7 +11,6 @@ from rqmc.digital_nets import (
     PRECISION_DEPTH,
     DirectionTable,
     ElementaryInterval,
-    NetSpec,
     PointSet,
     certify_t,
     generate_net,
@@ -69,7 +68,7 @@ def test_radical_inverse_rejects_bad_inputs():
 def test_direction_table_covers_64_dimensions():
     table = load_direction_numbers()
     assert table.max_dim == 64
-    v = table.direction_integers(64, PRECISION_DEPTH)
+    v = table.direction_integers(64)
     assert v.shape == (64, PRECISION_DEPTH)
     assert v.dtype == np.uint64
 
@@ -105,12 +104,12 @@ def test_dimension_one_equals_radical_inverse():
 
 
 def test_m2_d1_net_values():
-    net = generate_net(NetSpec(t=0, m=2, d=1))
+    net = generate_net(2, 1)
     assert net.coords[:, 0].tolist() == [0.0, 0.5, 0.25, 0.75]
 
 
 def test_one_point_net_is_origin():
-    net = generate_net(NetSpec(t=0, m=0, d=3))
+    net = generate_net(0, 3)
     assert net.n == 1
     assert np.all(net.coords == 0.0)
 
@@ -152,7 +151,7 @@ def test_coords_are_exact_dyadics():
 
 def test_generation_capacity_errors():
     with pytest.raises(CapacityError):
-        generate_net(NetSpec(t=0, m=54, d=1))
+        generate_net(54, 1)
     with pytest.raises(CapacityError):
         generate_points([2**53], 1)  # needs 54 digits
     generate_points([2**53 - 1], 1)  # last representable index is fine
@@ -161,8 +160,6 @@ def test_generation_capacity_errors():
 def test_generate_points_rejects_bad_shapes():
     with pytest.raises(ContractError):
         generate_points(np.arange(4).reshape(2, 2), 1)
-    with pytest.raises(ContractError):
-        generate_net(NetSpec(t=0, m=2, d=1, b=3))
 
 
 def test_pointset_validates_depth():
@@ -250,7 +247,7 @@ def test_verify_identical_points_fails_lexicographically_first():
 
 
 def test_verify_reports_counts_and_shapes():
-    net = generate_net(NetSpec(t=0, m=4, d=2))
+    net = generate_net(4, 2)
     res = verify_net(net, 0, 4)
     assert res.passed and res.violation is None
     assert res.shapes_checked == 5  # shapes (0,4),(1,3),(2,2),(3,1),(4,0)
@@ -267,13 +264,13 @@ def test_verify_rejects_out_of_range_coords():
 
 
 def test_verify_work_budget():
-    net = generate_net(NetSpec(t=0, m=10, d=4))
+    net = generate_net(10, 4)
     with pytest.raises(CapacityError):
         verify_net(net, 0, 10, work_budget=10**3)
 
 
 def test_float_and_exact_paths_agree():
-    net = generate_net(NetSpec(t=1, m=6, d=3))
+    net = generate_net(6, 3)
     exact = verify_net(net, 1, 6)
     floats = verify_net(net.coords, 1, 6)
     assert exact.passed and floats.passed
@@ -311,10 +308,8 @@ def test_sequence_blocks_are_nets():
             assert verify_net(pts, t, m).passed, (d, k)
 
 
-def test_netspec_validation():
+def test_generate_net_validation():
     with pytest.raises(ContractError):
-        NetSpec(t=3, m=2, d=1)
+        generate_net(-1, 1)
     with pytest.raises(ContractError):
-        NetSpec(t=0, m=2, d=0)
-    with pytest.raises(ContractError):
-        NetSpec(t=-1, m=2, d=1)
+        generate_net(2, 0)

@@ -284,14 +284,6 @@ def test_fit_requires_four_usable_records():
         fit_rate(synth_records([64] * 5, [0.0] * 5))
 
 
-def test_fit_n_min_filter():
-    ns = [2**k for k in range(4, 12)]
-    errs = [1.0] * 2 + [1.0 / n for n in ns[2:]]  # flat head, clean tail
-    fit = fit_rate(synth_records(ns, errs), n_min=64)
-    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
-    assert fit.n_range == (64, 2048)
-
-
 def test_fit_records_theoretical_exponent():
     ns = [2**k for k in range(6, 10)]
     fit = fit_rate(synth_records(ns, [1.0 / n for n in ns]), theoretical_exponent=0.75)

@@ -49,6 +49,12 @@ def test_model_validation():
         GbmModel(1.0, 0.05, 0.2, 1.0, 0, 1.0)
     with pytest.raises(ContractError):
         GbmModel(1.0, 0.05, 0.2, 1.0, 4, -1.0)
+    fields = ("s0", "r", "sigma", "maturity", "d", "strike")
+    good = dict(zip(fields, (1.0, 0.05, 0.2, 1.0, 4, 1.0)))
+    for field in ("s0", "r", "sigma", "maturity", "strike"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractError, match=f"{field} must be finite"):
+                GbmModel(**{**good, field: bad})
 
 
 def test_model_grid():

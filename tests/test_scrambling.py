@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rqmc.digital_nets import NetSpec, PointSet, generate_net, verify_net
+from rqmc.digital_nets import PointSet, generate_net, verify_net
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
     DEFAULT_DEPTH,
@@ -103,7 +103,7 @@ def test_replicates_agree_about_half_the_time():
 
 
 def test_scramble_deterministic_and_replicates_differ():
-    net = generate_net(NetSpec(t=0, m=5, d=3))
+    net = generate_net(5, 3)
     s1 = scramble(net, ScrambleSeed(42, 0))
     s2 = scramble(net, ScrambleSeed(42, 0))
     s3 = scramble(net, ScrambleSeed(42, 1))
@@ -142,20 +142,20 @@ def test_scramble_prefix_sharing():
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 63))
 def test_scramble_preserves_net_property(master, rep):
-    net = generate_net(NetSpec(t=0, m=6, d=2))
+    net = generate_net(6, 2)
     s = scramble(net, ScrambleSeed(master, rep))
     assert s.depth == DEFAULT_DEPTH
     assert verify_net(s, 0, 6).passed
 
 
 def test_scramble_preserves_higher_dim_net():
-    net = generate_net(NetSpec(t=3, m=7, d=4))
+    net = generate_net(7, 4)
     s = scramble(net, ScrambleSeed(2024))
     assert verify_net(s, 3, 7).passed
 
 
 def test_scramble_keeps_points_distinct():
-    net = generate_net(NetSpec(t=0, m=8, d=1))
+    net = generate_net(8, 1)
     s = scramble(net, ScrambleSeed(5))
     assert len(np.unique(s.ints[:, 0])) == 256
 
@@ -170,10 +170,21 @@ def test_identity_prefix_hook():
 
 
 def test_scramble_outputs_open_interval():
-    net = generate_net(NetSpec(t=0, m=4, d=3))
+    net = generate_net(4, 3)
     for master in range(200):
         u = scramble(net, ScrambleSeed(master)).coords
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+
+def test_filler_redraw_keeps_outputs_open_and_distinct():
+    # one input digit scrambled to two output digits: a quarter of the draws
+    # land on 0.0 and take the salted filler redraw
+    pts = PointSet(np.array([[0], [1]], dtype=np.uint64), 1)
+    for master in range(50):
+        s = scramble(pts, ScrambleSeed(master), depth=2)
+        assert np.all(s.coords > 0.0) and np.all(s.coords < 1.0)
+        assert s.ints[0, 0] >> np.uint64(1) != s.ints[1, 0] >> np.uint64(1)
+        assert np.array_equal(s.ints, scramble(pts, ScrambleSeed(master), depth=2).ints)
 
 
 def test_scramble_depth_contract():
@@ -221,10 +232,9 @@ def test_uniform_points_open_interval_and_shape():
     assert uniform_points(SEED, 0, 2).shape == (0, 2)
 
 
-def test_uniform_points_start_index_slices_one_stream():
-    full = uniform_points(SEED, 10, 3)
-    tail = uniform_points(SEED, 5, 3, start_index=5)
-    assert np.array_equal(full[5:], tail)
+def test_uniform_points_prefix_is_one_stream():
+    # studies read every smaller n off the prefix of one draw
+    assert np.array_equal(uniform_points(SEED, 5, 3), uniform_points(SEED, 10, 3)[:5])
 
 
 def test_uniform_points_pass_ks():
