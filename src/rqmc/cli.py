@@ -18,7 +18,6 @@ import numpy as np
 from .digital_nets import generate_net, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
-    CATALOG_NAMES,
     DEFAULT_N_GRID,
     STANDARD_MODEL,
     StudyConfig,
@@ -69,12 +68,6 @@ def _cmd_verify(args) -> int:
         coords = np.loadtxt(args.file, ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise ContractError(f"cannot parse point file: {exc}") from exc
-    expected_rows = args.b**args.m
-    if coords.shape[0] != expected_rows:
-        raise ContractError(
-            f"expected {expected_rows} points for b={args.b}, m={args.m}, "
-            f"got {coords.shape[0]}"
-        )
     result = verify_net(coords, args.t, args.m, d=args.d, b=args.b)
     if result.passed:
         print(
@@ -94,6 +87,7 @@ def _cmd_verify(args) -> int:
 def _parse_kv_file(path: str) -> dict[str, str]:
     """Flat key-value text: one `key = value` (or `key value`) per line."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -108,7 +102,12 @@ def _parse_kv_file(path: str) -> dict[str, str]:
             key, val = key.strip(), val.strip()
             if not key or not val:
                 raise ContractError(f"{path}:{lineno}: expected `key = value`")
+            if key in out:
+                raise ContractError(
+                    f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+                )
             out[key] = val
+            first_line[key] = lineno
     return out
 
 
@@ -148,51 +147,28 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         ("d_u", "irregular_dimension", int),
         ("maxA", "max_growth", float),
         ("seed", "master_seed", int),
+        ("d", "dimension", int),
+        ("reference", "reference_value", float),
     ):
         if key in kv:
             overrides[field] = cast(kv.pop(key))
     if seed_flag is not None:
         overrides["master_seed"] = seed_flag
 
-    if name in CATALOG_NAMES:
-        if "d" in kv:
-            overrides["dimension"] = int(kv.pop("d"))
-        if "reference" in kv:
-            overrides["reference_value"] = float(kv.pop("reference"))
-        config = catalog_config(name, **overrides)
-    elif name in PAYOFF_KINDS:
+    if name in PAYOFF_KINDS:
         std = STANDARD_MODEL
         model = GbmModel(
             s0=float(kv.pop("s0", std.s0)),
             r=float(kv.pop("r", std.r)),
             sigma=float(kv.pop("sigma", std.sigma)),
             maturity=float(kv.pop("T", std.maturity)),
-            d=int(kv.pop("d", std.d)),
+            d=overrides.pop("dimension", std.d),
             strike=float(kv.pop("K", std.strike)),
         )
-        spec = PayoffSpec(name, model)
-        factor_method = kv.pop("factor", "ot")
-        if "reference" in kv:
-            reference: float | str = float(kv.pop("reference"))
-        elif name == "geometric_indicator_payoff":
-            reference = "oracle:geometric_asian"
-        else:
-            raise ContractError(
-                f"no oracle for payoff {name!r}: provide `reference = <value>`"
-            )
-        overrides.setdefault(
-            "irregular_dimension", 1 if factor_method == "ot" else model.d
-        )
-        overrides.setdefault("max_growth", 0.0)
-        config = StudyConfig(
-            integrand=spec,
-            dimension=model.d,
-            reference_value=reference,
-            factor_method=factor_method,
-            **overrides,
-        )
+        overrides["factor_method"] = kv.pop("factor", "ot")
+        config = StudyConfig(PayoffSpec(name, model), **overrides)
     else:
-        raise ContractError(f"unknown integrand {name!r}")
+        config = catalog_config(name, **overrides)
 
     if kv:
         raise ContractError(
@@ -231,10 +207,6 @@ def _cmd_price(args) -> int:
     spec = PayoffSpec(args.payoff, model)
     config = StudyConfig(
         integrand=spec,
-        dimension=model.d,
-        irregular_dimension=1,
-        max_growth=0.0,
-        reference_value=0.0,
         n_grid=(args.n,),
         replications=args.replications,
         master_seed=args.seed,

@@ -333,13 +333,14 @@ def verify_net(
         if points.ndim == 1:
             points = points[:, None]
         n, pd = points.shape
-        if points.size and (points.min() < 0.0 or points.max() >= 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not np.all((points >= 0.0) & (points < 1.0)):
             raise ContractError("coordinates must lie in [0,1)")
     d = pd if d is None else d
     if d != pd:
         raise ContractError(f"points have dimension {pd}, expected {d}")
     if t < 0 or m < 0 or t > m:
-        raise ContractError("need 0 <= t <= m")
+        raise ContractError(f"need 0 <= t <= m, got t={t}, m={m}")
     if n != b**m:
         raise ContractError(f"expected {b**m} points for m={m}, got {n}")
 

@@ -85,13 +85,23 @@ class StudyConfig:
     ``integrand`` is a catalog name or a payoff bound to a model;
     ``reference_value`` is the exact integral, either as a number or as
     an ``"oracle:<name>"`` tag resolved at run time.
+
+    The four fields an integrand implies are worked out from it when left
+    as ``None``.  A catalog entry gives its own ``irregular_dimension``,
+    ``max_growth`` and exact reference, at ``dimension`` (default: the
+    entry's, else 2).  A payoff gives ``dimension = model.d``,
+    ``irregular_dimension`` 1 under the ``ot`` factor (its jump is
+    axis-parallel) and ``d`` under ``cholesky``, and ``max_growth = 0``;
+    the geometric payoff takes its closed-form lognormal price as the
+    reference, and any other payoff needs an explicit ``reference_value``
+    before a study of it can run.
     """
 
     integrand: str | PayoffSpec
-    dimension: int
-    irregular_dimension: int
-    max_growth: float
-    reference_value: float | str
+    dimension: int | None = None
+    irregular_dimension: int | None = None
+    max_growth: float | None = None
+    reference_value: float | str | None = None
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     replications: int = DEFAULT_REPLICATIONS
     master_seed: int = 0
@@ -100,6 +110,9 @@ class StudyConfig:
     slack: float = DEFAULT_SLOPE_SLACK
 
     def __post_init__(self):
+        for field, value in _implied_fields(self).items():
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, value)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid:
             raise ContractError("n_grid must be nonempty")
@@ -123,7 +136,9 @@ class StudyConfig:
                 raise ContractError(
                     "reference_value must be a number or an 'oracle:<name>' tag"
                 )
-        elif not math.isfinite(self.reference_value):
+        elif self.reference_value is not None and not math.isfinite(
+            self.reference_value
+        ):
             raise ContractError("reference_value must be finite")
 
     @property
@@ -131,6 +146,30 @@ class StudyConfig:
         if isinstance(self.integrand, PayoffSpec):
             return f"{self.integrand.kind}[{self.factor_method}]"
         return self.integrand
+
+
+def _implied_fields(config: StudyConfig) -> dict:
+    """The dimension, d_u, maxA and reference the integrand implies."""
+    spec = config.integrand
+    if isinstance(spec, PayoffSpec):
+        d = spec.model.d
+        geometric = spec.kind == "geometric_indicator_payoff"
+        return {
+            "dimension": d,
+            "irregular_dimension": 1 if config.factor_method == "ot" else d,
+            "max_growth": 0.0,
+            "reference_value": "oracle:geometric_asian" if geometric else None,
+        }
+    entry = CATALOG.get(spec)
+    if entry is None:
+        raise ContractError(f"unknown integrand {spec!r}")
+    d = config.dimension if config.dimension is not None else entry.dimension or 2
+    return {
+        "dimension": d,
+        "irregular_dimension": entry.irregular_dimension,
+        "max_growth": entry.max_growth,
+        "reference_value": entry.reference(d),
+    }
 
 
 @dataclass(frozen=True)
@@ -173,6 +212,11 @@ class RateFit:
 
 def _resolve_reference(config: StudyConfig) -> float:
     ref = config.reference_value
+    if ref is None:
+        raise ContractError(
+            f"no oracle for payoff {config.integrand.kind!r}: "
+            "provide `reference = <value>`"
+        )
     if isinstance(ref, str):
         name = ref.removeprefix("oracle:")
         if name == "geometric_asian":
@@ -201,10 +245,7 @@ def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray
             return payoff_values(spec, factor, u)
 
         return f
-    entry = CATALOG.get(config.integrand)
-    if entry is None:
-        raise ContractError(f"unknown integrand {config.integrand!r}")
-    return entry.build(config.dimension)
+    return CATALOG[config.integrand].build(config.dimension)
 
 
 def payoff_values(spec: PayoffSpec, factor, u: np.ndarray) -> np.ndarray:
@@ -315,10 +356,10 @@ def run_study(config: StudyConfig) -> StudyReport:
     the empirical slope is at most -exponent + slack, so steeper decay
     also passes.
     """
+    reference = _resolve_reference(config)
     exponent = theoretical_exponent(
         config.dimension, config.irregular_dimension, config.max_growth
     )
-    reference = _resolve_reference(config)
     means = _replicate_means(config)
     records = tuple(
         ErrorRecord(n=n, reference=reference, estimates=tuple(row))
@@ -533,12 +574,9 @@ CATALOG: dict[str, CatalogEntry] = {
     ]
 }
 
-# Payoff studies built on the shared market constants; the reference is the
-# exact lognormal mean of the geometric payoff.
-_PAYOFF_STUDIES = {
-    "geometric_ot": ("ot", 1),
-    "geometric_cholesky": ("cholesky", STANDARD_MODEL.d),
-}
+# Payoff studies of the geometric payoff on the shared market constants,
+# by the factor each uses.
+_PAYOFF_STUDIES = {"geometric_ot": "ot", "geometric_cholesky": "cholesky"}
 
 CATALOG_NAMES = tuple(CATALOG) + tuple(_PAYOFF_STUDIES)
 
@@ -546,26 +584,7 @@ CATALOG_NAMES = tuple(CATALOG) + tuple(_PAYOFF_STUDIES)
 def catalog_config(name: str, **overrides) -> StudyConfig:
     """StudyConfig for a named catalog integrand, with field overrides."""
     if name in _PAYOFF_STUDIES:
-        method, d_u = _PAYOFF_STUDIES[name]
-        base = dict(
-            integrand=PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL),
-            dimension=STANDARD_MODEL.d,
-            irregular_dimension=d_u,
-            max_growth=0.0,
-            reference_value="oracle:geometric_asian",
-            factor_method=method,
-        )
-    elif name in CATALOG:
-        entry = CATALOG[name]
-        d = int(overrides.pop("dimension", entry.dimension or 2))
-        base = dict(
-            integrand=name,
-            dimension=d,
-            irregular_dimension=entry.irregular_dimension,
-            max_growth=entry.max_growth,
-            reference_value=entry.reference(d),
-        )
-    else:
-        raise ContractError(f"unknown integrand {name!r}")
-    base.update(overrides)
-    return StudyConfig(**base)
+        spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
+        overrides = {"factor_method": _PAYOFF_STUDIES[name], **overrides}
+        return StudyConfig(spec, **overrides)
+    return StudyConfig(name, **overrides)

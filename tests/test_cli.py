@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import rqmc.cli
 from rqmc.cli import main
 from rqmc.digital_nets import radical_inverse
-from rqmc.finance import GbmModel, geometric_asian_price
+from rqmc.finance import PAYOFF_KINDS, GbmModel, geometric_asian_price
 
 
 def run(capsys, *argv):
@@ -116,6 +117,24 @@ def test_verify_wrong_row_count(tmp_path, capsys):
     code, _, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2")
     assert code == 2
     assert "expected 4 points" in err
+    # a negative m is named as such, not turned into a fractional row count
+    code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "-1")
+    assert code == 2
+    assert out == ""
+    assert "m=-1" in err and "0.5" not in err
+
+
+def test_verify_rejects_nan_coordinates(tmp_path, capsys):
+    for text in ("0.1 0.2\nnan 0.3\n", "0.1\nnan\n"):
+        f = tmp_path / "nan.txt"
+        f.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "1")
+        assert code == 2, text
+        assert out == ""
+        assert "coordinates must lie in [0,1)" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_verify_garbage_and_missing_files(tmp_path, capsys):
@@ -265,6 +284,14 @@ def test_rate_study_unused_keys_rejected(tmp_path, capsys):
         assert key in err
 
 
+def test_rate_study_repeated_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "integrand = halfspace\nR = 8\nn_max = 1024\nR = 16\n")
+    code, out, err = run(capsys, "rate-study", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "'R'" in err and ":4:" in err and "line 2" in err
+
+
 def test_rate_study_bad_configs(tmp_path, capsys):
     code, _, err = run(
         capsys, "rate-study", "--config",
@@ -316,6 +343,47 @@ def test_rate_study_geometric_payoff_oracle(tmp_path, capsys):
     model = GbmModel(1.0, 0.05, 0.2, 1.0, 4, 1.0)
     assert obj["reference"] == pytest.approx(geometric_asian_price(model))
     assert obj["config"]["model"]["d"] == 4
+
+
+# sha256 of stdout and the exit code for each payoff kind and factor:
+# `rate-study --format json` with n_max = 1024, R = 8 and no d_u or maxA
+# key, so the echoed irregular_dimension, max_growth and reference_value
+# are the ones the integrand implies; and `price --format json -n 256 -R 8`.
+GOLDEN_CLI = {
+    ("asian_call", "ot"): (1, "a5b031e194477da0877598f1acb5386ba56d36ce21c46207f04c2d7474b96f82", "67532f658eed3e23db83239bf1529c0102a7201354c66cc7c5f62ca844d568f5"),
+    ("asian_call", "cholesky"): (1, "0777e6b198aa7c71005cd76f7a0243d9e535aa37cd6187ccd1be60408dd30273", "9ad46e8b47749edb13feb909dac8e518ca105922b54aaf5e5b85f0cb15e03e55"),
+    ("asian_delta", "ot"): (1, "742872660534afe59de2054c52563198cc646784cf84e320eacae3479ba0290f", "3e70363a2d61bb4289589d9ed02a0c744a2b2b167f29c06b144f4533cf4020b8"),
+    ("asian_delta", "cholesky"): (1, "80b3ac63cd28abd50edf2ffab970808041529cb4122d3e7d8d166d1969a36b14", "f9978bfca80403701f8e0729cd7e1198aacee215a4b7f65297b4807a914e55c1"),
+    ("asian_gamma", "ot"): (1, "1d3ea8f9e6c6e9747aab50afffe71f32cfe74834db75ac21413ce62264851e0d", "8945ce72d61c1052a38a3a4aa723e282f6022b5dd88ccdf4da9275d1c3c5dd11"),
+    ("asian_gamma", "cholesky"): (1, "0c4ee85e1e65694852fc3bbadf7c3b4cbd4b701c0d2082e4ba44126b4caa5d1b", "0765c64544eb17bd12f7c57ccf33422322bb797a54879df2c139b4da603b3364"),
+    ("asian_rho", "ot"): (1, "2b13854f398660d7a6216726230296dd1c7e08107b53d774c6f0e5d0552d67d3", "a075cec8d3cefaad1ac64a94e1742c5b7d471e9d5de9ddb7d72e922bb5e3b443"),
+    ("asian_rho", "cholesky"): (1, "25e05cfbf5026162c947a6a49ea20153f110d7ffd1f451f009acf57667779760", "5eac113b197e4a8664bc317dcc0324c52e88ca3d290389ffe1f2c5602d8a2f66"),
+    ("asian_theta", "ot"): (1, "58d44289bd689ec7081e51d9e10ad36d295ab917d98be4942944d0fd8a21cfeb", "aad0a2f3fcb88673821a100645a852cac84f955f7b3ae96e4f9ad4a52422f395"),
+    ("asian_theta", "cholesky"): (1, "211ce76889c1a893804f7808d0d9d401466ed2ceda987820aee2328c4aa49a7b", "ca58d09076e0e4fd5ab21964399f7e707ef119a74d8cff1582b604b75572b706"),
+    ("asian_vega", "ot"): (1, "b26d3c9cc325ff76274ccdc195dddcf66edf563d92bbbe855073d5b680ce4323", "2a05cca790a3e99e9a6672e2199ceae91909af213c543d08c93597699ce2ec1d"),
+    ("asian_vega", "cholesky"): (1, "1b9d3bb0b840da8c4727849f4314ecf1bbca882e0df568baceff3009644edb6d", "f52dc448ad453dcb9ec4111579d113be7d15e5991a8763f7e8837d0c57557a66"),
+    ("geometric_indicator_payoff", "ot"): (0, "a48d0c89c08a40345b2feef7b4729bf5ce69bf06e07743ecdbbf5f87e8b480e4", "4a88a80a85754e4eec01d6b11c144790d4fa2e1d5cc56fa8f0d8b528bb995ce0"),
+    ("geometric_indicator_payoff", "cholesky"): (0, "5ae225745b1268feb63a949b424dfcb1cf395eb144d6ac99cbe9958bdf13b66d", "4221a7ff6caf0ca1a93c6336b88162acac0b01c53d16ae2c5c17a5304b9c280c"),
+}
+
+
+def test_golden_cli_bytes(tmp_path, capsys):
+    assert {kind for kind, _ in GOLDEN_CLI} == set(PAYOFF_KINDS)
+    for (kind, factor), (study_code, study_digest, price_digest) in GOLDEN_CLI.items():
+        # the arithmetic kinds have no closed form, so they need a reference
+        ref = "" if kind == "geometric_indicator_payoff" else "reference = 0.05\n"
+        cfg = write_config(
+            tmp_path, f"integrand = {kind}\nfactor = {factor}\n{ref}n_max = 1024\nR = 8\n"
+        )
+        code, out, _ = run(capsys, "rate-study", "--config", cfg, "--format", "json")
+        assert code == study_code, (kind, factor)
+        assert hashlib.sha256(out.encode()).hexdigest() == study_digest, (kind, factor)
+        code, out, _ = run(
+            capsys, "price", "--payoff", kind, "--factor", factor,
+            "-n", "256", "-R", "8", "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == price_digest, (kind, factor)
 
 
 # ---------------------------------------------------------------- price

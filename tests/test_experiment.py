@@ -27,7 +27,7 @@ from rqmc.experiment import (
     run_study,
     theoretical_exponent,
 )
-from rqmc.finance import PayoffSpec, geometric_asian_price
+from rqmc.finance import GbmModel, PayoffSpec, geometric_asian_price
 
 SMALL_GRID = (64, 128, 256, 512, 1024)
 
@@ -431,6 +431,34 @@ def test_catalog_config_defaults():
     chol = catalog_config("geometric_cholesky")
     assert chol.irregular_dimension == STANDARD_MODEL.d
     assert chol.factor_method == "cholesky"
+
+
+def test_study_config_works_out_implied_fields():
+    # a catalog entry: its own d_u, maxA and reference, at its dimension
+    cfg = StudyConfig("corner_singular")
+    assert (cfg.dimension, cfg.irregular_dimension, cfg.max_growth) == (2, 2, 0.4)
+    assert cfg.reference_value == CATALOG["corner_singular"].reference(2)
+    assert StudyConfig("smooth_product", dimension=5).dimension == 5
+    # a payoff: d from the model, d_u by factor, maxA = 0
+    model = GbmModel(1.0, 0.05, 0.2, 1.0, 6, 1.0)
+    ot = StudyConfig(PayoffSpec("geometric_indicator_payoff", model))
+    assert (ot.dimension, ot.irregular_dimension, ot.max_growth) == (6, 1, 0.0)
+    assert ot.reference_value == "oracle:geometric_asian"
+    chol = StudyConfig(
+        PayoffSpec("asian_call", model),
+        n_grid=SMALL_GRID,
+        replications=8,
+        factor_method="cholesky",
+    )
+    assert chol.irregular_dimension == 6
+    assert chol.reference_value is None
+    # a value the caller gives wins over the implied one
+    assert StudyConfig("halfspace", irregular_dimension=1).irregular_dimension == 1
+    with pytest.raises(ContractError, match="unknown integrand"):
+        StudyConfig("no_such_integrand")
+    # an arithmetic payoff has no oracle: the study fails before any work
+    with pytest.raises(ContractError, match="no oracle for payoff 'asian_call'"):
+        run_study(chol)
 
 
 def test_catalog_config_overrides_and_errors():
