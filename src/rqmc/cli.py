@@ -19,6 +19,7 @@ from .digital_nets import generate_net, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
     DEFAULT_N_GRID,
+    DEFAULT_REPLICATIONS,
     STANDARD_MODEL,
     StudyConfig,
     _g17,
@@ -38,6 +39,10 @@ from .scrambling import ScrambleSeed, scramble
 
 _MAX_POINTS_M = 20
 _MAX_POINTS_D = 64
+# Caps on replicates and on points over all replicates (n_max * R) for
+# `price` and `rate-study`: 2^26 admits n_max = 2^20 at R = 64.
+_MAX_REPLICATIONS_LOG2 = 16
+_MAX_DRAWS_LOG2 = 26
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -84,9 +89,12 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _parse_kv_file(path: str) -> dict[str, str]:
-    """Flat key-value text: one `key = value` (or `key value`) per line."""
-    out: dict[str, str] = {}
+def _parse_kv_file(path: str) -> dict[str, tuple[str, str]]:
+    """Flat key-value text: one `key = value` (or `key value`) per line.
+
+    Maps each key to its value and its `path:line` location.
+    """
+    out: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -106,28 +114,57 @@ def _parse_kv_file(path: str) -> dict[str, str]:
                 raise ContractError(
                     f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
                 )
-            out[key] = val
+            out[key] = (val, f"{path}:{lineno}")
             first_line[key] = lineno
     return out
 
 
-def _check_point_count(n: int) -> None:
-    """Cap points per replicate for `price` and `rate-study` as `points` does."""
+_CAST_NAMES = {int: "an integer", float: "a number"}
+
+
+def _take(kv: dict[str, tuple[str, str]], key: str, cast, default=None):
+    """Pop ``key`` from a parsed config and cast its value.
+
+    Returns ``default`` when the key is absent; a value ``cast`` rejects is
+    a `ContractError` naming the key and its line.
+    """
+    if key not in kv:
+        return default
+    val, where = kv.pop(key)
+    try:
+        return cast(val)
+    except ValueError:
+        raise ContractError(
+            f"{where}: {key} must be {_CAST_NAMES[cast]}, got {val!r}"
+        ) from None
+
+
+def _check_capacity(n: int, replications: int) -> None:
+    """Cap points per replicate (as `points` does), replicates and their
+    product for `price` and `rate-study`, before anything is drawn."""
     if n > 2**_MAX_POINTS_M:
         raise CapacityError(
             f"at most 2^{_MAX_POINTS_M} points per replicate, got {n}"
         )
+    if replications > 2**_MAX_REPLICATIONS_LOG2:
+        raise CapacityError(
+            f"at most 2^{_MAX_REPLICATIONS_LOG2} replicates, got {replications}"
+        )
+    if n * replications > 2**_MAX_DRAWS_LOG2:
+        raise CapacityError(
+            f"at most 2^{_MAX_DRAWS_LOG2} points over all replicates, "
+            f"got n = {n} times R = {replications}"
+        )
 
 
-def _n_grid_from(kv: dict[str, str]) -> tuple[int, ...]:
-    n_min = int(kv.pop("n_min", DEFAULT_N_GRID[0]))
-    n_max = int(kv.pop("n_max", DEFAULT_N_GRID[-1]))
+def _n_grid_from(kv: dict[str, tuple[str, str]]) -> tuple[int, ...]:
+    n_min = _take(kv, "n_min", int, DEFAULT_N_GRID[0])
+    n_max = _take(kv, "n_max", int, DEFAULT_N_GRID[-1])
     for n in (n_min, n_max):
         if n < 1 or n & (n - 1):
             raise ContractError(f"n_min/n_max must be powers of 2, got {n}")
     if n_max < n_min:
         raise ContractError("n_max must be >= n_min")
-    _check_point_count(n_max)
     lo, hi = n_min.bit_length() - 1, n_max.bit_length() - 1
     return tuple(2**k for k in range(lo, hi + 1))
 
@@ -135,9 +172,9 @@ def _n_grid_from(kv: dict[str, str]) -> tuple[int, ...]:
 def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
     # Every key read is popped, so the keys left over are the unused ones.
     kv = _parse_kv_file(path)
-    if "integrand" not in kv:
+    name = _take(kv, "integrand", str)
+    if name is None:
         raise ContractError("config must name an integrand")
-    name = kv.pop("integrand")
 
     overrides: dict = {"n_grid": _n_grid_from(kv)}
     for key, field, cast in (
@@ -150,22 +187,27 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         ("d", "dimension", int),
         ("reference", "reference_value", float),
     ):
-        if key in kv:
-            overrides[field] = cast(kv.pop(key))
+        value = _take(kv, key, cast)
+        if value is not None:
+            overrides[field] = value
     if seed_flag is not None:
         overrides["master_seed"] = seed_flag
+    _check_capacity(
+        overrides["n_grid"][-1],
+        overrides.get("replications", DEFAULT_REPLICATIONS),
+    )
 
     if name in PAYOFF_KINDS:
         std = STANDARD_MODEL
         model = GbmModel(
-            s0=float(kv.pop("s0", std.s0)),
-            r=float(kv.pop("r", std.r)),
-            sigma=float(kv.pop("sigma", std.sigma)),
-            maturity=float(kv.pop("T", std.maturity)),
+            s0=_take(kv, "s0", float, std.s0),
+            r=_take(kv, "r", float, std.r),
+            sigma=_take(kv, "sigma", float, std.sigma),
+            maturity=_take(kv, "T", float, std.maturity),
             d=overrides.pop("dimension", std.d),
-            strike=float(kv.pop("K", std.strike)),
+            strike=_take(kv, "K", float, std.strike),
         )
-        overrides["factor_method"] = kv.pop("factor", "ot")
+        overrides["factor_method"] = _take(kv, "factor", str, "ot")
         config = StudyConfig(PayoffSpec(name, model), **overrides)
     else:
         config = catalog_config(name, **overrides)
@@ -195,7 +237,7 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_price(args) -> int:
-    _check_point_count(args.n)
+    _check_capacity(args.n, args.replications)
     model = GbmModel(
         s0=args.s0,
         r=args.r,

@@ -322,6 +322,45 @@ def test_rate_study_bad_configs(tmp_path, capsys):
     assert "error:" in err and "2^20" in err
 
 
+def test_rate_study_bad_values_name_key_and_line(tmp_path, capsys):
+    cases = [
+        ("integrand = halfspace\nR = 8.5\n", ":2: R must be an integer, got '8.5'"),
+        ("integrand = halfspace\n\nn_max = 1e3\n", ":3: n_max must be an integer, got '1e3'"),
+        ("n_min = 64x\nintegrand = halfspace\n", ":1: n_min must be an integer, got '64x'"),
+        ("integrand = halfspace\nseed = -\n", ":2: seed must be an integer, got '-'"),
+        ("integrand = halfspace\nslack = wide\n", ":2: slack must be a number, got 'wide'"),
+        ("integrand = axis_singular\nd_u = 1.0\n", ":2: d_u must be an integer, got '1.0'"),
+        (
+            "integrand = asian_call\nreference = 0.1\nK = one\n",
+            ":3: K must be a number, got 'one'",
+        ),
+        ("integrand = asian_call\nd = 4.5\n", ":2: d must be an integer, got '4.5'"),
+    ]
+    for text, message in cases:
+        cfg = write_config(tmp_path, text)
+        code, out, err = run(capsys, "rate-study", "--config", cfg)
+        assert code == 2, text
+        assert out == ""
+        assert err == f"error: {cfg}{message}\n", err
+
+
+def test_rate_study_replications_capped(tmp_path, capsys):
+    for text, cap in (
+        ("integrand = halfspace\nn_max = 1024\nR = 100000000\n", "2^16 replicates"),
+        (f"integrand = halfspace\nn_max = {2**20}\nR = 128\n", "2^26 points"),
+    ):
+        code, out, err = run(
+            capsys, "rate-study", "--config", write_config(tmp_path, text)
+        )
+        assert code == 2, text
+        assert out == ""
+        assert err.startswith("error: at most " + cap), err
+    # the largest sizes in use stay admitted: n_max = 2^18 at R = 32 and
+    # the largest grid at the default R
+    rqmc.cli._check_capacity(2**18, 32)
+    rqmc.cli._check_capacity(2**20, 32)
+
+
 def test_rate_study_payoff_requires_reference(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "integrand = asian_call\nn_min = 64\nn_max = 1024\nR = 8\n"
@@ -501,3 +540,15 @@ def test_price_out_file(tmp_path, capsys):
     assert out == ""
     obj = json.loads(target.read_text())
     assert obj["payoff"] == "asian_delta"
+
+
+def test_price_replications_capped(capsys):
+    for size, cap in (
+        (("-n", "64", "-R", "100000000"), "2^16 replicates"),
+        (("-n", "1", "-R", str(2**16 + 1)), "2^16 replicates"),
+        (("-n", str(2**20), "-R", "128"), "2^26 points"),
+    ):
+        code, out, err = run(capsys, "price", "--payoff", "asian_call", *size)
+        assert code == 2, size
+        assert out == ""
+        assert err.startswith("error: at most " + cap), err

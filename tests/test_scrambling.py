@@ -1,5 +1,7 @@
 """Nested uniform scrambling: law, determinism, and net preservation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy import stats
 from rqmc.digital_nets import PointSet, generate_net, verify_net
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
+    _BLOCK_ROWS,
     DEFAULT_DEPTH,
     ScrambleSeed,
     _mix,
@@ -123,6 +126,55 @@ def test_scramble_matches_digitwise_permutations():
         for k in range(depth):
             perm = permutation_for(SEED, 0, a[:k])
             assert b[k] == perm[a[k]], (i, k)
+
+
+def test_long_columns_match_digitwise_permutations():
+    # columns longer than _BLOCK_ROWS take the digit loop; it must realize
+    # the same tree on every digit, filler included
+    net = generate_net(12, 3)
+    assert net.n > _BLOCK_ROWS
+    rows = (0, 1, 777, 2048, 4095)
+    for depth in (64, 53):
+        out = scramble(net, SEED, depth=depth)
+        for j in range(net.d):
+            for i in rows:
+                a = digits_of(int(net.ints[i, j]) << (depth - net.depth), depth)
+                b = digits_of(int(out.ints[i, j]), depth)
+                for k in range(depth):
+                    perm = permutation_for(SEED, j, a[:k])
+                    assert b[k] == perm[a[k]], (depth, j, i, k)
+
+
+# sha256 of scramble(generate_net(16, 4), ScrambleSeed(0, k)).ints, k = 0..3,
+# frozen from the per-digit kernel the long-column form replaced
+LONG_FORM_SHA256 = (
+    "8351588eca54b14df1b04b4db3335d7d640ba3b762d500c11e91b7f549f86dbd",
+    "fedae5c3d03a2e07c2763617c46d7eebc97db76bd829ba58229d98cff92b6fb8",
+    "1dafaf3eb904cc12eca96b4250eacfeacc71fe4545e1227627d4357a5b938273",
+    "31659ad2b7e1db94d43a0029771cedf0e40efac1ec5640824755538c30ced1da",
+)
+
+
+def test_long_form_golden_bits():
+    net = generate_net(16, 4)
+    for k, expected in enumerate(LONG_FORM_SHA256):
+        ints = scramble(net, ScrambleSeed(0, k)).ints
+        assert hashlib.sha256(ints.tobytes()).hexdigest() == expected, k
+
+
+def test_block_and_loop_forms_agree():
+    # each output row depends only on its input row, so the rows of a
+    # column one longer than _BLOCK_ROWS (digit loop) must equal the same
+    # rows scrambled as a column of _BLOCK_ROWS (one block)
+    rng = np.random.default_rng(4)
+    for depth_in in (20, 64):
+        ints = rng.integers(0, 2**depth_in, size=(_BLOCK_ROWS + 1, 2), dtype=np.uint64)
+        pts = PointSet(ints, depth_in)
+        loop = scramble(pts, SEED).ints
+        head = scramble(PointSet(ints[:_BLOCK_ROWS], depth_in), SEED).ints
+        tail = scramble(PointSet(ints[1:], depth_in), SEED).ints
+        assert np.array_equal(loop[:_BLOCK_ROWS], head)
+        assert np.array_equal(loop[1:], tail)
 
 
 def test_scramble_prefix_sharing():
