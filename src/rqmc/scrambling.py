@@ -13,9 +13,8 @@ index, dimension, digit position, prefix digits).  This gives the exact
 nested-uniform law without storing the tree and makes replicates
 independent by construction.  ``permutation_for`` and ``_mix`` are the
 scalar reference for the tree; the array kernel ``_swap_mask`` realizes
-it bit for bit, hashing a short column's digit positions as one block and
-a long column digit by digit in place (see ``_swap_mask`` for the memory
-each form holds).
+it bit for bit, hashing a column digit by digit in place with four
+column-length arrays and no allocation per digit.
 
 The scramble also extends every coordinate with freshly drawn digits up
 to the target depth, so outputs land in the open interval (0,1): a
@@ -55,11 +54,24 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer applied to the uint64 array ``x`` in place
+    (bit-identical to ``_mix``); ``tmp`` is scratch space of ``x``'s shape."""
+    np.right_shift(x, _U64(30), out=tmp)
+    x ^= tmp
+    x *= _M1
+    np.right_shift(x, _U64(27), out=tmp)
+    x ^= tmp
+    x *= _M2
+    np.right_shift(x, _U64(31), out=tmp)
+    x ^= tmp
+
+
 def _mix_vec(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 arrays (bit-identical to ``_mix``)."""
-    x = (x ^ (x >> _U64(30))) * _M1
-    x = (x ^ (x >> _U64(27))) * _M2
-    return x ^ (x >> _U64(31))
+    """SplitMix64 finalizer on a copy of the uint64 array ``x``."""
+    x = np.array(x, dtype=_U64)
+    _mix_into(x, np.empty_like(x))
+    return x
 
 
 @dataclass(frozen=True)
@@ -110,28 +122,6 @@ def permutation_for(
     return (1, 0) if swap else (0, 1)
 
 
-def _mix_into(x: np.ndarray, tmp: np.ndarray) -> None:
-    """SplitMix64 finalizer applied to ``x`` in place (bit-identical to
-    ``_mix``); ``tmp`` is scratch space of ``x``'s shape."""
-    np.right_shift(x, _U64(30), out=tmp)
-    x ^= tmp
-    x *= _M1
-    np.right_shift(x, _U64(27), out=tmp)
-    x ^= tmp
-    x *= _M2
-    np.right_shift(x, _U64(31), out=tmp)
-    x ^= tmp
-
-
-# Columns of at most this many rows hash all their digit positions at once
-# in a (digits, rows) block; longer columns loop over the digits.  The
-# block form saves numpy's per-call overhead, which dominates short
-# columns.  On long ones both forms make the same number of hashes, and a
-# block 64 digits deep no longer fits in cache: at 2^16 rows it is about
-# 2.5x slower than the loop, while at 2^10 rows it is about 1.4x faster.
-_BLOCK_ROWS = 1024
-
-
 def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.ndarray:
     """XOR mask of the node swap bits at the given digit positions.
 
@@ -139,12 +129,10 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     ``col`` under a key for (dimension, ``k``); a nonzero ``salt`` rekeys
     the draw, for the filler redraw.  ``col`` must be contiguous.
 
-    A column of at most ``_BLOCK_ROWS`` rows is hashed as one
-    ``(len(digits), len(col))`` block and its bits are OR-reduced: two such
-    blocks, at most 1 MiB.  A longer column is hashed digit by digit in
-    place: four column-length arrays (the shifted column, two hash buffers
-    and the mask) and no allocation per digit.  Both forms give exactly the
-    bits ``permutation_for`` describes.
+    The column is hashed digit by digit in place: four column-length
+    arrays (the shifted column, the hash and its scratch buffer, and the
+    mask) and no allocation per digit.  The bits are exactly those
+    ``permutation_for`` describes.
     """
     ks = np.arange(digits.start, digits.stop, dtype=_U64)
     keys = _mix_vec(ks ^ _U64(hj))
@@ -154,13 +142,6 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     # reaches 64, and k = 1 gets the empty prefix 0.
     half = col >> _U64(1)
     shifts = _U64(64) - ks
-    if len(col) <= _BLOCK_ROWS:
-        x = half >> shifts[:, None]
-        x ^= keys[:, None]
-        _mix_into(x, np.empty_like(x))
-        x &= _U64(1)
-        x <<= shifts[:, None]
-        return np.bitwise_or.reduce(x, axis=0)
     mask = np.zeros_like(col)
     x = np.empty_like(col)
     tmp = np.empty_like(col)
@@ -225,11 +206,8 @@ def scramble(
     so the output equals the input with extra digits appended.
 
     Each coordinate is scrambled as one contiguous column by
-    ``_swap_mask``: columns of at most ``_BLOCK_ROWS`` points hash all
-    their digit positions in one block, longer ones loop over the digits
-    in place.  Both forms give exactly the bits of the tree
-    ``permutation_for`` describes, so the output does not depend on which
-    form ran.
+    ``_swap_mask``, which gives exactly the bits of the tree
+    ``permutation_for`` describes.
 
     Parameters
     ----------

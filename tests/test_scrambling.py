@@ -11,7 +11,6 @@ from scipy import stats
 from rqmc.digital_nets import PointSet, generate_net, verify_net
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
-    _BLOCK_ROWS,
     DEFAULT_DEPTH,
     ScrambleSeed,
     _mix,
@@ -129,10 +128,9 @@ def test_scramble_matches_digitwise_permutations():
 
 
 def test_long_columns_match_digitwise_permutations():
-    # columns longer than _BLOCK_ROWS take the digit loop; it must realize
-    # the same tree on every digit, filler included
+    # the golden-byte tests run at n <= 1024; the kernel must realize the
+    # same tree on a longer column too, on every digit, filler included
     net = generate_net(12, 3)
-    assert net.n > _BLOCK_ROWS
     rows = (0, 1, 777, 2048, 4095)
     for depth in (64, 53):
         out = scramble(net, SEED, depth=depth)
@@ -146,7 +144,7 @@ def test_long_columns_match_digitwise_permutations():
 
 
 # sha256 of scramble(generate_net(16, 4), ScrambleSeed(0, k)).ints, k = 0..3,
-# frozen from the per-digit kernel the long-column form replaced
+# frozen from the per-digit kernel that allocated per digit
 LONG_FORM_SHA256 = (
     "8351588eca54b14df1b04b4db3335d7d640ba3b762d500c11e91b7f549f86dbd",
     "fedae5c3d03a2e07c2763617c46d7eebc97db76bd829ba58229d98cff92b6fb8",
@@ -160,21 +158,6 @@ def test_long_form_golden_bits():
     for k, expected in enumerate(LONG_FORM_SHA256):
         ints = scramble(net, ScrambleSeed(0, k)).ints
         assert hashlib.sha256(ints.tobytes()).hexdigest() == expected, k
-
-
-def test_block_and_loop_forms_agree():
-    # each output row depends only on its input row, so the rows of a
-    # column one longer than _BLOCK_ROWS (digit loop) must equal the same
-    # rows scrambled as a column of _BLOCK_ROWS (one block)
-    rng = np.random.default_rng(4)
-    for depth_in in (20, 64):
-        ints = rng.integers(0, 2**depth_in, size=(_BLOCK_ROWS + 1, 2), dtype=np.uint64)
-        pts = PointSet(ints, depth_in)
-        loop = scramble(pts, SEED).ints
-        head = scramble(PointSet(ints[:_BLOCK_ROWS], depth_in), SEED).ints
-        tail = scramble(PointSet(ints[1:], depth_in), SEED).ints
-        assert np.array_equal(loop[:_BLOCK_ROWS], head)
-        assert np.array_equal(loop[1:], tail)
 
 
 def test_scramble_prefix_sharing():
