@@ -52,14 +52,14 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, extra in jobs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         config = catalog_config(name, **overrides, **extra)
         report = run_study(config)
         print(
             f"{config.integrand_name:<38}{config.sampler:<15}"
             f"{report.fit.slope:>+9.3f}{-report.exponent:>+9.3f}"
             f"{report.fit.r_squared:>7.3f}  {report.verdict}"
-            f"   ({time.time() - t0:.1f}s)"
+            f"   ({time.perf_counter() - t0:.1f}s)"
         )
         if out_dir:
             stem = f"{config.integrand_name}_{config.sampler}"

@@ -90,7 +90,8 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_kv_file(path: str) -> dict[str, tuple[str, str]]:
-    """Flat key-value text: one `key = value` (or `key value`) per line.
+    """Flat key-value text: one `key = value`, `key: value` or whitespace
+    separated `key value` per line.
 
     Maps each key to its value and its `path:line` location.
     """
@@ -101,12 +102,8 @@ def _parse_kv_file(path: str) -> dict[str, tuple[str, str]]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":", None):
-                if sep is None or sep in line:
-                    key, _, val = (
-                        line.partition(sep) if sep else line.partition(" ")
-                    )
-                    break
+            sep = "=" if "=" in line else ":" if ":" in line else None
+            key, val = (line.split(sep, 1) + [""])[:2]
             key, val = key.strip(), val.strip()
             if not key or not val:
                 raise ContractError(f"{path}:{lineno}: expected `key = value`")
@@ -254,7 +251,7 @@ def _cmd_price(args) -> int:
         master_seed=args.seed,
         factor_method=args.factor,
     )
-    estimates = replicate_estimates(config, args.n)
+    estimates = replicate_estimates(config)[0]
     estimate = float(estimates.mean())
     std_error = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
     result: dict = {

@@ -28,6 +28,9 @@ PRECISION_DEPTH = 53
 
 _DATA_FILE = "joe_kuo_64.txt"
 
+# Most point-in-cell tests one exhaustive net verification may make.
+_VERIFY_BUDGET = 10**8
+
 
 class DirectionTable:
     """Per-dimension generator data parsed from a direction-number file.
@@ -296,12 +299,7 @@ class VerifyResult:
 
 
 def verify_net(
-    points,
-    t: int,
-    m: int,
-    d: int | None = None,
-    b: int = 2,
-    work_budget: int = 10**8,
+    points, t: int, m: int, d: int | None = None, b: int = 2
 ) -> VerifyResult:
     """Exhaustively test the quality-``t`` net property of ``b^m`` points.
 
@@ -310,8 +308,9 @@ def verify_net(
     exactly ``b^t`` points.  On failure the first violating interval in
     lexicographic shape/cell order is reported.
 
-    This is a test oracle, exponential in ``m - t``; ``work_budget`` caps
-    the number of point-in-cell assignments.
+    This is a test oracle, exponential in ``m - t``: an input needing more
+    than ``_VERIFY_BUDGET`` (10^8) point-in-cell tests is a `CapacityError`
+    before any cell is counted.
 
     Parameters
     ----------
@@ -346,10 +345,10 @@ def verify_net(
 
     q = m - t
     n_shapes = math.comb(q + d - 1, d - 1)
-    if n_shapes * n > work_budget:
+    if n_shapes * n > _VERIFY_BUDGET:
         raise CapacityError(
             f"exhaustive verification needs {n_shapes * n:.3g} point-cell "
-            f"tests, above the budget of {work_budget:.3g}"
+            f"tests, above the budget of {_VERIFY_BUDGET:.3g}"
         )
 
     expected = b**t

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,10 +149,16 @@ class StudyConfig:
 
 
 def _implied_fields(config: StudyConfig) -> dict:
-    """The dimension, d_u, maxA and reference the integrand implies."""
+    """The dimension, d_u, maxA and reference the integrand implies.
+
+    A dimension the integrand cannot take is rejected here, before any net
+    is drawn.
+    """
     spec = config.integrand
     if isinstance(spec, PayoffSpec):
         d = spec.model.d
+        if config.dimension not in (None, d):
+            raise ContractError("model dimension does not match the study")
         geometric = spec.kind == "geometric_indicator_payoff"
         return {
             "dimension": d,
@@ -164,6 +170,8 @@ def _implied_fields(config: StudyConfig) -> dict:
     if entry is None:
         raise ContractError(f"unknown integrand {spec!r}")
     d = config.dimension if config.dimension is not None else entry.dimension or 2
+    if entry.dimension not in (None, d):
+        raise ContractError(f"integrand {spec!r} is defined for d={entry.dimension}")
     return {
         "dimension": d,
         "irregular_dimension": entry.irregular_dimension,
@@ -206,7 +214,6 @@ class RateFit:
     intercept: float
     r_squared: float
     n_range: tuple[int, int]
-    theoretical_exponent: float | None = None
     excluded_n: tuple[int, ...] = ()
 
 
@@ -236,28 +243,23 @@ def _resolve_reference(config: StudyConfig) -> float:
 def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(config.integrand, PayoffSpec):
         spec = config.integrand
-        if spec.model.d != config.dimension:
-            raise ContractError("model dimension does not match the study")
         factor = path_factor(spec.model, config.factor_method)
 
         def f(u: np.ndarray) -> np.ndarray:
-            """Payoff per row; row i's value depends only on row i of u."""
-            return payoff_values(spec, factor, u)
+            """Discounted payoff per row; row i's value depends only on row i of u."""
+            return payoff_eval(spec, generate_path(u, spec.model, factor))
 
         return f
-    return CATALOG[config.integrand].build(config.dimension)
+    return CATALOG[config.integrand].factory(config.dimension)
 
 
-def payoff_values(spec: PayoffSpec, factor, u: np.ndarray) -> np.ndarray:
-    """Discounted payoff at each u-point (the composed integrand)."""
-    return payoff_eval(spec, generate_path(u, spec.model, factor))
+def replicate_estimates(config: StudyConfig) -> np.ndarray:
+    """The R independent estimates Ihat_k at each n of the grid.
 
-
-def _replicate_means(config: StudyConfig) -> np.ndarray:
-    """Estimates Ihat_k at each n of the grid, shape (len(n_grid), R).
-
-    Each replicate is drawn once at the largest n; its estimate at n is
-    the mean of the first n values, which equals a separate draw at n.
+    Returns an array of shape (len(n_grid), R); row i holds the estimates
+    at ``n_grid[i]``.  Replicate k is drawn once at the largest n, and its
+    estimate at n is the mean of its first n values, which equals a
+    separate draw at n: replicate k is a pure function of (config, n, k).
     """
     f = _resolve_integrand(config)
     n_grid = config.n_grid
@@ -284,24 +286,19 @@ def _replicate_means(config: StudyConfig) -> np.ndarray:
     return np.array([prefix_means(k) for k in range(config.replications)]).T
 
 
-def replicate_estimates(config: StudyConfig, n: int) -> np.ndarray:
-    """The R independent estimates Ihat_k at sample size n, a power of 2.
+def expected_abs_error(config: StudyConfig) -> tuple[ErrorRecord, ...]:
+    """One record of the R estimates per n of the grid, against the reference.
 
-    Replicate k is a pure function of (config, n, k).
+    The reference is resolved before any replicate is drawn.
     """
-    return _replicate_means(replace(config, n_grid=(n,)))[0]
-
-
-def expected_abs_error(config: StudyConfig, n: int) -> ErrorRecord:
-    """Mean over replicates of |I - Ihat| at sample size n."""
     reference = _resolve_reference(config)
-    estimates = replicate_estimates(config, n)
-    return ErrorRecord(n=n, reference=reference, estimates=tuple(estimates))
+    return tuple(
+        ErrorRecord(n=n, reference=reference, estimates=tuple(row))
+        for n, row in zip(config.n_grid, replicate_estimates(config))
+    )
 
 
-def fit_rate(
-    records: Sequence[ErrorRecord], theoretical_exponent: float | None = None
-) -> RateFit:
+def fit_rate(records: Sequence[ErrorRecord]) -> RateFit:
     """Least-squares slope of the error decay on the log2-log2 scale.
 
     Records with zero mean absolute error carry no log-scale information
@@ -329,7 +326,6 @@ def fit_rate(
         intercept=float(intercept),
         r_squared=r2,
         n_range=(usable[0].n, usable[-1].n),
-        theoretical_exponent=theoretical_exponent,
         excluded_n=tuple(rec.n for rec in excluded),
     )
 
@@ -356,16 +352,12 @@ def run_study(config: StudyConfig) -> StudyReport:
     the empirical slope is at most -exponent + slack, so steeper decay
     also passes.
     """
-    reference = _resolve_reference(config)
+    _resolve_reference(config)  # a bad reference is reported before a bad exponent
     exponent = theoretical_exponent(
         config.dimension, config.irregular_dimension, config.max_growth
     )
-    means = _replicate_means(config)
-    records = tuple(
-        ErrorRecord(n=n, reference=reference, estimates=tuple(row))
-        for n, row in zip(config.n_grid, means)
-    )
-    fit = fit_rate(records, theoretical_exponent=exponent)
+    records = expected_abs_error(config)
+    fit = fit_rate(records)
     consistent = fit.slope <= -exponent + config.slack
     return StudyReport(
         config=config,
@@ -427,7 +419,7 @@ def report_to_json(report: StudyReport) -> str:
         }
     obj = {
         "config": echo,
-        "reference": report.records[0].reference if report.records else None,
+        "reference": report.records[0].reference,
         "records": [
             {
                 "n": rec.n,
@@ -472,13 +464,6 @@ class CatalogEntry:
     reference: Callable[[int], float]
     factory: Callable[[int], Callable[[np.ndarray], np.ndarray]]
     description: str = ""
-
-    def build(self, d: int) -> Callable[[np.ndarray], np.ndarray]:
-        if self.dimension is not None and d != self.dimension:
-            raise ContractError(
-                f"integrand {self.name!r} is defined for d={self.dimension}"
-            )
-        return self.factory(d)
 
 
 def _smooth_product(d: int):

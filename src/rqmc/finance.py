@@ -197,8 +197,7 @@ def inv_norm_cdf(p):
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ContractError("quantile argument must lie strictly inside (0,1)")
-    out = special.ndtri(p)
-    return float(out) if out.ndim == 0 else out
+    return special.ndtri(p)
 
 
 def generate_path(u, model: GbmModel, factor: PathFactor):
@@ -228,7 +227,10 @@ class PayoffSpec:
 
 
 def payoff_eval(spec: PayoffSpec, s):
-    """Discounted payoff values for paths s of shape (d,) or (n, d).
+    """Discounted payoff values for paths along the last axis of ``s``.
+
+    Shape ``(..., d)`` gives values of shape ``(...)``: an ``(n, d)`` array
+    of n paths gives n values, and a single ``(d,)`` path a numpy scalar.
 
     The six arithmetic kinds share the indicator of S_A > K and vanish
     whenever S_A <= K; the geometric kind pays (S_G - K) on S_G > K.
@@ -237,9 +239,7 @@ def payoff_eval(spec: PayoffSpec, s):
     """
     m = spec.model
     s = np.asarray(s, dtype=np.float64)
-    scalar = s.ndim == 1
-    s = np.atleast_2d(s)
-    if s.shape[1] != m.d:
+    if s.shape[-1:] != (m.d,):
         raise ContractError(f"paths must have {m.d} dates")
     if np.any(s <= 0.0):
         raise ContractError("prices must be positive")
@@ -247,11 +247,10 @@ def payoff_eval(spec: PayoffSpec, s):
     disc = math.exp(-m.r * m.maturity)
     kind = spec.kind
     if kind == "geometric_indicator_payoff":
-        sg = np.exp(np.mean(np.log(s), axis=1))
-        out = disc * (sg - m.strike) * (sg > m.strike)
-        return float(out[0]) if scalar else out
+        sg = np.exp(np.mean(np.log(s), axis=-1))
+        return disc * (sg - m.strike) * (sg > m.strike)
 
-    sa = np.mean(s, axis=1)
+    sa = np.mean(s, axis=-1)
     live = sa > m.strike
     j = np.arange(1, m.d + 1)
     if kind == "asian_call":
@@ -261,7 +260,7 @@ def payoff_eval(spec: PayoffSpec, s):
     elif kind == "asian_gamma":
         val = (
             sa
-            * (np.log(s[:, 0] / m.s0) - (m.r + 0.5 * m.sigma**2) * m.dt)
+            * (np.log(s[..., 0] / m.s0) - (m.r + 0.5 * m.sigma**2) * m.dt)
             / (m.s0**2 * m.sigma**2 * m.dt)
         )
     elif kind == "asian_rho":
@@ -272,56 +271,55 @@ def payoff_eval(spec: PayoffSpec, s):
         drift = m.r - 0.5 * m.sigma**2
         dsa_dt = np.mean(
             s * (drift * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity)),
-            axis=1,
+            axis=-1,
         )
         val = dsa_dt - m.r * (sa - m.strike)
     elif kind == "asian_vega":
         ds_dsig = s * (np.log(s / m.s0) - (m.r + 0.5 * m.sigma**2) * m.times) / m.sigma
-        val = np.mean(ds_dsig, axis=1)
+        val = np.mean(ds_dsig, axis=-1)
     else:  # pragma: no cover
         raise ContractError(f"unknown payoff kind {kind!r}")
-    out = disc * val * live
-    return float(out[0]) if scalar else out
+    return disc * val * live
 
 
-def geometric_threshold(model: GbmModel, factor: PathFactor) -> float:
-    """kappa with I{S_G(u) > K} = I{u_1 > kappa} under the OT factor.
-
-    log S_G is Gaussian with mean log S0 + (r - sigma^2/2)(dt/d) sum_i i
-    and standard deviation |A0^T w|, and the OT rotation loads all of its
-    fluctuation on z_1; kappa is the quantile of the payout boundary.
-    With sigma = 0 the indicator is constant and kappa degenerates to 0
-    or 1.
-    """
-    if factor.method != "ot":
-        raise ContractError("threshold reduction requires the ot factor")
-    m = model
-    mean_log = math.log(m.s0) + (m.r - 0.5 * m.sigma**2) * (m.dt / m.d) * (
-        m.d * (m.d + 1) / 2
-    )
-    if m.sigma == 0.0:
-        return 0.0 if math.exp(mean_log) > m.strike else 1.0
-    if m.strike == 0.0:
-        return 0.0
-    w = geometric_weight(m)
-    scale = math.sqrt(w @ covariance(m) @ w)
-    return float(special.ndtr((math.log(m.strike) - mean_log) / scale))
-
-
-def geometric_asian_price(model: GbmModel) -> float:
-    """Exact discounted E[(S_G - K)^+]: S_G is lognormal.
+def _log_geometric_moments(model: GbmModel) -> tuple[float, float]:
+    """Mean and standard deviation of log S_G, which is Gaussian.
 
     mu_G = log S0 + (r - sigma^2/2)(dt/d) sum_i i and
-    sigma_G^2 = (sigma/d)^2 1^T Sigma 1 give the standard lognormal call
-    expectation.  This doubles as the exact mean of the geometric
-    indicator payoff, since (S_G - K) 1{S_G > K} = (S_G - K)^+.
+    sigma_G = |A0^T w| = sqrt(w^T Sigma w) with the geometric weight w.
     """
     m = model
     mu = math.log(m.s0) + (m.r - 0.5 * m.sigma**2) * (m.dt / m.d) * (
         m.d * (m.d + 1) / 2
     )
     w = geometric_weight(m)
-    sig = math.sqrt(w @ covariance(m) @ w)
+    return mu, math.sqrt(w @ covariance(m) @ w)
+
+
+def geometric_threshold(model: GbmModel) -> float:
+    """kappa with I{S_G(u) > K} = I{u_1 > kappa} under the OT factor.
+
+    The OT rotation loads all of log S_G's fluctuation on z_1, so kappa is
+    the quantile of the payout boundary.  With sigma = 0 the indicator is
+    constant and kappa degenerates to 0 or 1.
+    """
+    mu, sig = _log_geometric_moments(model)
+    if sig == 0.0:
+        return 0.0 if math.exp(mu) > model.strike else 1.0
+    if model.strike == 0.0:
+        return 0.0
+    return float(special.ndtr((math.log(model.strike) - mu) / sig))
+
+
+def geometric_asian_price(model: GbmModel) -> float:
+    """Exact discounted E[(S_G - K)^+]: S_G is lognormal.
+
+    The moments of log S_G give the standard lognormal call expectation.
+    This doubles as the exact mean of the geometric indicator payoff,
+    since (S_G - K) 1{S_G > K} = (S_G - K)^+.
+    """
+    m = model
+    mu, sig = _log_geometric_moments(m)
     disc = math.exp(-m.r * m.maturity)
     if sig == 0.0:
         return disc * max(math.exp(mu) - m.strike, 0.0)

@@ -161,12 +161,10 @@ def _scramble_column(
     dim: int,
     in_depth: int,
     depth: int,
-    identity_prefix: bool,
 ) -> np.ndarray:
     """Scramble one contiguous coordinate column of left-aligned 64-bit digits."""
     hj = _dim_key(seed, dim)
-    first = in_depth + 1 if identity_prefix else 1
-    out = _swap_mask(col, hj, range(first, depth + 1))
+    out = _swap_mask(col, hj, range(1, depth + 1))
     out ^= col
 
     # Exclude float images 0.0 and 1.0 by redrawing the filler digits
@@ -188,10 +186,7 @@ def _scramble_column(
 
 
 def scramble(
-    points: PointSet,
-    seed: ScrambleSeed,
-    depth: int = DEFAULT_DEPTH,
-    identity_prefix: bool = False,
+    points: PointSet, seed: ScrambleSeed, depth: int = DEFAULT_DEPTH
 ) -> PointSet:
     """Nested uniform scramble of a base-2 point set.
 
@@ -199,11 +194,9 @@ def scramble(
     of every coordinate; digits beyond the input's own depth are fresh
     uniform draws, so every output coordinate lies strictly inside (0,1).
     Identical (points, seed, depth) always produce identical output, and
-    output point ``i`` corresponds to input point ``i``.
-
-    ``identity_prefix`` is a test hook: it pins the permutations on the
-    represented digits to the identity while keeping the uniform filler,
-    so the output equals the input with extra digits appended.
+    output point ``i`` corresponds to input point ``i``: it depends only
+    on input point ``i`` and the seed, so the first n points of a
+    scrambled net are the scramble of the net's first n points.
 
     Each coordinate is scrambled as one contiguous column by
     ``_swap_mask``, which gives exactly the bits of the tree
@@ -228,9 +221,7 @@ def scramble(
     lifted = np.left_shift(points.ints.T, _U64(64 - points.depth), order="C")
     out = np.empty_like(points.ints)
     for j in range(points.d):
-        out[:, j] = _scramble_column(
-            lifted[j], seed, j, points.depth, depth, identity_prefix
-        )
+        out[:, j] = _scramble_column(lifted[j], seed, j, points.depth, depth)
     out >>= _U64(64 - depth)
     return PointSet(out, depth)
 

@@ -178,7 +178,7 @@ def test_09_finance_end_to_end():
     t0 = time.monotonic()
     model = STANDARD_MODEL
     factor = path_factor(model, "ot")
-    kappa = geometric_threshold(model, factor)
+    kappa = geometric_threshold(model)
 
     u = scramble(generate_points(range(2**17), model.d), ScrambleSeed(7, 0)).coords
     paths = generate_path(u, model, factor)
@@ -186,18 +186,18 @@ def test_09_finance_end_to_end():
     exact_agreement = bool(np.array_equal(geo_mean > model.strike, u[:, 0] > kappa))
 
     oracle = geometric_asian_price(model)
-    rec = expected_abs_error(catalog_config("geometric_ot", replications=16, master_seed=7),
-                             2**16)
+    (rec,) = expected_abs_error(catalog_config(
+        "geometric_ot", n_grid=(2**16,), replications=16, master_seed=7))
     estimates = np.asarray(rec.estimates)
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
     price_dev = abs(estimates.mean() - oracle)
 
     se_ot = np.asarray(expected_abs_error(
-        catalog_config("geometric_ot", replications=16, master_seed=7),
-        2**14).estimates).std(ddof=1)
+        catalog_config("geometric_ot", n_grid=(2**14,), replications=16, master_seed=7)
+    )[0].estimates).std(ddof=1)
     se_chol = np.asarray(expected_abs_error(
-        catalog_config("geometric_cholesky", replications=16, master_seed=7),
-        2**14).estimates).std(ddof=1)
+        catalog_config("geometric_cholesky", n_grid=(2**14,), replications=16, master_seed=7)
+    )[0].estimates).std(ddof=1)
     elapsed = time.monotonic() - t0
     ok = exact_agreement and price_dev <= 3.0 * se and se_ot < se_chol and elapsed < 180.0
     _report(9, "finance end-to-end", ok,
@@ -208,8 +208,8 @@ def test_09_finance_end_to_end():
 def test_10_estimator_soundness():
     worst_dev = 0.0
     for name in CATALOG_NAMES:
-        cfg = catalog_config(name, replications=64, master_seed=13)
-        rec = expected_abs_error(cfg, 256)
+        cfg = catalog_config(name, n_grid=(256,), replications=64, master_seed=13)
+        (rec,) = expected_abs_error(cfg)
         estimates = np.asarray(rec.estimates)
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
         dev = abs(estimates.mean() - rec.reference) / se

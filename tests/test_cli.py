@@ -246,6 +246,13 @@ def test_rate_study_colon_separators(tmp_path, capsys):
     code, out, _ = run(capsys, "rate-study", "--config", cfg)
     assert code in (0, 1)
     assert out.count("\n") == 5
+    # whitespace-separated `key value` lines, with tabs as well as spaces
+    cfg = write_config(
+        tmp_path, "integrand\thalfspace\nn_min \t64\nn_max  512\nR\t8\n"
+    )
+    code, tabbed, _ = run(capsys, "rate-study", "--config", cfg)
+    assert code in (0, 1)
+    assert tabbed == out
 
 
 def test_rate_study_infeasible_growth(tmp_path, capsys):

@@ -264,9 +264,10 @@ def test_verify_rejects_out_of_range_coords():
 
 
 def test_verify_work_budget():
-    net = generate_net(10, 4)
-    with pytest.raises(CapacityError):
-        verify_net(net, 0, 10, work_budget=10**3)
+    # 2^14 points in 8 dimensions: C(21, 7) shapes times 2^14 points
+    # is about 1.9e9 point-cell tests, above the 10^8 budget
+    with pytest.raises(CapacityError, match="budget"):
+        verify_net(np.zeros((2**14, 8)), 0, 14)
 
 
 def test_float_and_exact_paths_agree():

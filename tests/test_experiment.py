@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -143,15 +144,15 @@ def test_error_record_statistics():
 
 
 def test_replicates_deterministic_and_worker_invariant():
-    cfg = base_config(master_seed=3)
-    a = replicate_estimates(cfg, 256)
-    b = replicate_estimates(cfg, 256)
+    cfg = base_config(master_seed=3, n_grid=(256,))
+    a = replicate_estimates(cfg)
+    b = replicate_estimates(cfg)
     assert np.array_equal(a, b)
 
 
 def test_replicates_change_with_seed_and_n():
-    a = replicate_estimates(base_config(master_seed=0), 256)
-    b = replicate_estimates(base_config(master_seed=1), 256)
+    a = replicate_estimates(base_config(master_seed=0, n_grid=(256,)))
+    b = replicate_estimates(base_config(master_seed=1, n_grid=(256,)))
     assert not np.array_equal(a, b)
 
 
@@ -167,11 +168,13 @@ def test_constant_integrand_has_zero_error(add_entry):
         )
     )
     cfg = base_config(integrand="const_one", reference_value=1.0)
-    rec = expected_abs_error(cfg, 64)
+    records = expected_abs_error(cfg)
+    rec = records[0]
+    assert rec.n == 64
     assert rec.mean_abs_error == 0.0
     assert rec.reference == 1.0
     with pytest.raises(InsufficientDataError):
-        fit_rate([expected_abs_error(cfg, n) for n in SMALL_GRID])
+        fit_rate(records)
 
 
 def test_linear_integrand_qmc_beats_mc(add_entry):
@@ -185,12 +188,16 @@ def test_linear_integrand_qmc_beats_mc(add_entry):
             factory=lambda d: (lambda u: u[:, 0].copy()),
         )
     )
-    qmc = expected_abs_error(
-        base_config(integrand="linear_first", reference_value=0.5), 1024
+    (qmc,) = expected_abs_error(
+        base_config(integrand="linear_first", reference_value=0.5, n_grid=(1024,))
     )
-    mc = expected_abs_error(
-        base_config(integrand="linear_first", reference_value=0.5, sampler="plain_mc"),
-        1024,
+    (mc,) = expected_abs_error(
+        base_config(
+            integrand="linear_first",
+            reference_value=0.5,
+            sampler="plain_mc",
+            n_grid=(1024,),
+        )
     )
     assert qmc.mean_abs_error < 1e-3
     assert mc.mean_abs_error > 1e-3
@@ -200,8 +207,8 @@ def test_linear_integrand_qmc_beats_mc(add_entry):
 def test_plain_mc_error_matches_half_normal_law():
     # indicator with variance 1/4: E|err| = 0.5 sqrt(2/(pi n))
     n = 1024
-    cfg = base_config(sampler="plain_mc", replications=32, master_seed=5)
-    rec = expected_abs_error(cfg, n)
+    cfg = base_config(sampler="plain_mc", replications=32, master_seed=5, n_grid=(n,))
+    (rec,) = expected_abs_error(cfg)
     expect = 0.5 * math.sqrt(2.0 / (math.pi * n))
     assert expect / 2 < rec.mean_abs_error < expect * 2
 
@@ -217,19 +224,19 @@ def test_nonfinite_integrand_reported(add_entry):
             factory=lambda d: (lambda u: np.full(len(u), np.inf)),
         )
     )
-    cfg = base_config(integrand="blows_up", reference_value=0.0)
+    cfg = base_config(integrand="blows_up", reference_value=0.0, n_grid=(64,))
     with pytest.raises(ContractError, match="non-finite"):
-        replicate_estimates(cfg, 64)
+        replicate_estimates(cfg)
 
 
 def test_unknown_integrand_rejected():
     with pytest.raises(ContractError):
-        replicate_estimates(base_config(integrand="mystery"), 64)
+        replicate_estimates(base_config(integrand="mystery", n_grid=(64,)))
 
 
 def test_estimator_is_unbiased_mini():
-    cfg = base_config(replications=64, master_seed=11)
-    rec = expected_abs_error(cfg, 64)
+    cfg = base_config(replications=64, master_seed=11, n_grid=(64,))
+    (rec,) = expected_abs_error(cfg)
     est = np.array(rec.estimates)
     se_mean = est.std(ddof=1) / math.sqrt(len(est))
     assert abs(est.mean() - 0.5) < 4 * se_mean
@@ -284,19 +291,12 @@ def test_fit_requires_four_usable_records():
         fit_rate(synth_records([64] * 5, [0.0] * 5))
 
 
-def test_fit_records_theoretical_exponent():
-    ns = [2**k for k in range(6, 10)]
-    fit = fit_rate(synth_records(ns, [1.0 / n for n in ns]), theoretical_exponent=0.75)
-    assert fit.theoretical_exponent == 0.75
-
-
 # ---------------------------------------------------------------- studies
 
 
 def test_run_study_consistent_halfspace():
     report = run_study(base_config(master_seed=1))
     assert report.exponent == pytest.approx(2.0 / 3.0)
-    assert report.fit.theoretical_exponent == pytest.approx(2.0 / 3.0)
     assert len(report.records) == len(SMALL_GRID)
     assert report.verdict == "consistent"
     assert report.consistent
@@ -366,7 +366,7 @@ def test_study_estimates_equal_separate_runs_at_each_n(cfg):
     report = run_study(cfg)
     for n, rec in zip(cfg.n_grid, report.records):
         assert rec.n == n
-        assert rec.estimates == tuple(replicate_estimates(cfg, n))
+        assert rec.estimates == tuple(replicate_estimates(replace(cfg, n_grid=(n,)))[0])
 
 
 # sha256 of report_to_json at n = 64..1024, R = 8, master seed 0.  A change
@@ -394,8 +394,7 @@ def test_golden_report_bytes():
 def test_error_shrinks_with_n():
     for name in ("smooth_product", "halfspace"):
         cfg = catalog_config(name, n_grid=(64, 4096), replications=16, master_seed=6)
-        small = expected_abs_error(cfg, 64)
-        large = expected_abs_error(cfg, 4096)
+        small, large = expected_abs_error(cfg)
         assert large.mean_abs_error < small.mean_abs_error, name
 
 
@@ -467,9 +466,11 @@ def test_catalog_config_overrides_and_errors():
     assert cfg.master_seed == 17
     with pytest.raises(ContractError):
         catalog_config("unknown_integrand")
-    fixed = catalog_config("halfspace", dimension=3)
-    with pytest.raises(ContractError):
-        replicate_estimates(fixed, 64)  # entry is defined for d=2 only
+    # a dimension the integrand cannot take fails before any net is drawn
+    with pytest.raises(ContractError, match="defined for d=2"):
+        catalog_config("halfspace", dimension=3)
+    with pytest.raises(ContractError, match="model dimension"):
+        catalog_config("geometric_ot", dimension=3)
 
 
 def test_oracle_reference_requires_geometric_payoff():
@@ -483,9 +484,9 @@ def test_oracle_reference_requires_geometric_payoff():
         replications=8,
     )
     with pytest.raises(ContractError):
-        expected_abs_error(cfg, 64)
+        expected_abs_error(cfg)
     with pytest.raises(ContractError):
-        expected_abs_error(base_config(reference_value="oracle:unknown"), 64)
+        expected_abs_error(base_config(reference_value="oracle:unknown"))
 
 
 def test_catalog_reference_values_against_quadrature():
@@ -516,15 +517,15 @@ def test_catalog_reference_values_against_quadrature():
 
 def test_catalog_factories_match_descriptions():
     u = np.array([[0.25, 0.5], [0.75, 0.8]])
-    assert CATALOG["halfspace"].build(2)(u).tolist() == [1.0, 0.0]
-    box = CATALOG["axis_box"].build(2)(u)
+    assert CATALOG["halfspace"].factory(2)(u).tolist() == [1.0, 0.0]
+    box = CATALOG["axis_box"].factory(2)(u)
     assert box[0] == pytest.approx((0.25 * 0.5) ** -0.1)
     assert box[1] == 0.0
-    axis = CATALOG["axis_singular"].build(2)(u)
+    axis = CATALOG["axis_singular"].factory(2)(u)
     assert axis[0] == 0.0  # u1 = 0.25 <= 1/3
     assert axis[1] == pytest.approx((0.75 * 0.8) ** -0.1)
-    corner = CATALOG["corner_singular"].build(2)(u)
+    corner = CATALOG["corner_singular"].factory(2)(u)
     assert corner[0] == pytest.approx((0.25 * 0.5) ** -0.4)
     assert corner[1] == 0.0  # 0.75 + 0.8 >= 1.5
-    smooth = CATALOG["smooth_product"].build(2)(u)
+    smooth = CATALOG["smooth_product"].factory(2)(u)
     assert smooth[0] == pytest.approx(1.25 * 1.5 / 2.25)

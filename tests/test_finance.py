@@ -431,37 +431,31 @@ def test_delta_matches_finite_difference_of_price():
 # ---------------------------------------------------------------- geometric reduction
 
 
-def test_threshold_requires_ot():
-    with pytest.raises(ContractError):
-        geometric_threshold(MODEL, path_factor(MODEL, "cholesky"))
-
-
 def test_threshold_limits():
-    f = path_factor(MODEL, "ot")
     zero_k = GbmModel(1.0, 0.05, 0.2, 1.0, 4, strike=0.0)
-    assert geometric_threshold(zero_k, path_factor(zero_k, "ot")) == 0.0
+    assert geometric_threshold(zero_k) == 0.0
     high_k = GbmModel(1.0, 0.05, 0.2, 1.0, 4, strike=100.0)
-    assert geometric_threshold(high_k, path_factor(high_k, "ot")) > 1.0 - 1e-12
-    assert 0.0 < geometric_threshold(MODEL, f) < 1.0
+    assert geometric_threshold(high_k) > 1.0 - 1e-12
+    assert 0.0 < geometric_threshold(MODEL) < 1.0
 
 
 def test_threshold_sigma_zero_degenerate():
     up = GbmModel(1.0, 0.05, 0.0, 1.0, 4, strike=0.5)  # sure payout
-    assert geometric_threshold(up, path_factor(up, "ot")) == 0.0
+    assert geometric_threshold(up) == 0.0
     dn = GbmModel(1.0, 0.05, 0.0, 1.0, 4, strike=2.0)  # sure miss
-    assert geometric_threshold(dn, path_factor(dn, "ot")) == 1.0
+    assert geometric_threshold(dn) == 1.0
 
 
 def test_threshold_single_date_closed_form():
     m = GbmModel(1.0, 0.05, 0.2, 1.0, 1, 1.1)
-    kappa = geometric_threshold(m, path_factor(m, "ot"))
+    kappa = geometric_threshold(m)
     expect = norm_cdf((math.log(1.1) - (0.05 - 0.02)) / 0.2)
     assert kappa == pytest.approx(expect, abs=1e-14)
 
 
 def test_threshold_reduces_indicator_exactly():
     f = path_factor(MODEL, "ot")
-    kappa = geometric_threshold(MODEL, f)
+    kappa = geometric_threshold(MODEL)
     u = uniform_points(ScrambleSeed(17), 10**4, 4)
     s = generate_path(u, MODEL, f)
     sg = np.exp(np.mean(np.log(s), axis=1))
@@ -470,7 +464,7 @@ def test_threshold_reduces_indicator_exactly():
 
 def test_threshold_frequency_matches():
     f = path_factor(MODEL, "ot")
-    kappa = geometric_threshold(MODEL, f)
+    kappa = geometric_threshold(MODEL)
     u = uniform_points(ScrambleSeed(18), 10**5, 4)
     s = generate_path(u, MODEL, f)
     freq = float(np.mean(np.exp(np.mean(np.log(s), axis=1)) > MODEL.strike))

@@ -195,15 +195,6 @@ def test_scramble_keeps_points_distinct():
     assert len(np.unique(s.ints[:, 0])) == 256
 
 
-def test_identity_prefix_hook():
-    pts = PointSet(np.array([[3, 9], [0, 15], [7, 2]], dtype=np.uint64), 4)
-    s = scramble(pts, ScrambleSeed(3), identity_prefix=True)
-    # represented digits unchanged, filler appended below them
-    assert np.array_equal(s.ints >> np.uint64(s.depth - pts.depth), pts.ints)
-    assert np.all(s.coords >= pts.coords)
-    assert np.all(s.coords - pts.coords < 2.0**-pts.depth)
-
-
 def test_scramble_outputs_open_interval():
     net = generate_net(4, 3)
     for master in range(200):
