@@ -154,6 +154,8 @@ def _implied_fields(config: StudyConfig) -> dict:
     A dimension the integrand cannot take is rejected here, before any net
     is drawn.
     """
+    if config.dimension is not None and config.dimension < 1:
+        raise ContractError(f"dimension must be >= 1, got {config.dimension}")
     spec = config.integrand
     if isinstance(spec, PayoffSpec):
         d = spec.model.d
@@ -253,6 +255,16 @@ def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray
     return CATALOG[config.integrand].factory(config.dimension)
 
 
+# Multiply-adds per row block of the transform: a block of 2^17 // d^2 rows
+# keeps generate_path's (rows, d) @ (d, d) dgemm at most half OpenBLAS's 2^18
+# threading cutoff.  On (rows, 4) @ (4, 4) a BLAS worker ran at 2^16 rows and
+# at no size up to 2^14 rows; asian_rho's `s @ j` woke none up to 2^16.  So
+# no BLAS worker wakes and then spin-waits through the single-threaded work
+# that follows.  Smaller blocks cost more in per-call overhead: at d = 4,
+# blocks of 2048 rows made the transform about 12% slower than 8192 rows.
+_BLOCK_MADDS = 2**17
+
+
 def replicate_estimates(config: StudyConfig) -> np.ndarray:
     """The R independent estimates Ihat_k at each n of the grid.
 
@@ -260,10 +272,17 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     at ``n_grid[i]``.  Replicate k is drawn once at the largest n, and its
     estimate at n is the mean of its first n values, which equals a
     separate draw at n: replicate k is a pure function of (config, n, k).
+
+    The integrand is evaluated on blocks of ``max(1, 2**17 // d**2)`` rows,
+    which gives the same values as one call on all rows, since row i's
+    value depends only on row i.  At that size the path transform's matrix
+    product stays below OpenBLAS's threading cutoff, so it runs on the
+    calling thread and leaves no BLAS worker spinning.
     """
     f = _resolve_integrand(config)
     n_grid = config.n_grid
     n_max = n_grid[-1]
+    block = max(1, _BLOCK_MADDS // config.dimension**2)
     if config.sampler == "scrambled_net":
         net = generate_net(n_max.bit_length() - 1, config.dimension)
 
@@ -274,7 +293,9 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
             u = scramble(net, seed).coords
         else:
             u = uniform_points(seed, n_max, config.dimension)
-        vals = np.asarray(f(u), dtype=np.float64)
+        vals = np.empty(n_max, dtype=np.float64)
+        for start in range(0, n_max, block):
+            vals[start : start + block] = f(u[start : start + block])
         if not np.all(np.isfinite(vals)):
             i = int(np.argmin(np.isfinite(vals)))
             raise ContractError(

@@ -203,7 +203,7 @@ def inv_norm_cdf(p):
 def generate_path(u, model: GbmModel, factor: PathFactor):
     """Price path S(u) per the lognormal solution; accepts (d,) or (n, d) u."""
     u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] != model.d:
+    if u.shape[-1:] != (model.d,):
         raise ContractError(f"points must have {model.d} coordinates")
     if factor.d != model.d:
         raise ContractError("factor dimension does not match the model")

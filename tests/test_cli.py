@@ -351,6 +351,14 @@ def test_rate_study_bad_values_name_key_and_line(tmp_path, capsys):
         assert err == f"error: {cfg}{message}\n", err
 
 
+def test_rate_study_rejects_dimension_below_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "integrand = smooth_product\nd = 0\n")
+    code, out, err = run(capsys, "rate-study", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "dimension must be >= 1, got 0" in err, err
+
+
 def test_rate_study_replications_capped(tmp_path, capsys):
     for text, cap in (
         ("integrand = halfspace\nn_max = 1024\nR = 100000000\n", "2^16 replicates"),

@@ -28,7 +28,16 @@ from rqmc.experiment import (
     run_study,
     theoretical_exponent,
 )
-from rqmc.finance import GbmModel, PayoffSpec, geometric_asian_price
+from rqmc.finance import (
+    PAYOFF_KINDS,
+    GbmModel,
+    PayoffSpec,
+    generate_path,
+    geometric_asian_price,
+    path_factor,
+    payoff_eval,
+)
+from rqmc.scrambling import ScrambleSeed, uniform_points
 
 SMALL_GRID = (64, 128, 256, 512, 1024)
 
@@ -367,6 +376,29 @@ def test_study_estimates_equal_separate_runs_at_each_n(cfg):
     for n, rec in zip(cfg.n_grid, report.records):
         assert rec.n == n
         assert rec.estimates == tuple(replicate_estimates(replace(cfg, n_grid=(n,)))[0])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("factor", ["cholesky", "ot"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_row_blocks_match_whole_array(kind, factor, d):
+    # The engine evaluates blocks of 2^17 // d^2 rows: 4 blocks at d = 4,
+    # and at d = 3 blocks of 14563 rows with a ragged last one.  The
+    # estimates must equal the prefix means of one call on all rows.
+    grid = (2**13, 2**14, 2**15)
+    assert grid[-1] > ex._BLOCK_MADDS // d**2
+    model = replace(STANDARD_MODEL, d=d)
+    spec = PayoffSpec(kind, model)
+    cfg = StudyConfig(
+        spec, n_grid=grid, replications=8, sampler="plain_mc", factor_method=factor
+    )
+    pf = path_factor(model, factor)
+    whole = []
+    for k in range(8):
+        u = uniform_points(ScrambleSeed(0, k), grid[-1], d)
+        vals = payoff_eval(spec, generate_path(u, model, pf))
+        whole.append([vals[:n].mean() for n in grid])
+    assert (replicate_estimates(cfg) == np.array(whole).T).all()
 
 
 # sha256 of report_to_json at n = 64..1024, R = 8, master seed 0.  A change

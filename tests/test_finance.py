@@ -275,6 +275,12 @@ def test_generate_path_shape_contracts():
         generate_path(np.full(4, 0.5), MODEL, other)
 
 
+def test_generate_path_rejects_0d_points():
+    model_d1 = GbmModel(1.0, 0.05, 0.2, 1.0, 1, 1.0)
+    with pytest.raises(ContractError, match="1 coordinates"):
+        generate_path(np.float64(0.5), model_d1, path_factor(model_d1, "ot"))
+
+
 # ---------------------------------------------------------------- payoffs
 
 

@@ -1,6 +1,8 @@
 """Nested uniform scrambling: law, determinism, and net preservation."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from rqmc import scrambling
 from rqmc.digital_nets import PointSet, generate_net, verify_net
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
@@ -158,6 +161,60 @@ def test_long_form_golden_bits():
     for k, expected in enumerate(LONG_FORM_SHA256):
         ints = scramble(net, ScrambleSeed(0, k)).ints
         assert hashlib.sha256(ints.tobytes()).hexdigest() == expected, k
+
+
+def test_pool_gives_inline_bits_off_the_calling_thread(monkeypatch):
+    # the golden bits above come from the pool: at 2^16 rows every column is
+    # hashed off the calling thread
+    assert scrambling._PARALLEL_ROWS <= 2**16
+    net = generate_net(12, 3)
+    callers = []
+    kernel = scrambling._scramble_column
+
+    def recording(*args):
+        callers.append(threading.current_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(scrambling, "_scramble_column", recording)
+    inline = scramble(net, SEED).ints
+    assert callers == [threading.current_thread()] * net.d
+    callers.clear()
+    monkeypatch.setattr(scrambling, "_PARALLEL_ROWS", net.n)
+    pooled = scramble(net, SEED).ints
+    assert len(callers) == net.d
+    assert threading.current_thread() not in callers
+    assert np.array_equal(pooled, inline)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
+def test_concurrent_scrambles_match_serial(monkeypatch, pool):
+    # callers on several threads at once, more threads than cores, each
+    # get exactly the serial bits of their own seed
+    net = generate_net(13, 3)
+    if pool:
+        monkeypatch.setattr(scrambling, "_PARALLEL_ROWS", net.n)
+    seeds = [ScrambleSeed(7, k) for k in range(4)]
+    serial = [scramble(net, seed).ints for seed in seeds]
+    results: list = [None] * len(seeds)
+    start = threading.Barrier(len(seeds))
+
+    def worker(i: int) -> None:
+        start.wait(timeout=30)
+        results[i] = scramble(net, seeds[i]).ints
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got is not None and np.array_equal(got, want)
 
 
 def test_scramble_prefix_sharing():
