@@ -136,7 +136,7 @@ class PointSet:
     depth: int
 
     def __post_init__(self):
-        self.ints = np.ascontiguousarray(self.ints, dtype=np.uint64)
+        self.ints = _as_uint64(self.ints, "point integers")
         if self.ints.ndim != 2:
             raise ContractError("point integers must be a 2-d array")
         if not 1 <= self.depth <= 64:
@@ -213,9 +213,32 @@ def radical_inverse(i: int, b: int) -> float:
     return rev / scale
 
 
+def _as_uint64(values, what: str) -> np.ndarray:
+    """``values`` as a contiguous uint64 array, if they are integers >= 0.
+
+    A cast alone would truncate fractions and wrap negatives; an empty
+    array of any dtype is accepted.
+    """
+    arr = np.asarray(values)
+    if arr.size:
+        if arr.dtype.kind not in "iu":
+            raise ContractError(
+                f"{what} must be integers in 0..2^64-1, got dtype {arr.dtype}"
+            )
+        if arr.dtype.kind == "i" and arr.min() < 0:
+            raise ContractError(f"{what} must be >= 0, got {int(arr.min())}")
+    return np.ascontiguousarray(arr, dtype=np.uint64)
+
+
 def generate_points(indices: np.ndarray | Sequence[int], d: int) -> PointSet:
-    """Points of the base-2 digital sequence at the given index positions."""
-    idx = np.asarray(indices, dtype=np.uint64)
+    """Points of the base-2 digital sequence at the given index positions.
+
+    Point ``i`` is the XOR of the generator columns picked by the set bits
+    of ``i``.  Each byte of the index picks one row of a 256-row table of
+    the XORs of that byte's eight columns, built by doubling, so a point
+    is the XOR of at most seven table rows.
+    """
+    idx = _as_uint64(indices, "indices")
     if idx.ndim != 1:
         raise ContractError("indices must be one-dimensional")
     v = load_direction_numbers().direction_integers(d)
@@ -227,10 +250,12 @@ def generate_points(indices: np.ndarray | Sequence[int], d: int) -> PointSet:
                 f"index {int(idx.max())} needs {nbits} digits, above the "
                 f"{PRECISION_DEPTH}-digit precision"
             )
-        for bit in range(nbits):
-            mask = (idx >> np.uint64(bit)) & np.uint64(1) == 1
-            if mask.any():
-                out[mask] ^= v[:, bit]
+        for low in range(0, nbits, 8):
+            table = np.zeros((1, d), dtype=np.uint64)
+            for bit in range(low, min(low + 8, nbits)):
+                table = np.concatenate([table, table ^ v[:, bit]])
+            rows = ((idx >> np.uint64(low)) & np.uint64(255)).astype(np.intp)
+            out ^= np.take(table, rows, axis=0)
     return PointSet(out, PRECISION_DEPTH)
 
 

@@ -13,11 +13,14 @@ index, dimension, digit position, prefix digits).  This gives the exact
 nested-uniform law without storing the tree and makes replicates
 independent by construction.  ``permutation_for`` and ``_mix`` are the
 scalar reference for the tree; the array kernel ``_swap_mask`` realizes
-it bit for bit, hashing a column digit by digit in place with four
-column-length arrays and no allocation per digit.  Columns of at least
-2^15 rows are hashed on ``min(d, usable CPUs)`` threads, one column per
-task; each column's bits depend on that column alone, so the output is the
-same on any number of threads.
+it bit for bit.  It hashes each tree node of the leading ``n.bit_length()``
+digits once, into a table the rows gather from, does the first xorshift
+of the finalizer once per column, and finishes each later digit's hash in
+uint32 arithmetic, in place, with 32 bytes of scratch a row and no
+allocation per digit (see ``_swap_mask`` for the identities).  Columns of
+at least 2^16 rows are hashed on ``min(d, usable CPUs)`` threads, one
+column per task; each column's bits depend on that column alone, so the
+output is the same on any number of threads.
 
 The scramble also extends every coordinate with freshly drawn digits up
 to the target depth, so outputs land in the open interval (0,1): a
@@ -47,16 +50,21 @@ _DOMAIN_SCRAMBLE = 0x243F6A8885A308D3
 _DOMAIN_UNIFORM = 0x13198A2E03707344
 
 # Columns of at least this many rows are hashed on a thread pool, one column
-# per task.  A column costs about 830 ufunc calls, and each call releases and
-# retakes the GIL; while the calls are short, the handoffs between threads
-# cost more than the hashing they overlap.  On a 2-vCPU machine (best of 9,
-# d = 2 and 4) the pool was 1.07-2.3x slower than the inline loop at
-# 2^12..2^14 rows, and 1.1-1.5x faster at 2^15 and 2^16.
-_PARALLEL_ROWS = 2**15
+# per task.  A 2^16-row column costs about 750 numpy calls, and each long
+# one releases and retakes the GIL; while the calls are short, the handoffs
+# between threads cost more than the hashing they overlap.  On a 2-vCPU
+# machine (best of 9, d = 2 and 4, four rounds) the pool was 1.15-1.6x
+# slower than the inline loop at 2^13 and 2^14 rows, even (0.99-1.08x) at
+# 2^15, and 1.3-1.5x faster at 2^16.
+_PARALLEL_ROWS = 2**16
 
 _U64 = np.uint64
 _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
+_U32 = np.uint32
+# Low 32 bits of M2 times 2^31 + 1: bit 31 of c * _M2_BIT (mod 2^32) is the
+# SplitMix64 output bit 0 for a finalizer state c before its second multiply.
+_M2_BIT = _U32((0x94D049BB133111EB * (2**31 + 1)) & 0xFFFFFFFF)
 
 
 def _mix(x: int) -> int:
@@ -135,37 +143,102 @@ def permutation_for(
     return (1, 0) if swap else (0, 1)
 
 
+def _node_table(keys: np.ndarray) -> np.ndarray:
+    """High-word swap bits of digits ``1..t`` for every ``t-1``-digit prefix.
+
+    ``keys[k-1]`` is the key of digit ``k``.  Entry ``p`` of the result
+    holds, at bit ``32 - k``, the swap bit of the node that digit ``k`` of
+    a coordinate whose ``t-1`` leading digits are ``p`` passes through:
+    the node of prefix ``p >> (t - k)``.  The table is built level by
+    level by doubling: level ``k`` hashes its ``2^(k-1)`` nodes once, and
+    its entries inherit the bits of their parent prefix ``p >> 1``, so the
+    whole table costs ``2^t - 1`` hashes.
+    """
+    table = np.zeros(1, dtype=_U32)
+    for k, key in enumerate(keys.tolist(), start=1):
+        if k > 1:
+            table = np.repeat(table, 2)
+        nodes = np.arange(table.size, dtype=_U64)
+        nodes ^= _U64(key)
+        _mix_into(nodes, np.empty_like(nodes))
+        nodes &= _U64(1)
+        nodes <<= _U64(32 - k)
+        table |= nodes.astype(_U32)
+    return table
+
+
 def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.ndarray:
     """XOR mask of the node swap bits at the given digit positions.
 
-    The swap bit of digit ``k`` hashes the ``k-1`` leading digits of
-    ``col`` under a key for (dimension, ``k``); a nonzero ``salt`` rekeys
-    the draw, for the filler redraw.  ``col`` must be contiguous.
+    The swap bit of digit ``k`` is ``_mix(p ^ key_k) & 1``, where ``p`` is
+    the ``k-1`` leading digits of ``col`` and ``key_k`` a key for
+    (dimension, ``k``); a nonzero ``salt`` rekeys the draw, for the filler
+    redraw.  ``col`` must be contiguous.  The bits are exactly those
+    ``permutation_for`` describes; the kernel gets them with less work
+    through four exact identities:
 
-    The column is hashed digit by digit in place: four column-length
-    arrays (the shifted column, the hash and its scratch buffer, and the
-    mask) and no allocation per digit.  The bits are exactly those
-    ``permutation_for`` describes.
+    1. Digit ``k``'s bit depends only on its prefix, and a column of ``n``
+       rows has at most ``2^(t-1) <= n`` distinct prefixes before digit
+       ``t = n.bit_length()``.  So digits ``1..t`` (of a range starting at
+       digit 1) are gathered from ``_node_table``, at most ``2n`` hashes
+       instead of ``t*n``.  The table depends only on the keys, so each
+       row still depends on its own input row alone.
+    2. Right shifts distribute over XOR, so the first xorshift of the
+       finalizer, ``y ^ (y >> 30)`` with ``y = (half >> s) ^ key``, equals
+       ``(h >> s) ^ (key ^ (key >> 30))`` for ``h = half ^ (half >> 30)``,
+       which is computed once per column.
+    3. The swap bit is bit 0 ^ bit 31 of the second product ``c * M2``,
+       and those bits depend only on the low 32 bits of ``c``.  So the
+       tail runs on a uint32 copy of ``c``.
+    4. Multiplying a uint32 ``y`` by ``2^31 + 1`` adds bit 0 into bit 31,
+       so bit 31 of ``c * (M2 * (2^31 + 1) mod 2^32)`` is the swap bit.
+
+    The remaining digits are hashed digit by digit in place, with five
+    uint64 and four uint32 passes each.  The kernel holds three
+    column-length uint64 arrays (``h``, the hash, its scratch buffer,
+    whose first half also holds the uint32 copy of ``c``) and two uint32
+    accumulators for the high and low words of the mask: 32 bytes a row.
     """
-    ks = np.arange(digits.start, digits.stop, dtype=_U64)
-    keys = _mix_vec(ks ^ _U64(hj))
+    n = col.size
+    keys = _mix_vec(np.arange(digits.start, digits.stop, dtype=_U64) ^ _U64(hj))
     if salt:
         keys = _mix_vec(keys ^ _U64(salt * _GOLDEN & _MASK64))
+    # The table's bits sit in the high word, so it covers at most 32 digits;
+    # it is built before the column buffers, which keeps the peak at those.
+    t = min(n.bit_length(), len(digits), 32) if digits.start == 1 else 0
+    table = _node_table(keys[:t]) if t else None
     # The prefix of digit k is col >> (65 - k) = half >> (64 - k): no shift
     # reaches 64, and k = 1 gets the empty prefix 0.
-    half = col >> _U64(1)
-    shifts = _U64(64) - ks
-    mask = np.zeros_like(col)
-    x = np.empty_like(col)
+    x = col >> _U64(1)
+    if t:
+        hi = np.take(table, (x >> _U64(64 - t)).view(np.int64))
+        del table
+    else:
+        hi = np.zeros(n, dtype=_U32)
+    lo = np.zeros(n, dtype=_U32)
+    h = x >> _U64(30)
+    h ^= x
     tmp = np.empty_like(col)
-    for shift, key in zip(shifts, keys):
-        np.right_shift(half, shift, out=x)
+    c = tmp.view(_U32)[:n]
+    keys = keys[t:]
+    keys ^= keys >> _U64(30)
+    for k, key in zip(digits[t:], keys):
+        word, pos = (hi, 32 - k) if k <= 32 else (lo, 64 - k)
+        np.right_shift(h, _U64(64 - k), out=x)
         x ^= key
-        _mix_into(x, tmp)
-        x &= _U64(1)
-        x <<= shift
-        mask |= x
-    return mask
+        x *= _M1
+        np.right_shift(x, _U64(27), out=tmp)
+        x ^= tmp
+        np.copyto(c, x, casting="unsafe")
+        c *= _M2_BIT
+        c >>= _U32(31)
+        c <<= _U32(pos)
+        word |= c
+    np.copyto(x, hi)
+    x <<= _U64(32)
+    np.copyto(tmp, lo)
+    x |= tmp
+    return x
 
 
 def _scramble_column(
@@ -219,7 +292,7 @@ def scramble(
 
     Each coordinate is scrambled as one contiguous column by
     ``_swap_mask``, which gives exactly the bits of the tree
-    ``permutation_for`` describes.  When the columns have at least 2^15
+    ``permutation_for`` describes.  When the columns have at least 2^16
     rows they are hashed on a thread pool of ``min(d, usable CPUs)``
     workers that lives for this call only; the output is unchanged.
 

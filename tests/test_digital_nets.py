@@ -171,6 +171,50 @@ def test_pointset_validates_depth():
     assert ps.coords[0, 0] == 0.75
 
 
+def test_pointset_rejects_fractional_integers():
+    with pytest.raises(ContractError, match="dtype float64"):
+        PointSet(np.array([[0.5]]), 1)
+
+
+def test_pointset_rejects_negative_integers():
+    with pytest.raises(ContractError, match="-1"):
+        PointSet(np.array([[-1]]), 64)
+
+
+def test_generate_points_rejects_fractional_index():
+    with pytest.raises(ContractError, match="dtype float64"):
+        generate_points([1.5], 2)
+
+
+def test_generate_points_rejects_negative_python_index():
+    with pytest.raises(ContractError, match="-1"):
+        generate_points([-1], 2)
+
+
+def test_generate_points_rejects_negative_array_index():
+    with pytest.raises(ContractError, match="-1"):
+        generate_points(np.array([-1]), 2)
+
+
+def test_generate_points_is_xor_of_generator_columns():
+    # the byte tables give, for any index, the XOR of the generator columns
+    # its set bits pick
+    rng = np.random.default_rng(3)
+    idx = np.concatenate(
+        [[0, 1, 255, 256, 2**53 - 1], rng.integers(0, 2**53, 200, dtype=np.uint64)]
+    ).astype(np.uint64)
+    for d in (1, 3, 8):
+        v = load_direction_numbers().direction_integers(d).tolist()
+        pts = generate_points(idx, d).ints
+        for row, i in zip(pts.tolist(), idx.tolist()):
+            expect = [0] * d
+            for bit in range(i.bit_length()):
+                if i >> bit & 1:
+                    expect = [e ^ v[j][bit] for j, e in enumerate(expect)]
+            assert row == expect, (d, i)
+    assert generate_points([], 2).ints.shape == (0, 2)
+
+
 # ---------------------------------------------------------------- intervals
 
 

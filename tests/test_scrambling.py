@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rqmc import scrambling
-from rqmc.digital_nets import PointSet, generate_net, verify_net
+from rqmc.digital_nets import PointSet, generate_net, generate_points, verify_net
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
+    _GOLDEN,
     DEFAULT_DEPTH,
     ScrambleSeed,
+    _dim_key,
     _mix,
     _mix_vec,
     permutation_for,
@@ -75,8 +77,6 @@ def test_permutation_deterministic_across_calls():
 
 def swap_bits(seed: ScrambleSeed, dim: int, k: int, prefixes: np.ndarray) -> np.ndarray:
     """Vectorized swap bit at digit k for packed (k-1)-digit prefixes."""
-    from rqmc.scrambling import _dim_key
-
     key = np.uint64(_mix(_dim_key(seed, dim) ^ k))
     with np.errstate(over="ignore"):
         return (_mix_vec(prefixes.astype(np.uint64) ^ key) & np.uint64(1)).astype(int)
@@ -128,6 +128,46 @@ def test_scramble_matches_digitwise_permutations():
         for k in range(depth):
             perm = permutation_for(SEED, 0, a[:k])
             assert b[k] == perm[a[k]], (i, k)
+
+
+def assert_digitwise(points: PointSet, out: PointSet, rows) -> None:
+    """Every digit of the given output rows is the permutation_for image of
+    the input digit under its prefix."""
+    depth = out.depth
+    for j in range(points.d):
+        for i in rows:
+            a = digits_of(int(points.ints[i, j]) << (depth - points.depth), depth)
+            b = digits_of(int(out.ints[i, j]), depth)
+            for k in range(depth):
+                assert b[k] == permutation_for(SEED, j, a[:k])[a[k]], (depth, j, i, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000])
+def test_short_columns_match_digitwise_permutations(n):
+    # n = 1 and 2 take the leading digits from a one- and two-entry node
+    # table, n = 3, 5 and 1000 from a table with fewer entries than rows
+    pts = generate_points(range(n), 2)
+    rows = range(n) if n <= 5 else (0, 1, 2, 511, 512, 513, 777, 998, 999)
+    for depth in (53, 64):
+        assert_digitwise(pts, scramble(pts, SEED, depth=depth), rows)
+
+
+def test_scramble_of_no_points():
+    for depth in (53, 64):
+        out = scramble(generate_points([], 3), SEED, depth=depth)
+        assert out.ints.shape == (0, 3) and out.depth == depth
+
+
+def test_repeated_rows_scramble_identically():
+    # more rows than distinct prefixes; at depth 2 the table is capped at
+    # the two digits there are, below n.bit_length() = 3
+    ints = np.array([[0, 3], [3, 1], [1, 1], [3, 1], [0, 3], [0, 3]], dtype=np.uint64)
+    for in_depth, depth in ((2, 2), (2, 53), (53, 53), (53, 64)):
+        pts = PointSet(ints << np.uint64(in_depth - 2), in_depth)
+        out = scramble(pts, SEED, depth=depth)
+        assert_digitwise(pts, out, range(pts.n))
+        for i, k in ((0, 4), (0, 5), (1, 3)):
+            assert np.array_equal(out.ints[i], out.ints[k]), (in_depth, depth)
 
 
 def test_long_columns_match_digitwise_permutations():
@@ -268,6 +308,68 @@ def test_filler_redraw_keeps_outputs_open_and_distinct():
         assert np.all(s.coords > 0.0) and np.all(s.coords < 1.0)
         assert s.ints[0, 0] >> np.uint64(1) != s.ints[1, 0] >> np.uint64(1)
         assert np.array_equal(s.ints, scramble(pts, ScrambleSeed(master), depth=2).ints)
+
+
+def redraw_bit(seed: ScrambleSeed, dim: int, k: int, prefix: int, salt: int) -> int:
+    """Scalar swap bit of digit k under a salted key."""
+    hj = _dim_key(seed, dim)
+    return _mix(_mix(_mix(k ^ hj) ^ salt * _GOLDEN) ^ prefix) & 1
+
+
+def test_filler_redraw_bits_match_scalar_oracle():
+    # the kernel's salted bits for the depth-2 case above, and the whole
+    # redraw loop at depth 2 and 3: filler digits are redrawn with salt 1,
+    # 2, ... until the output is nonzero, so at depth 3 the salt that ends
+    # the loop shows in the output
+    redrawn = 0
+    for master in range(50):
+        seed = ScrambleSeed(master)
+        hj = _dim_key(seed, 0)
+        for a in (0, 1):
+            col = np.array([a << 63], dtype=np.uint64)
+            for salt in (1, 2, 3):
+                got = int(scrambling._swap_mask(col, hj, range(2, 3), salt)[0])
+                assert got == redraw_bit(seed, 0, 2, a, salt) << 62, (master, a, salt)
+        for depth in (2, 3):
+            pts = PointSet(np.array([[0], [1]], dtype=np.uint64), 1)
+            out = scramble(pts, seed, depth=depth).ints[:, 0].tolist()
+            for a, got in zip((0, 1), out):
+                a_digits = [a] + [0] * (depth - 1)
+                expect = [
+                    permutation_for(seed, 0, a_digits[:k])[a_digits[k]]
+                    for k in range(depth)
+                ]
+                salt = 0
+                while not any(expect):
+                    salt += 1
+                    expect[1:] = [
+                        redraw_bit(seed, 0, k, a << (k - 2), salt)
+                        for k in range(2, depth + 1)
+                    ]
+                redrawn += salt > 0
+                assert digits_of(got, depth) == expect, (master, depth, a)
+    assert redrawn > 10
+
+
+def test_swap_mask_matches_scalar_formula_off_the_first_digit():
+    # digit ranges that do not start at digit 1 (the filler redraw's case),
+    # salted and unsalted, on random odd columns; range(1, 20) with a salt
+    # takes the leading digits from a salted node table
+    rng = np.random.default_rng(11)
+    col = rng.integers(0, 2**63, 300, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    hj = _dim_key(SEED, 2)
+    ranges = (range(2, 65), range(30, 40), range(33, 65), range(64, 65), range(1, 20))
+    for digits in ranges:
+        for salt in (0, 1, 5):
+            keys = [_mix(k ^ hj) for k in digits]
+            if salt:
+                keys = [_mix(key ^ salt * _GOLDEN) for key in keys]
+            mask = scrambling._swap_mask(col, hj, digits, salt).tolist()
+            for x, got in zip(col.tolist(), mask):
+                expect = 0
+                for k, key in zip(digits, keys):
+                    expect |= (_mix(key ^ (x >> (65 - k))) & 1) << (64 - k)
+                assert got == expect, (digits, salt, x)
 
 
 def test_scramble_depth_contract():
