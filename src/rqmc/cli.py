@@ -27,18 +27,13 @@ from .experiment import (
     replicate_estimates,
     report_to_csv,
     report_to_json,
+    resolve_reference,
     run_study,
 )
-from .finance import (
-    PAYOFF_KINDS,
-    GbmModel,
-    PayoffSpec,
-    geometric_asian_price,
-)
+from .finance import FACTOR_METHODS, PAYOFF_KINDS, GbmModel, PayoffSpec
 from .scrambling import ScrambleSeed, scramble
 
 _MAX_POINTS_M = 20
-_MAX_POINTS_D = 64
 # Caps on replicates and on points over all replicates (n_max * R) for
 # `price` and `rate-study`: 2^26 admits n_max = 2^20 at R = 64.
 _MAX_REPLICATIONS_LOG2 = 16
@@ -56,8 +51,6 @@ def _write_text(text: str, out: str | None) -> None:
 def _cmd_points(args) -> int:
     if args.m < 0 or args.m > _MAX_POINTS_M:
         raise CapacityError(f"m must be in 0..{_MAX_POINTS_M}")
-    if args.d < 1 or args.d > _MAX_POINTS_D:
-        raise CapacityError(f"d must be in 1..{_MAX_POINTS_D}")
     points = generate_net(args.m, args.d)
     if args.scramble:
         points = scramble(points, ScrambleSeed(args.seed))
@@ -204,8 +197,8 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             d=overrides.pop("dimension", std.d),
             strike=_take(kv, "K", float, std.strike),
         )
-        overrides["factor_method"] = _take(kv, "factor", str, "ot")
-        config = StudyConfig(PayoffSpec(name, model), **overrides)
+        spec = PayoffSpec(name, model, _take(kv, "factor", str, "ot"))
+        config = StudyConfig(spec, **overrides)
     else:
         config = catalog_config(name, **overrides)
 
@@ -243,27 +236,26 @@ def _cmd_price(args) -> int:
         d=args.d,
         strike=args.strike,
     )
-    spec = PayoffSpec(args.payoff, model)
+    spec = PayoffSpec(args.payoff, model, args.factor)
     config = StudyConfig(
         integrand=spec,
         n_grid=(args.n,),
         replications=args.replications,
         master_seed=args.seed,
-        factor_method=args.factor,
     )
     estimates = replicate_estimates(config)[0]
     estimate = float(estimates.mean())
     std_error = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
     result: dict = {
         "payoff": spec.kind,
-        "factor": args.factor,
+        "factor": spec.factor,
         "n": args.n,
         "R": args.replications,
         "estimate": estimate,
         "std_error": std_error,
     }
-    if spec.kind == "geometric_indicator_payoff":
-        result["oracle"] = geometric_asian_price(model)
+    if config.reference_value is not None:
+        result["oracle"] = resolve_reference(config)
     if args.format == "json":
         text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     else:
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-d", type=int, default=std.d, help="monitoring dates")
     p.add_argument("-K", "--strike", type=float, default=std.strike, help="strike")
-    p.add_argument("--factor", choices=("cholesky", "ot"), default="ot")
+    p.add_argument("--factor", choices=FACTOR_METHODS, default="ot")
     p.add_argument("-n", type=int, default=2**16, help="points per replicate")
     p.add_argument("-R", "--replications", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)

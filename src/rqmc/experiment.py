@@ -26,7 +26,9 @@ slopes as consistent.
 A small catalog of integrands with exact or closed-form reference values
 covers the regimes of interest: smooth, discontinuous, discontinuous
 with boundary singularities (axis-parallel and not), and option payoffs
-driven by the finance module under both path factorizations.
+driven by the finance module under both path factorizations.  A payoff
+study takes its factor from its ``PayoffSpec``: the factor decides
+whether the payoff's jump is axis-parallel, and so the study's d_u.
 """
 
 from __future__ import annotations
@@ -82,15 +84,15 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
 class StudyConfig:
     """Everything needed to reproduce one rate study.
 
-    ``integrand`` is a catalog name or a payoff bound to a model;
-    ``reference_value`` is the exact integral, either as a number or as
-    an ``"oracle:<name>"`` tag resolved at run time.
+    ``integrand`` is a catalog name or a payoff bound to a model and a
+    path factor; ``reference_value`` is the exact integral, either as a
+    number or as an ``"oracle:<name>"`` tag resolved at run time.
 
     The four fields an integrand implies are worked out from it when left
     as ``None``.  A catalog entry gives its own ``irregular_dimension``,
     ``max_growth`` and exact reference, at ``dimension`` (default: the
     entry's, else 2).  A payoff gives ``dimension = model.d``,
-    ``irregular_dimension`` 1 under the ``ot`` factor (its jump is
+    ``irregular_dimension`` 1 when its ``factor`` is ``ot`` (its jump is
     axis-parallel) and ``d`` under ``cholesky``, and ``max_growth = 0``;
     the geometric payoff takes its closed-form lognormal price as the
     reference, and any other payoff needs an explicit ``reference_value``
@@ -106,7 +108,6 @@ class StudyConfig:
     replications: int = DEFAULT_REPLICATIONS
     master_seed: int = 0
     sampler: str = "scrambled_net"
-    factor_method: str = "ot"
     slack: float = DEFAULT_SLOPE_SLACK
 
     def __post_init__(self):
@@ -144,7 +145,7 @@ class StudyConfig:
     @property
     def integrand_name(self) -> str:
         if isinstance(self.integrand, PayoffSpec):
-            return f"{self.integrand.kind}[{self.factor_method}]"
+            return f"{self.integrand.kind}[{self.integrand.factor}]"
         return self.integrand
 
 
@@ -164,7 +165,7 @@ def _implied_fields(config: StudyConfig) -> dict:
         geometric = spec.kind == "geometric_indicator_payoff"
         return {
             "dimension": d,
-            "irregular_dimension": 1 if config.factor_method == "ot" else d,
+            "irregular_dimension": 1 if spec.factor == "ot" else d,
             "max_growth": 0.0,
             "reference_value": "oracle:geometric_asian" if geometric else None,
         }
@@ -219,7 +220,8 @@ class RateFit:
     excluded_n: tuple[int, ...] = ()
 
 
-def _resolve_reference(config: StudyConfig) -> float:
+def resolve_reference(config: StudyConfig) -> float:
+    """The study's exact integral: its number, or its oracle tag evaluated."""
     ref = config.reference_value
     if ref is None:
         raise ContractError(
@@ -245,7 +247,7 @@ def _resolve_reference(config: StudyConfig) -> float:
 def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(config.integrand, PayoffSpec):
         spec = config.integrand
-        factor = path_factor(spec.model, config.factor_method)
+        factor = path_factor(spec.model, spec.factor)
 
         def f(u: np.ndarray) -> np.ndarray:
             """Discounted payoff per row; row i's value depends only on row i of u."""
@@ -312,7 +314,7 @@ def expected_abs_error(config: StudyConfig) -> tuple[ErrorRecord, ...]:
 
     The reference is resolved before any replicate is drawn.
     """
-    reference = _resolve_reference(config)
+    reference = resolve_reference(config)
     return tuple(
         ErrorRecord(n=n, reference=reference, estimates=tuple(row))
         for n, row in zip(config.n_grid, replicate_estimates(config))
@@ -373,7 +375,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     the empirical slope is at most -exponent + slack, so steeper decay
     also passes.
     """
-    _resolve_reference(config)  # a bad reference is reported before a bad exponent
+    resolve_reference(config)  # a bad reference is reported before a bad exponent
     exponent = theoretical_exponent(
         config.dimension, config.irregular_dimension, config.max_growth
     )
@@ -429,7 +431,7 @@ def report_to_json(report: StudyReport) -> str:
     }
     if isinstance(cfg.integrand, PayoffSpec):
         m = cfg.integrand.model
-        echo["factor_method"] = cfg.factor_method
+        echo["factor_method"] = cfg.integrand.factor
         echo["model"] = {
             "s0": m.s0,
             "r": m.r,
@@ -581,16 +583,17 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 # Payoff studies of the geometric payoff on the shared market constants,
-# by the factor each uses.
-_PAYOFF_STUDIES = {"geometric_ot": "ot", "geometric_cholesky": "cholesky"}
+# one per factor.
+_PAYOFF_STUDIES = {
+    f"geometric_{factor}": PayoffSpec(
+        "geometric_indicator_payoff", STANDARD_MODEL, factor
+    )
+    for factor in ("ot", "cholesky")
+}
 
 CATALOG_NAMES = tuple(CATALOG) + tuple(_PAYOFF_STUDIES)
 
 
 def catalog_config(name: str, **overrides) -> StudyConfig:
     """StudyConfig for a named catalog integrand, with field overrides."""
-    if name in _PAYOFF_STUDIES:
-        spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
-        overrides = {"factor_method": _PAYOFF_STUDIES[name], **overrides}
-        return StudyConfig(spec, **overrides)
-    return StudyConfig(name, **overrides)
+    return StudyConfig(_PAYOFF_STUDIES.get(name, name), **overrides)

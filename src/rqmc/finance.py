@@ -11,7 +11,8 @@ Two factorizations are provided.  The Cholesky factor is the plain
 choice.  The orthogonal-transformation factor rotates it so that a given
 linear functional w^T x of the path depends on u_1 alone, which turns
 the discontinuity of a geometric-mean indicator into a single
-axis-parallel cut {u_1 > kappa}: the QMC-friendly orientation.
+axis-parallel cut {u_1 > kappa}: the QMC-friendly orientation.  A
+factor is its matrix A; a payoff spec names the one it is priced under.
 
 Payoffs cover the discounted arithmetic Asian call and the pathwise
 estimators of its delta, gamma, rho, theta, and vega (all sharing the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy import special
@@ -39,6 +39,7 @@ PAYOFF_KINDS = (
     "asian_vega",
     "geometric_indicator_payoff",
 )
+FACTOR_METHODS = ("cholesky", "ot")
 
 _FACTOR_RTOL = 1e-12
 
@@ -107,43 +108,20 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PathFactor:
-    """A path-generating matrix A with A A^T = Sigma, tagged by construction."""
-
-    matrix: np.ndarray
-    method: Literal["cholesky", "ot"]
-    weight: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractError("factor matrix must be square")
-        if self.method not in ("cholesky", "ot"):
-            raise ContractError(f"unknown construction tag {self.method!r}")
-        if self.method == "ot":
-            if self.weight is None:
-                raise ContractError("ot factor must record its weight vector")
-            w = np.asarray(self.weight, dtype=np.float64)
-            object.__setattr__(self, "weight", w)
-            wa = w @ m
-            if np.max(np.abs(wa[1:]), initial=0.0) > 1e-12 * max(abs(wa[0]), 1.0):
-                raise ContractError(
-                    "ot factor must concentrate w^T A on the first coordinate"
-                )
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    def reconstructs(self, cov: np.ndarray) -> bool:
-        """Check A A^T = cov entrywise to relative 1e-12."""
-        resid = np.abs(self.matrix @ self.matrix.T - cov)
-        return float(resid.max()) <= _FACTOR_RTOL * float(np.abs(cov).max())
+def reconstructs(a: np.ndarray, cov: np.ndarray) -> bool:
+    """Check A A^T = cov entrywise to relative 1e-12."""
+    resid = np.abs(a @ a.T - cov)
+    return float(resid.max()) <= _FACTOR_RTOL * float(np.abs(cov).max())
 
 
-def ot_factor(cov: np.ndarray, w: np.ndarray) -> PathFactor:
+def check_concentrated(a: np.ndarray, w: np.ndarray) -> None:
+    """Raise unless w^T A loads on the first coordinate alone."""
+    wa = w @ a
+    if np.max(np.abs(wa[1:]), initial=0.0) > 1e-12 * max(abs(wa[0]), 1.0):
+        raise ContractError("ot factor must concentrate w^T A on the first coordinate")
+
+
+def ot_factor(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rotate the Cholesky factor so w^T A z depends on z_1 only.
 
     A = A0 H with H the Householder reflection taking e_1 to
@@ -164,27 +142,29 @@ def ot_factor(cov: np.ndarray, w: np.ndarray) -> PathFactor:
         h = np.eye(len(q))
     else:
         h = np.eye(len(q)) - (2.0 / vv) * np.outer(v, v)
-    return PathFactor(a0 @ h, "ot", w.copy())
+    a = a0 @ h
+    check_concentrated(a, w)
+    return a
 
 
-def path_factor(model: GbmModel, method: str) -> PathFactor:
-    """Build a validated factor of the model's covariance by name.
+def path_factor(model: GbmModel, method: str) -> np.ndarray:
+    """The (d, d) matrix A with A A^T = Sigma, built by factor method name.
 
     The ``ot`` factor is rotated for the geometric-mean weight.
     """
     cov = covariance(model)
     if method == "cholesky":
-        factor = PathFactor(cholesky_factor(cov), "cholesky")
+        a = cholesky_factor(cov)
     elif method == "ot":
         w = geometric_weight(model)
         if not np.any(w):
             w = np.ones(model.d)  # sigma = 0: indicator constant, any rotation
-        factor = ot_factor(cov, w)
+        a = ot_factor(cov, w)
     else:
         raise ContractError(f"unknown factor method {method!r}")
-    if not factor.reconstructs(cov):
+    if not reconstructs(a, cov):
         raise ContractError("factor failed to reconstruct the covariance")
-    return factor
+    return a
 
 
 def geometric_weight(model: GbmModel) -> np.ndarray:
@@ -200,28 +180,36 @@ def inv_norm_cdf(p):
     return special.ndtri(p)
 
 
-def generate_path(u, model: GbmModel, factor: PathFactor):
-    """Price path S(u) per the lognormal solution; accepts (d,) or (n, d) u."""
+def generate_path(u, model: GbmModel, a: np.ndarray):
+    """Price path S(u) under factor A; accepts (d,) or (n, d) u."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1:] != (model.d,):
         raise ContractError(f"points must have {model.d} coordinates")
-    if factor.d != model.d:
+    if a.shape != (model.d, model.d):
         raise ContractError("factor dimension does not match the model")
     z = inv_norm_cdf(u)
     drift = (model.r - 0.5 * model.sigma**2) * model.times
-    return model.s0 * np.exp(drift + model.sigma * (z @ factor.matrix.T))
+    return model.s0 * np.exp(drift + model.sigma * (z @ a.T))
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """One of the discounted payoff/Greek estimators, bound to a model."""
+    """One of the discounted payoff/Greek estimators, bound to a model.
+
+    ``factor`` names the path factor, one of ``FACTOR_METHODS``, that maps
+    points to paths.  It decides whether the payoff's jump is axis-parallel,
+    so it is part of the integrand.
+    """
 
     kind: str
     model: GbmModel
+    factor: str = "ot"
 
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise ContractError(f"unknown payoff kind {self.kind!r}")
+        if self.factor not in FACTOR_METHODS:
+            raise ContractError(f"unknown factor method {self.factor!r}")
         if self.kind in ("asian_gamma", "asian_vega") and self.model.sigma == 0.0:
             raise ContractError(f"{self.kind} divides by sigma; sigma must be > 0")
 

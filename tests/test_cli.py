@@ -80,6 +80,10 @@ def test_points_capacity_limits(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "points", "-m", "4", "-d", "65")
     assert code == 2
+    assert "dimension 65 exceeds the bundled direction-number table (max 64)" in err
+    code, _, err = run(capsys, "points", "-m", "4", "-d", "0")
+    assert code == 2
+    assert "dimension must be >= 1" in err
 
 
 # ---------------------------------------------------------------- verify-net
@@ -383,6 +387,17 @@ def test_rate_study_payoff_requires_reference(tmp_path, capsys):
     code, _, err = run(capsys, "rate-study", "--config", cfg)
     assert code == 2
     assert "reference" in err
+
+
+def test_rate_study_payoff_rejects_unknown_factor(tmp_path, capsys):
+    # a bad factor is named before the missing reference is noticed
+    cfg = write_config(
+        tmp_path,
+        "integrand = asian_call\nfactor = pca\nn_min = 64\nn_max = 1024\nR = 8\n",
+    )
+    code, _, err = run(capsys, "rate-study", "--config", cfg)
+    assert code == 2
+    assert "unknown factor method 'pca'" in err
 
 
 def test_rate_study_geometric_payoff_oracle(tmp_path, capsys):

@@ -135,7 +135,6 @@ def test_integrand_name():
         reference_value="oracle:geometric_asian",
         n_grid=SMALL_GRID,
         replications=8,
-        factor_method="ot",
     )
     assert cfg.integrand_name == "geometric_indicator_payoff[ot]"
 
@@ -388,10 +387,8 @@ def test_row_blocks_match_whole_array(kind, factor, d):
     grid = (2**13, 2**14, 2**15)
     assert grid[-1] > ex._BLOCK_MADDS // d**2
     model = replace(STANDARD_MODEL, d=d)
-    spec = PayoffSpec(kind, model)
-    cfg = StudyConfig(
-        spec, n_grid=grid, replications=8, sampler="plain_mc", factor_method=factor
-    )
+    spec = PayoffSpec(kind, model, factor)
+    cfg = StudyConfig(spec, n_grid=grid, replications=8, sampler="plain_mc")
     pf = path_factor(model, factor)
     whole = []
     for k in range(8):
@@ -456,12 +453,12 @@ def test_catalog_config_defaults():
     ot = catalog_config("geometric_ot")
     assert isinstance(ot.integrand, PayoffSpec)
     assert ot.irregular_dimension == 1
-    assert ot.factor_method == "ot"
+    assert ot.integrand.factor == "ot"
     assert ot.reference_value == "oracle:geometric_asian"
 
     chol = catalog_config("geometric_cholesky")
     assert chol.irregular_dimension == STANDARD_MODEL.d
-    assert chol.factor_method == "cholesky"
+    assert chol.integrand.factor == "cholesky"
 
 
 def test_study_config_works_out_implied_fields():
@@ -476,10 +473,9 @@ def test_study_config_works_out_implied_fields():
     assert (ot.dimension, ot.irregular_dimension, ot.max_growth) == (6, 1, 0.0)
     assert ot.reference_value == "oracle:geometric_asian"
     chol = StudyConfig(
-        PayoffSpec("asian_call", model),
+        PayoffSpec("asian_call", model, "cholesky"),
         n_grid=SMALL_GRID,
         replications=8,
-        factor_method="cholesky",
     )
     assert chol.irregular_dimension == 6
     assert chol.reference_value is None

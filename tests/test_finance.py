@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqmc import finance
 from rqmc.digital_nets import generate_points
 from rqmc.errors import ContractError, NotPositiveDefiniteError
 from rqmc.finance import (
     PAYOFF_KINDS,
     GbmModel,
-    PathFactor,
     PayoffSpec,
+    check_concentrated,
     cholesky_factor,
     covariance,
     generate_path,
@@ -25,6 +26,7 @@ from rqmc.finance import (
     ot_factor,
     path_factor,
     payoff_eval,
+    reconstructs,
 )
 from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
 
@@ -112,8 +114,7 @@ def test_cholesky_reconstructs_random_spd(n, seed):
 
 def test_cholesky_64_dates():
     cov = covariance(GbmModel(1.0, 0.05, 0.2, 1.0, 64, 1.0))
-    factor = PathFactor(cholesky_factor(cov), "cholesky")
-    assert factor.reconstructs(cov)
+    assert reconstructs(cholesky_factor(cov), cov)
 
 
 # ---------------------------------------------------------------- ot factor
@@ -121,24 +122,24 @@ def test_cholesky_64_dates():
 
 def test_ot_factor_1d_positive_weight_is_sqrt():
     cov = np.array([[2.0]])
-    f = ot_factor(cov, np.array([1.0]))
-    assert float(f.matrix[0, 0]) == pytest.approx(math.sqrt(2.0))
+    a = ot_factor(cov, np.array([1.0]))
+    assert float(a[0, 0]) == pytest.approx(math.sqrt(2.0))
 
 
 def test_ot_factor_coefficient_always_positive():
     cov = np.array([[2.0]])
-    f = ot_factor(cov, np.array([-3.0]))
-    assert (f.weight @ f.matrix)[0] > 0.0
+    w = np.array([-3.0])
+    assert (w @ ot_factor(cov, w))[0] > 0.0
 
 
 def test_ot_factor_concentrates_functional():
     cov = covariance(GbmModel(1.0, 0.05, 0.2, 1.0, 2, 1.0))
     w = geometric_weight(GbmModel(1.0, 0.05, 0.2, 1.0, 2, 1.0))
-    f = ot_factor(cov, w)
-    wa = w @ f.matrix
+    a = ot_factor(cov, w)
+    wa = w @ a
     assert abs(wa[1]) < 1e-14
     assert wa[0] > 0.0
-    assert f.reconstructs(cov)
+    assert reconstructs(a, cov)
 
 
 def test_ot_factor_indicator_identity():
@@ -147,11 +148,11 @@ def test_ot_factor_indicator_identity():
     cov = covariance(model)
     rng = np.random.default_rng(11)
     w = rng.standard_normal(5)
-    f = ot_factor(cov, w)
+    a = ot_factor(cov, w)
     scale = np.linalg.norm(cholesky_factor(cov).T @ w)
     z = rng.standard_normal((1000, 5))
     c = 0.1
-    lhs = (z @ f.matrix.T) @ w > c
+    lhs = (z @ a.T) @ w > c
     rhs = scale * z[:, 0] > c
     assert np.array_equal(lhs, rhs)
     assert lhs.any() and not lhs.all()
@@ -164,11 +165,12 @@ def test_ot_factor_rejects_zero_weight():
 
 def test_path_factor_builders():
     chol = path_factor(MODEL, "cholesky")
-    assert chol.method == "cholesky"
-    assert np.allclose(np.triu(chol.matrix, 1), 0.0)
+    assert chol.shape == (4, 4)
+    assert np.allclose(np.triu(chol, 1), 0.0)
     ot = path_factor(MODEL, "ot")
-    assert ot.method == "ot"
-    assert ot.reconstructs(covariance(MODEL))
+    assert ot.shape == (4, 4)
+    check_concentrated(ot, geometric_weight(MODEL))
+    assert reconstructs(ot, covariance(MODEL))
     with pytest.raises(ContractError):
         path_factor(MODEL, "pca")
 
@@ -176,16 +178,19 @@ def test_path_factor_builders():
 def test_path_factor_sigma_zero_ot_degenerates_gracefully():
     flat = GbmModel(1.0, 0.05, 0.0, 1.0, 3, 1.0)
     f = path_factor(flat, "ot")
-    assert f.reconstructs(covariance(flat))
+    assert reconstructs(f, covariance(flat))
 
 
-def test_path_factor_validation():
-    with pytest.raises(ContractError):
-        PathFactor(np.eye(2), "ot")  # missing weight
-    with pytest.raises(ContractError):
-        PathFactor(np.eye(2), "ot", weight=np.array([1.0, 1.0]))  # not concentrated
-    with pytest.raises(ContractError):
-        PathFactor(np.eye(2), "pca")
+def test_path_factor_validation(monkeypatch):
+    with pytest.raises(ContractError, match="concentrate"):
+        check_concentrated(np.eye(2), np.array([1.0, 1.0]))
+    with pytest.raises(ContractError, match="unknown factor method 'pca'"):
+        path_factor(MODEL, "pca")
+    assert not reconstructs(np.eye(2), 2.0 * np.eye(2))
+    # a factor that misses the covariance is refused by path_factor itself
+    monkeypatch.setattr(finance, "cholesky_factor", lambda cov: np.eye(len(cov)))
+    with pytest.raises(ContractError, match="failed to reconstruct"):
+        path_factor(MODEL, "cholesky")
 
 
 # ---------------------------------------------------------------- normal quantile
@@ -297,6 +302,13 @@ def test_payoff_spec_validation():
         with pytest.raises(ContractError):
             PayoffSpec(kind, flat)
     PayoffSpec("asian_delta", flat)  # fine without dividing by sigma
+
+
+def test_payoff_spec_rejects_unknown_factor():
+    assert PayoffSpec("asian_call", MODEL).factor == "ot"
+    assert PayoffSpec("asian_call", MODEL, "cholesky").factor == "cholesky"
+    with pytest.raises(ContractError, match="unknown factor method 'pca'"):
+        PayoffSpec("asian_call", MODEL, "pca")
 
 
 def test_payoffs_vanish_when_indicator_off():
