@@ -282,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", help="emit the first 2^m sequence points")
     p.add_argument("-m", type=int, required=True, help="log2 of the point count")
-    p.add_argument("-d", type=int, required=True, help="dimension (<= 64)")
+    p.add_argument(
+        "-d", type=int, required=True, help="dimension (at most the direction table's)"
+    )
     p.add_argument("--scramble", action="store_true", help="apply a seeded scramble")
     p.add_argument("--seed", type=int, default=0, help="scramble seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -267,6 +269,18 @@ def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray
 _BLOCK_MADDS = 2**17
 
 
+# Studies with n_max of at least this many rows run their replicates on a
+# thread pool.  Below it, GIL handoffs between the many short numpy calls of
+# two replicates cost more than they overlap (see BENCH_pool.json).
+_PARALLEL_ROWS = 2**16
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replicate_estimates(config: StudyConfig) -> np.ndarray:
     """The R independent estimates Ihat_k at each n of the grid.
 
@@ -275,38 +289,58 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     estimate at n is the mean of its first n values, which equals a
     separate draw at n: replicate k is a pure function of (config, n, k).
 
-    The integrand is evaluated on blocks of ``max(1, 2**17 // d**2)`` rows,
-    which gives the same values as one call on all rows, since row i's
-    value depends only on row i.  At that size the path transform's matrix
-    product stays below OpenBLAS's threading cutoff, so it runs on the
-    calling thread and leaves no BLAS worker spinning.
+    The integrand is evaluated on blocks of ``max(1, 2**17 // d**2)`` rows
+    (plain-MC points are drawn per block), which gives the same values as
+    one call on all rows, since row i's value depends only on row i.  At
+    that size the path transform's matrix product stays below OpenBLAS's
+    threading cutoff, so no BLAS worker wakes and is left spinning.
+
+    Grids with n_max >= 2^16 run the replicates on ``min(R, usable CPUs)``
+    threads and collect them in k order, so the estimates do not depend on
+    the schedule; on an error the queued replicates are cancelled and the
+    lowest failing k's error is raised.  Shorter grids run inline.
     """
     f = _resolve_integrand(config)
     n_grid = config.n_grid
     n_max = n_grid[-1]
-    block = max(1, _BLOCK_MADDS // config.dimension**2)
+    d = config.dimension
+    block = max(1, _BLOCK_MADDS // d**2)
     if config.sampler == "scrambled_net":
-        net = generate_net(n_max.bit_length() - 1, config.dimension)
+        net = generate_net(n_max.bit_length() - 1, d)
 
     def prefix_means(k: int) -> list[float]:
-        # u and vals die on return, before the next replicate is drawn.
+        # u and vals die on return, before this thread draws its next replicate.
         seed = ScrambleSeed(config.master_seed, k)
         if config.sampler == "scrambled_net":
             u = scramble(net, seed).coords
-        else:
-            u = uniform_points(seed, n_max, config.dimension)
-        vals = np.empty(n_max, dtype=np.float64)
+        blocks = []
         for start in range(0, n_max, block):
-            vals[start : start + block] = f(u[start : start + block])
-        if not np.all(np.isfinite(vals)):
-            i = int(np.argmin(np.isfinite(vals)))
-            raise ContractError(
-                f"integrand returned a non-finite value at point {u[i].tolist()} "
-                f"(replicate {k})"
-            )
+            if config.sampler == "scrambled_net":
+                rows = u[start : start + block]
+            else:
+                rows = uniform_points(seed, min(block, n_max - start), d, start)
+            blocks.append(np.asarray(f(rows), dtype=np.float64))
+            if not np.all(np.isfinite(blocks[-1])):
+                point = rows[np.argmin(np.isfinite(blocks[-1]))].tolist()
+                raise ContractError(
+                    f"integrand returned a non-finite value at point {point} "
+                    f"(replicate {k})"
+                )
+        # Joined at the end: a buffer allocated before the draws made glibc
+        # trim and re-fault the heap on every replicate of short plain-MC grids.
+        vals = np.concatenate(blocks)
         return [vals[:n].mean() for n in n_grid]
 
-    return np.array([prefix_means(k) for k in range(config.replications)]).T
+    workers = min(config.replications, _usable_cpus())
+    if n_max < _PARALLEL_ROWS or workers < 2:
+        means = list(map(prefix_means, range(config.replications)))
+    else:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            means = list(pool.map(prefix_means, range(config.replications)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return np.array(means).T
 
 
 def expected_abs_error(config: StudyConfig) -> tuple[ErrorRecord, ...]:

@@ -17,10 +17,9 @@ it bit for bit.  It hashes each tree node of the leading ``n.bit_length()``
 digits once, into a table the rows gather from, does the first xorshift
 of the finalizer once per column, and finishes each later digit's hash in
 uint32 arithmetic, in place, with 32 bytes of scratch a row and no
-allocation per digit (see ``_swap_mask`` for the identities).  Columns of
-at least 2^16 rows are hashed on ``min(d, usable CPUs)`` threads, one
-column per task; each column's bits depend on that column alone, so the
-output is the same on any number of threads.
+allocation per digit (see ``_swap_mask`` for the identities).  A scramble
+runs on the calling thread and shares no state between calls, so callers
+on several threads at once each get the serial bits of their own seed.
 
 The scramble also extends every coordinate with freshly drawn digits up
 to the target depth, so outputs land in the open interval (0,1): a
@@ -30,8 +29,6 @@ digits redrawn (a probability ~2^-53 event).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,15 +45,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # same seed disjoint.
 _DOMAIN_SCRAMBLE = 0x243F6A8885A308D3
 _DOMAIN_UNIFORM = 0x13198A2E03707344
-
-# Columns of at least this many rows are hashed on a thread pool, one column
-# per task.  A 2^16-row column costs about 750 numpy calls, and each long
-# one releases and retakes the GIL; while the calls are short, the handoffs
-# between threads cost more than the hashing they overlap.  On a 2-vCPU
-# machine (best of 9, d = 2 and 4, four rounds) the pool was 1.15-1.6x
-# slower than the inline loop at 2^13 and 2^14 rows, even (0.99-1.08x) at
-# 2^15, and 1.3-1.5x faster at 2^16.
-_PARALLEL_ROWS = 2**16
 
 _U64 = np.uint64
 _M1 = _U64(0xBF58476D1CE4E5B9)
@@ -241,42 +229,6 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     return x
 
 
-def _scramble_column(
-    col: np.ndarray,
-    seed: ScrambleSeed,
-    dim: int,
-    in_depth: int,
-    depth: int,
-) -> np.ndarray:
-    """Scramble one contiguous coordinate column of left-aligned 64-bit digits."""
-    hj = _dim_key(seed, dim)
-    out = _swap_mask(col, hj, range(1, depth + 1))
-    out ^= col
-
-    # Exclude float images 0.0 and 1.0 by redrawing the filler digits
-    # (positions in_depth+1 .. depth) with a salted key.  Equal input
-    # values redraw identically, preserving nested consistency.
-    if depth > in_depth:
-        shift = _U64(64 - depth)
-        salt = 0
-        while True:
-            vals = (out >> shift).astype(np.float64) * 2.0**-depth
-            bad = (vals == 0.0) | (vals == 1.0)
-            if not bad.any():
-                break
-            salt += 1
-            refill = _swap_mask(col[bad], hj, range(in_depth + 1, depth + 1), salt)
-            keep = _U64(_MASK64 ^ ((1 << (64 - in_depth)) - 1))
-            out[bad] = (out[bad] & keep) | refill
-    return out
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def scramble(
     points: PointSet, seed: ScrambleSeed, depth: int = DEFAULT_DEPTH
 ) -> PointSet:
@@ -292,9 +244,9 @@ def scramble(
 
     Each coordinate is scrambled as one contiguous column by
     ``_swap_mask``, which gives exactly the bits of the tree
-    ``permutation_for`` describes.  When the columns have at least 2^16
-    rows they are hashed on a thread pool of ``min(d, usable CPUs)``
-    workers that lives for this call only; the output is unchanged.
+    ``permutation_for`` describes.  Each column is lifted to left-aligned
+    digits only while it is hashed and is written straight into the
+    result, so the call holds the result plus one column's 40 bytes a row.
 
     Parameters
     ----------
@@ -311,36 +263,47 @@ def scramble(
         )
     if depth > 64:
         raise ContractError("depth beyond 64 digits is not representable")
-    # One row per coordinate, so each column reaches the kernel contiguous
-    # and each thread writes its own row of ``cols``.
-    lifted = np.left_shift(points.ints.T, _U64(64 - points.depth), order="C")
-    cols = np.empty_like(lifted)
+    in_depth, shift = points.depth, _U64(64 - depth)
+    keep = _U64(_MASK64 ^ ((1 << (64 - in_depth)) - 1))
+    out = np.empty_like(points.ints)
+    for j in range(points.d):
+        # A contiguous copy of column j, lifted to left-aligned digits.
+        col = points.ints[:, j] << _U64(64 - in_depth)
+        hj = _dim_key(seed, j)
+        bits = _swap_mask(col, hj, range(1, depth + 1))
+        bits ^= col
+        # Exclude float images 0.0 and 1.0 by redrawing the filler digits
+        # (positions in_depth+1 .. depth) with a salted key.  Equal input
+        # values redraw identically, preserving nested consistency.
+        salt = 0
+        while depth > in_depth:
+            vals = (bits >> shift).astype(np.float64) * 2.0**-depth
+            bad = (vals == 0.0) | (vals == 1.0)
+            if not bad.any():
+                break
+            salt += 1
+            refill = _swap_mask(col[bad], hj, range(in_depth + 1, depth + 1), salt)
+            bits[bad] = (bits[bad] & keep) | refill
+        np.right_shift(bits, shift, out=out[:, j])
+    return PointSet(out, depth)
 
-    def column(j: int) -> None:
-        cols[j] = _scramble_column(lifted[j], seed, j, points.depth, depth)
 
-    if points.n >= _PARALLEL_ROWS:
-        # numpy's ufunc loops release the GIL, so the columns hash in parallel.
-        with ThreadPoolExecutor(min(points.d, _usable_cpus())) as pool:
-            list(pool.map(column, range(points.d)))
-    else:
-        for j in range(points.d):
-            column(j)
-    return PointSet(np.right_shift(cols.T, _U64(64 - depth), order="C"), depth)
-
-
-def uniform_points(seed: ScrambleSeed, n: int, d: int) -> np.ndarray:
-    """Plain-uniform points from the same keyed-hash generator.
+def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.ndarray:
+    """Plain-uniform points ``start .. start + n - 1`` from the keyed-hash generator.
 
     The Monte Carlo baseline: point ``i`` is a pure function of (seed, i,
     dimension), so the first ``n`` points of a fixed stream are shared
-    across sample sizes exactly as with the digital sequence.  Values lie
-    strictly inside (0,1).
+    across sample sizes exactly as with the digital sequence, and a draw
+    from ``start`` equals rows ``start:start + n`` of one longer draw.
+    Values lie strictly inside (0,1).
     """
     if n < 0 or d < 1:
         raise ContractError("need n >= 0 and d >= 1")
+    if not (0 <= start < 2**64 and start + n <= 2**64):
+        raise ContractError("point indices must lie in 0 .. 2^64 - 1")
     base = seed._key(_DOMAIN_UNIFORM)
     idx = np.arange(n, dtype=_U64)
+    idx += _U64(start)
     out = np.empty((n, d), dtype=np.float64)
     for j in range(d):
         key_j = _U64(_mix(base ^ (j + 1) * _GOLDEN))

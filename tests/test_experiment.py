@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 from dataclasses import replace
 
 import mpmath
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 from rqmc import experiment as ex
+from rqmc.digital_nets import generate_net
 from rqmc.errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from rqmc.experiment import (
     CATALOG,
     CATALOG_NAMES,
     DEFAULT_N_GRID,
+    SAMPLERS,
     STANDARD_MODEL,
     CatalogEntry,
     ErrorRecord,
@@ -37,7 +40,7 @@ from rqmc.finance import (
     path_factor,
     payoff_eval,
 )
-from rqmc.scrambling import ScrambleSeed, uniform_points
+from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
 
 SMALL_GRID = (64, 128, 256, 512, 1024)
 
@@ -396,6 +399,107 @@ def test_row_blocks_match_whole_array(kind, factor, d):
         vals = payoff_eval(spec, generate_path(u, model, pf))
         whole.append([vals[:n].mean() for n in grid])
     assert (replicate_estimates(cfg) == np.array(whole).T).all()
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize(
+    "n_max, threshold", [(2**15, 2**15), (2**16, None)], ids=["patched", "default"]
+)
+def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, threshold):
+    # At d = 3 the blocks have 14563 rows and the last one is ragged.  The
+    # pool must give the inline loop's estimates bit for bit.
+    assert n_max % (ex._BLOCK_MADDS // 9)
+    if threshold is not None:
+        monkeypatch.setattr(ex, "_PARALLEL_ROWS", threshold)
+    assert n_max >= ex._PARALLEL_ROWS
+    cfg = catalog_config(
+        "smooth_product",
+        dimension=3,
+        n_grid=(n_max // 4, n_max),
+        replications=8,
+        master_seed=9,
+        sampler=sampler,
+    )
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
+    inline = replicate_estimates(cfg)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    assert replicate_estimates(cfg).tobytes() == inline.tobytes()
+
+
+def test_pool_runs_replicates_off_the_calling_thread(monkeypatch, add_entry):
+    callers = []
+
+    def probe(u):
+        callers.append(threading.current_thread())
+        return u[:, 0].copy()
+
+    add_entry(
+        CatalogEntry(
+            name="thread_probe",
+            dimension=None,
+            irregular_dimension=1,
+            max_growth=0.0,
+            reference=lambda d: 0.5,
+            factory=lambda d: probe,
+        )
+    )
+    monkeypatch.setattr(ex, "_PARALLEL_ROWS", 1024)
+    here = threading.current_thread()
+    cfg = base_config(integrand="thread_probe", n_grid=(1024,))
+    # one block per replicate, so one integrand call each
+    for cpus, n_max, pooled in ((2, 512, False), (1, 1024, False), (2, 1024, True)):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+        callers.clear()
+        replicate_estimates(replace(cfg, n_grid=(n_max,)))
+        assert len(callers) == cfg.replications
+        assert (here in callers) != pooled and len(set(callers)) <= cpus, (cpus, n_max)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sampler):
+    # The integrand is NaN at one point of replicate 5 only.  Pooled and
+    # inline runs raise the same error, and the pool cancels the replicates
+    # still queued instead of running them all.
+    m, reps = 10, 128
+    seed = ScrambleSeed(0, 5)
+    if sampler == "scrambled_net":
+        bad = scramble(generate_net(m, 2), seed).coords[3]
+    else:
+        bad = uniform_points(seed, 1, 2, 3)[0]
+    calls = []
+
+    def f(u):
+        calls.append(1)
+        return np.where((u == bad).all(axis=1), np.nan, u[:, 0])
+
+    add_entry(
+        CatalogEntry(
+            name="nan_in_5",
+            dimension=None,
+            irregular_dimension=1,
+            max_growth=0.0,
+            reference=lambda d: 0.5,
+            factory=lambda d: f,
+        )
+    )
+    cfg = base_config(
+        integrand="nan_in_5", n_grid=(2**m,), replications=reps, sampler=sampler
+    )
+    monkeypatch.setattr(ex, "_PARALLEL_ROWS", 2**m)
+    errors = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        with pytest.raises(ContractError) as exc:
+            replicate_estimates(cfg)
+        errors[cpus] = str(exc.value)
+        # one block per replicate: replicates 0..5 ran, and under the pool
+        # at most a few more
+        assert len(calls) == 6 if cpus == 1 else 6 <= len(calls) < reps // 2, len(calls)
+    assert errors[1] == errors[2]
+    assert errors[1] == (
+        f"integrand returned a non-finite value at point {bad.tolist()} (replicate 5)"
+    )
 
 
 # sha256 of report_to_json at n = 64..1024, R = 8, master seed 0.  A change

@@ -203,36 +203,11 @@ def test_long_form_golden_bits():
         assert hashlib.sha256(ints.tobytes()).hexdigest() == expected, k
 
 
-def test_pool_gives_inline_bits_off_the_calling_thread(monkeypatch):
-    # the golden bits above come from the pool: at 2^16 rows every column is
-    # hashed off the calling thread
-    assert scrambling._PARALLEL_ROWS <= 2**16
-    net = generate_net(12, 3)
-    callers = []
-    kernel = scrambling._scramble_column
-
-    def recording(*args):
-        callers.append(threading.current_thread())
-        return kernel(*args)
-
-    monkeypatch.setattr(scrambling, "_scramble_column", recording)
-    inline = scramble(net, SEED).ints
-    assert callers == [threading.current_thread()] * net.d
-    callers.clear()
-    monkeypatch.setattr(scrambling, "_PARALLEL_ROWS", net.n)
-    pooled = scramble(net, SEED).ints
-    assert len(callers) == net.d
-    assert threading.current_thread() not in callers
-    assert np.array_equal(pooled, inline)
-
-
-@pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
-def test_concurrent_scrambles_match_serial(monkeypatch, pool):
+def test_concurrent_scrambles_match_serial():
     # callers on several threads at once, more threads than cores, each
-    # get exactly the serial bits of their own seed
+    # get exactly the serial bits of their own seed: the study engine
+    # scrambles its replicates concurrently
     net = generate_net(13, 3)
-    if pool:
-        monkeypatch.setattr(scrambling, "_PARALLEL_ROWS", net.n)
     seeds = [ScrambleSeed(7, k) for k in range(4)]
     serial = [scramble(net, seed).ints for seed in seeds]
     results: list = [None] * len(seeds)
@@ -418,8 +393,21 @@ def test_uniform_points_open_interval_and_shape():
 
 
 def test_uniform_points_prefix_is_one_stream():
-    # studies read every smaller n off the prefix of one draw
-    assert np.array_equal(uniform_points(SEED, 5, 3), uniform_points(SEED, 10, 3)[:5])
+    # studies read every smaller n off the prefix of one draw, and draw it a
+    # block at a time
+    whole = uniform_points(SEED, 10, 3)
+    assert np.array_equal(uniform_points(SEED, 5, 3), whole[:5])
+    for start, n in ((0, 10), (3, 4), (7, 3), (10, 0)):
+        assert np.array_equal(uniform_points(SEED, n, 3, start), whole[start : start + n])
+    # the last indices of the stream, against the scalar hash of the index
+    start = 2**64 - 2
+    top = uniform_points(SEED, 2, 3, start)
+    base = SEED._key(scrambling._DOMAIN_UNIFORM)
+    for j in range(3):
+        key = scrambling._mix(base ^ (j + 1) * scrambling._GOLDEN)
+        for i in range(2):
+            h = scrambling._mix((start + i) ^ key)
+            assert top[i, j] == ((h >> 12) + 0.5) * 2.0**-52
 
 
 def test_uniform_points_pass_ks():
@@ -433,3 +421,6 @@ def test_uniform_points_validation():
         uniform_points(SEED, -1, 2)
     with pytest.raises(ContractError):
         uniform_points(SEED, 5, 0)
+    for start, n in ((-1, 5), (2**64 - 4, 5), (2**64, 0)):
+        with pytest.raises(ContractError, match="2\\^64"):
+            uniform_points(SEED, n, 2, start)
