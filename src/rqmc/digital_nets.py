@@ -365,6 +365,8 @@ def verify_net(
         raise ContractError(f"points have dimension {pd}, expected {d}")
     if t < 0 or m < 0 or t > m:
         raise ContractError(f"need 0 <= t <= m, got t={t}, m={m}")
+    if m > max(n, 1).bit_length():  # then b^m > 2n for every b >= 2: not built
+        raise ContractError(f"m={m} is too large for {n} points: b^m > {n}")
     if n != b**m:
         raise ContractError(f"expected {b**m} points for m={m}, got {n}")
 

@@ -26,9 +26,12 @@ slopes as consistent.
 A small catalog of integrands with exact or closed-form reference values
 covers the regimes of interest: smooth, discontinuous, discontinuous
 with boundary singularities (axis-parallel and not), and option payoffs
-driven by the finance module under both path factorizations.  A payoff
-study takes its factor from its ``PayoffSpec``: the factor decides
-whether the payoff's jump is axis-parallel, and so the study's d_u.
+driven by the finance module under both path factorizations.  Every
+integrand, a catalog name or a ``PayoffSpec``, resolves once per study to
+one ``CatalogEntry`` of values: its name, d, d_u, maxA, exact mean and
+the function ``f(u)``, which reads d from ``u``.  A reference is a number
+or the one oracle tag ``GEOMETRIC_ORACLE``, the closed-form price of the
+geometric payoff, whose jump is axis-parallel under the ``ot`` factor.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +66,9 @@ DEFAULT_SLOPE_SLACK = 0.12  # absorbs the theorem's poly-log factor at desk scal
 # Market constants shared by the shipped payoff studies.
 STANDARD_MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
 
+# The one oracle: the geometric payoff's closed-form lognormal price.
+GEOMETRIC_ORACLE = "oracle:geometric_asian"
+
 
 def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
     """Predicted |error| decay exponent: (1 - maxA) * (1/2 + 1/(4 d_u - 2)).
@@ -87,18 +93,19 @@ class StudyConfig:
     """Everything needed to reproduce one rate study.
 
     ``integrand`` is a catalog name or a payoff bound to a model and a
-    path factor; ``reference_value`` is the exact integral, either as a
-    number or as an ``"oracle:<name>"`` tag resolved at run time.
+    path factor.  It resolves once, at construction, to ``entry``, the
+    ``CatalogEntry`` that the study evaluates and echoes; ``entry`` is
+    derived, not a constructor argument.  ``reference_value`` is the exact
+    integral: a number, or ``GEOMETRIC_ORACLE`` for the geometric payoff.
 
-    The four fields an integrand implies are worked out from it when left
-    as ``None``.  A catalog entry gives its own ``irregular_dimension``,
-    ``max_growth`` and exact reference, at ``dimension`` (default: the
-    entry's, else 2).  A payoff gives ``dimension = model.d``,
-    ``irregular_dimension`` 1 when its ``factor`` is ``ot`` (its jump is
-    axis-parallel) and ``d`` under ``cholesky``, and ``max_growth = 0``;
-    the geometric payoff takes its closed-form lognormal price as the
-    reference, and any other payoff needs an explicit ``reference_value``
-    before a study of it can run.
+    The four fields the entry implies are taken from it when left as
+    ``None``: ``dimension`` (the entry's, else 2), ``irregular_dimension``,
+    ``max_growth`` and ``reference_value``.  A payoff's entry has
+    ``dimension = model.d``, ``max_growth = 0``, and d_u = 1 only for the
+    geometric payoff under ``ot``, whose jump that factor makes
+    axis-parallel; every other payoff has d_u = d.  The geometric payoff's
+    reference is ``GEOMETRIC_ORACLE``; any other payoff needs an explicit
+    ``reference_value`` before a study of it can run.
     """
 
     integrand: str | PayoffSpec
@@ -111,11 +118,28 @@ class StudyConfig:
     master_seed: int = 0
     sampler: str = "scrambled_net"
     slack: float = DEFAULT_SLOPE_SLACK
+    entry: CatalogEntry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for field, value in _implied_fields(self).items():
-            if getattr(self, field) is None:
-                object.__setattr__(self, field, value)
+        if self.dimension is not None and self.dimension < 1:
+            raise ContractError(f"dimension must be >= 1, got {self.dimension}")
+        # A dimension the integrand cannot take is rejected before any net
+        # is drawn.
+        entry = _entry(self.integrand)
+        d = self.dimension if self.dimension is not None else entry.dimension or 2
+        if entry.dimension not in (None, d):
+            raise ContractError(
+                f"integrand {entry.name!r} is defined for d={entry.dimension}"
+            )
+        object.__setattr__(self, "entry", entry)
+        for name, value in (
+            ("dimension", d),
+            ("irregular_dimension", entry.irregular_dimension),
+            ("max_growth", entry.max_growth),
+            ("reference_value", entry.reference),
+        ):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid:
             raise ContractError("n_grid must be nonempty")
@@ -135,9 +159,14 @@ class StudyConfig:
         if not math.isfinite(self.max_growth):
             raise ContractError(f"max_growth must be finite, got {self.max_growth}")
         if isinstance(self.reference_value, str):
-            if not self.reference_value.startswith("oracle:"):
+            if self.reference_value != GEOMETRIC_ORACLE:
                 raise ContractError(
-                    "reference_value must be a number or an 'oracle:<name>' tag"
+                    f"reference_value must be a number or {GEOMETRIC_ORACLE!r}"
+                )
+            if entry.reference != GEOMETRIC_ORACLE:
+                raise ContractError(
+                    f"{GEOMETRIC_ORACLE!r} applies only to the geometric "
+                    "indicator payoff"
                 )
         elif self.reference_value is not None and not math.isfinite(
             self.reference_value
@@ -146,43 +175,36 @@ class StudyConfig:
 
     @property
     def integrand_name(self) -> str:
-        if isinstance(self.integrand, PayoffSpec):
-            return f"{self.integrand.kind}[{self.integrand.factor}]"
-        return self.integrand
+        return self.entry.name
 
 
-def _implied_fields(config: StudyConfig) -> dict:
-    """The dimension, d_u, maxA and reference the integrand implies.
+def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
+    """The catalog entry of a name, or the entry a payoff spec implies.
 
-    A dimension the integrand cannot take is rejected here, before any net
-    is drawn.
+    A payoff's path factor is built here, once per study.
     """
-    if config.dimension is not None and config.dimension < 1:
-        raise ContractError(f"dimension must be >= 1, got {config.dimension}")
-    spec = config.integrand
-    if isinstance(spec, PayoffSpec):
-        d = spec.model.d
-        if config.dimension not in (None, d):
-            raise ContractError("model dimension does not match the study")
-        geometric = spec.kind == "geometric_indicator_payoff"
-        return {
-            "dimension": d,
-            "irregular_dimension": 1 if spec.factor == "ot" else d,
-            "max_growth": 0.0,
-            "reference_value": "oracle:geometric_asian" if geometric else None,
-        }
-    entry = CATALOG.get(spec)
-    if entry is None:
-        raise ContractError(f"unknown integrand {spec!r}")
-    d = config.dimension if config.dimension is not None else entry.dimension or 2
-    if entry.dimension not in (None, d):
-        raise ContractError(f"integrand {spec!r} is defined for d={entry.dimension}")
-    return {
-        "dimension": d,
-        "irregular_dimension": entry.irregular_dimension,
-        "max_growth": entry.max_growth,
-        "reference_value": entry.reference(d),
-    }
+    if not isinstance(integrand, PayoffSpec):
+        entry = CATALOG.get(integrand)
+        if entry is None:
+            raise ContractError(f"unknown integrand {integrand!r}")
+        return entry
+    spec, d = integrand, integrand.model.d
+    geometric = spec.kind == "geometric_indicator_payoff"
+    a = path_factor(spec.model, spec.factor)
+
+    def f(u: np.ndarray) -> np.ndarray:
+        """Discounted payoff per row; row i's value depends only on row i of u."""
+        return payoff_eval(spec, generate_path(u, spec.model, a))
+
+    return CatalogEntry(
+        name=f"{spec.kind}[{spec.factor}]",
+        dimension=d,
+        # the ot factor is rotated for the geometric weight only
+        irregular_dimension=1 if geometric and spec.factor == "ot" else d,
+        max_growth=0.0,
+        reference=GEOMETRIC_ORACLE if geometric else None,
+        f=f,
+    )
 
 
 @dataclass(frozen=True)
@@ -223,40 +245,16 @@ class RateFit:
 
 
 def resolve_reference(config: StudyConfig) -> float:
-    """The study's exact integral: its number, or its oracle tag evaluated."""
+    """The study's exact integral: its number, or the geometric oracle's price."""
     ref = config.reference_value
     if ref is None:
         raise ContractError(
             f"no oracle for payoff {config.integrand.kind!r}: "
             "provide `reference = <value>`"
         )
-    if isinstance(ref, str):
-        name = ref.removeprefix("oracle:")
-        if name == "geometric_asian":
-            if not (
-                isinstance(config.integrand, PayoffSpec)
-                and config.integrand.kind == "geometric_indicator_payoff"
-            ):
-                raise ContractError(
-                    "the geometric_asian oracle applies only to the geometric "
-                    "indicator payoff"
-                )
-            return geometric_asian_price(config.integrand.model)
-        raise ContractError(f"no oracle named {name!r}")
+    if ref == GEOMETRIC_ORACLE:
+        return geometric_asian_price(config.integrand.model)
     return float(ref)
-
-
-def _resolve_integrand(config: StudyConfig) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(config.integrand, PayoffSpec):
-        spec = config.integrand
-        factor = path_factor(spec.model, spec.factor)
-
-        def f(u: np.ndarray) -> np.ndarray:
-            """Discounted payoff per row; row i's value depends only on row i of u."""
-            return payoff_eval(spec, generate_path(u, spec.model, factor))
-
-        return f
-    return CATALOG[config.integrand].factory(config.dimension)
 
 
 # Multiply-adds per row block of the transform: a block of 2^17 // d^2 rows
@@ -300,7 +298,7 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     the schedule; on an error the queued replicates are cancelled and the
     lowest failing k's error is raised.  Shorter grids run inline.
     """
-    f = _resolve_integrand(config)
+    f = config.entry.f
     n_grid = config.n_grid
     n_max = n_grid[-1]
     d = config.dimension
@@ -507,9 +505,11 @@ def report_to_json(report: StudyReport) -> str:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named test integrand with its declared geometry and exact mean.
+    """A named integrand: its declared geometry, exact mean and function.
 
-    ``factory(d)`` returns a function of an (n, d) point array whose value
+    ``reference`` is the exact mean: a number, ``GEOMETRIC_ORACLE``, or
+    ``None`` for a payoff with no closed form.  ``f(u)`` maps an (n, d)
+    point array to n values, reading d from ``u.shape[1]``, and its value
     at row i depends only on row i.  Studies rely on this: they evaluate
     each replicate once at the largest n and read smaller n off a prefix.
     """
@@ -518,47 +518,9 @@ class CatalogEntry:
     dimension: int | None  # None: any d >= 1
     irregular_dimension: int
     max_growth: float
-    reference: Callable[[int], float]
-    factory: Callable[[int], Callable[[np.ndarray], np.ndarray]]
+    reference: float | str | None
+    f: Callable[[np.ndarray], np.ndarray]
     description: str = ""
-
-
-def _smooth_product(d: int):
-    scale = 1.5**-d
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.prod(1.0 + u, axis=1) * scale
-
-    return f
-
-
-def _halfspace(d: int):
-    def f(u: np.ndarray) -> np.ndarray:
-        return (u[:, 0] + u[:, 1] < 1.0).astype(np.float64)
-
-    return f
-
-
-def _axis_box(d: int):
-    def f(u: np.ndarray) -> np.ndarray:
-        inside = (u[:, 0] < 0.5) & (u[:, 1] < 0.75)
-        return (u[:, 0] * u[:, 1]) ** -0.1 * inside
-
-    return f
-
-
-def _axis_singular(d: int):
-    def f(u: np.ndarray) -> np.ndarray:
-        return (u[:, 0] * u[:, 1]) ** -0.1 * (u[:, 0] > 1.0 / 3.0)
-
-    return f
-
-
-def _corner_singular(d: int):
-    def f(u: np.ndarray) -> np.ndarray:
-        return (u[:, 0] * u[:, 1]) ** -0.4 * (u[:, 0] + u[:, 1] < 1.5)
-
-    return f
 
 
 # integral of (u1 u2)^-0.4 over {u1 + u2 < 3/2}; frozen from 40-digit
@@ -573,8 +535,8 @@ CATALOG: dict[str, CatalogEntry] = {
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 1.0,
-            factory=_smooth_product,
+            reference=1.0,
+            f=lambda u: np.prod(1.0 + u, axis=1) * 1.5 ** -u.shape[1],
             description="prod (1+u_i)/(3/2)^d: smooth, bounded variation",
         ),
         CatalogEntry(
@@ -582,8 +544,8 @@ CATALOG: dict[str, CatalogEntry] = {
             dimension=2,
             irregular_dimension=2,
             max_growth=0.0,
-            reference=lambda d: 0.5,
-            factory=_halfspace,
+            reference=0.5,
+            f=lambda u: (u[:, 0] + u[:, 1] < 1.0).astype(np.float64),
             description="1{u1+u2<1}: discontinuity not axis-parallel",
         ),
         CatalogEntry(
@@ -591,8 +553,9 @@ CATALOG: dict[str, CatalogEntry] = {
             dimension=2,
             irregular_dimension=1,
             max_growth=0.1,
-            reference=lambda d: (0.5**0.9 / 0.9) * (0.75**0.9 / 0.9),
-            factory=_axis_box,
+            reference=(0.5**0.9 / 0.9) * (0.75**0.9 / 0.9),
+            f=lambda u: (u[:, 0] * u[:, 1]) ** -0.1
+            * ((u[:, 0] < 0.5) & (u[:, 1] < 0.75)),
             description="(u1 u2)^-0.1 on [0,1/2)x[0,3/4): fully axis-parallel",
         ),
         CatalogEntry(
@@ -600,8 +563,8 @@ CATALOG: dict[str, CatalogEntry] = {
             dimension=2,
             irregular_dimension=1,
             max_growth=0.1,
-            reference=lambda d: ((1.0 - 3.0**-0.9) / 0.9) * (1.0 / 0.9),
-            factory=_axis_singular,
+            reference=((1.0 - 3.0**-0.9) / 0.9) * (1.0 / 0.9),
+            f=lambda u: (u[:, 0] * u[:, 1]) ** -0.1 * (u[:, 0] > 1.0 / 3.0),
             description="(u1 u2)^-0.1 1{u1>1/3}: one axis-parallel cut",
         ),
         CatalogEntry(
@@ -609,8 +572,8 @@ CATALOG: dict[str, CatalogEntry] = {
             dimension=2,
             irregular_dimension=2,
             max_growth=0.4,
-            reference=lambda d: _CORNER_SINGULAR_REF,
-            factory=_corner_singular,
+            reference=_CORNER_SINGULAR_REF,
+            f=lambda u: (u[:, 0] * u[:, 1]) ** -0.4 * (u[:, 0] + u[:, 1] < 1.5),
             description="(u1 u2)^-0.4 1{u1+u2<3/2}: diagonal cut, strong corner",
         ),
     ]

@@ -302,6 +302,18 @@ def test_verify_wrong_count_is_contract_error_not_fail():
         verify_net(np.zeros((5, 2)), 0, 2)
 
 
+def test_verify_huge_m_is_rejected_before_any_power():
+    # b^m is never built: at m = 20000 its decimal string alone would
+    # exceed Python's integer-to-string limit
+    with pytest.raises(ContractError, match="m=20000 is too large for 16 points"):
+        verify_net(np.zeros((16, 2)), 0, 20000)
+    # up to the count's bit length, m still gets the count check
+    with pytest.raises(ContractError, match="expected 32 points for m=5, got 17"):
+        verify_net(np.zeros((17, 2)), 0, 5)
+    with pytest.raises(ContractError, match="m=6 is too large for 17 points"):
+        verify_net(np.zeros((17, 2)), 0, 6)
+
+
 def test_verify_rejects_out_of_range_coords():
     with pytest.raises(ContractError):
         verify_net(np.array([[0.5], [1.0]]), 0, 1)

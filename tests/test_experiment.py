@@ -37,6 +37,7 @@ from rqmc.finance import (
     PayoffSpec,
     generate_path,
     geometric_asian_price,
+    geometric_threshold,
     path_factor,
     payoff_eval,
 )
@@ -174,8 +175,8 @@ def test_constant_integrand_has_zero_error(add_entry):
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 1.0,
-            factory=lambda d: (lambda u: np.ones(len(u))),
+            reference=1.0,
+            f=lambda u: np.ones(len(u)),
         )
     )
     cfg = base_config(integrand="const_one", reference_value=1.0)
@@ -195,8 +196,8 @@ def test_linear_integrand_qmc_beats_mc(add_entry):
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 0.5,
-            factory=lambda d: (lambda u: u[:, 0].copy()),
+            reference=0.5,
+            f=lambda u: u[:, 0].copy(),
         )
     )
     (qmc,) = expected_abs_error(
@@ -231,8 +232,8 @@ def test_nonfinite_integrand_reported(add_entry):
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 0.0,
-            factory=lambda d: (lambda u: np.full(len(u), np.inf)),
+            reference=0.0,
+            f=lambda u: np.full(len(u), np.inf),
         )
     )
     cfg = base_config(integrand="blows_up", reference_value=0.0, n_grid=(64,))
@@ -439,8 +440,8 @@ def test_pool_runs_replicates_off_the_calling_thread(monkeypatch, add_entry):
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 0.5,
-            factory=lambda d: probe,
+            reference=0.5,
+            f=probe,
         )
     )
     monkeypatch.setattr(ex, "_PARALLEL_ROWS", 1024)
@@ -478,8 +479,8 @@ def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sam
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference=lambda d: 0.5,
-            factory=lambda d: f,
+            reference=0.5,
+            f=f,
         )
     )
     cfg = base_config(
@@ -569,7 +570,7 @@ def test_study_config_works_out_implied_fields():
     # a catalog entry: its own d_u, maxA and reference, at its dimension
     cfg = StudyConfig("corner_singular")
     assert (cfg.dimension, cfg.irregular_dimension, cfg.max_growth) == (2, 2, 0.4)
-    assert cfg.reference_value == CATALOG["corner_singular"].reference(2)
+    assert cfg.reference_value == CATALOG["corner_singular"].reference
     assert StudyConfig("smooth_product", dimension=5).dimension == 5
     # a payoff: d from the model, d_u by factor, maxA = 0
     model = GbmModel(1.0, 0.05, 0.2, 1.0, 6, 1.0)
@@ -592,6 +593,36 @@ def test_study_config_works_out_implied_fields():
         run_study(chol)
 
 
+@pytest.mark.parametrize("factor", ["ot", "cholesky"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_payoff_implied_irregular_dimension(kind, factor):
+    # the ot factor is rotated for the geometric weight, so only the
+    # geometric payoff's jump is axis-parallel under it
+    model = GbmModel(1.0, 0.05, 0.2, 1.0, 6, 1.0)
+    cfg = StudyConfig(PayoffSpec(kind, model, factor))
+    geometric_ot = kind == "geometric_indicator_payoff" and factor == "ot"
+    assert cfg.irregular_dimension == (1 if geometric_ot else 6)
+    assert cfg.entry.name == cfg.integrand_name == f"{kind}[{factor}]"
+
+
+def test_ot_factor_cuts_only_the_geometric_indicator_along_u1():
+    # On one scrambled net under ot, {S_G > K} is {u1 > kappa}: every point
+    # with u1 above the threshold pays and none below it.  The arithmetic
+    # {S_A > K} takes both values over a band of u1, so its jump is not
+    # axis-parallel; as S_A >= S_G, that band lies below kappa.
+    u = scramble(generate_net(14, STANDARD_MODEL.d), ScrambleSeed(0)).coords
+    kappa = geometric_threshold(STANDARD_MODEL)
+    for kind, single_cut in (("geometric_indicator_payoff", True), ("asian_call", False)):
+        entry = StudyConfig(PayoffSpec(kind, STANDARD_MODEL, "ot")).entry
+        pays = entry.f(u) > 0.0
+        top_idle, low_paying = u[~pays, 0].max(), u[pays, 0].min()
+        assert (top_idle < low_paying) == single_cut, kind
+        if single_cut:
+            assert top_idle < kappa < low_paying
+        else:
+            assert low_paying < top_idle < kappa
+
+
 def test_catalog_config_overrides_and_errors():
     cfg = catalog_config("smooth_product", dimension=5, master_seed=17)
     assert cfg.dimension == 5
@@ -601,23 +632,23 @@ def test_catalog_config_overrides_and_errors():
     # a dimension the integrand cannot take fails before any net is drawn
     with pytest.raises(ContractError, match="defined for d=2"):
         catalog_config("halfspace", dimension=3)
-    with pytest.raises(ContractError, match="model dimension"):
+    with pytest.raises(ContractError, match="defined for d=4"):
         catalog_config("geometric_ot", dimension=3)
 
 
 def test_oracle_reference_requires_geometric_payoff():
-    cfg = StudyConfig(
-        integrand=PayoffSpec("asian_call", STANDARD_MODEL),
-        dimension=4,
-        irregular_dimension=1,
-        max_growth=0.0,
-        reference_value="oracle:geometric_asian",
-        n_grid=SMALL_GRID,
-        replications=8,
-    )
-    with pytest.raises(ContractError):
-        expected_abs_error(cfg)
-    with pytest.raises(ContractError):
+    # the tag is refused when the config is built, before any work
+    with pytest.raises(ContractError, match="only to the geometric"):
+        StudyConfig(
+            integrand=PayoffSpec("asian_call", STANDARD_MODEL),
+            dimension=4,
+            irregular_dimension=1,
+            max_growth=0.0,
+            reference_value="oracle:geometric_asian",
+            n_grid=SMALL_GRID,
+            replications=8,
+        )
+    with pytest.raises(ContractError, match="a number or 'oracle:geometric_asian'"):
         expected_abs_error(base_config(reference_value="oracle:unknown"))
 
 
@@ -627,13 +658,13 @@ def test_catalog_reference_values_against_quadrature():
     box = float(
         mpmath.quad(lambda u: u**-0.1, [0, 0.5]) * mpmath.quad(lambda u: u**-0.1, [0, 0.75])
     )
-    assert CATALOG["axis_box"].reference(2) == pytest.approx(box, rel=1e-12)
+    assert CATALOG["axis_box"].reference == pytest.approx(box, rel=1e-12)
     # axis_singular
     cut = float(
         mpmath.quad(lambda u: u**-0.1, [mpmath.mpf(1) / 3, 1])
         * mpmath.quad(lambda u: u**-0.1, [0, 1])
     )
-    assert CATALOG["axis_singular"].reference(2) == pytest.approx(cut, rel=1e-12)
+    assert CATALOG["axis_singular"].reference == pytest.approx(cut, rel=1e-12)
     # corner_singular: integrate the inner closed form over the outer axis
     corner = float(
         mpmath.quad(
@@ -641,23 +672,23 @@ def test_catalog_reference_values_against_quadrature():
             [0, 0.5, 1],
         )
     )
-    assert CATALOG["corner_singular"].reference(2) == pytest.approx(corner, rel=1e-10)
+    assert CATALOG["corner_singular"].reference == pytest.approx(corner, rel=1e-10)
     # smooth_product integrates to 1 in any dimension
     smooth = float(mpmath.quad(lambda u: (1 + u) / 1.5, [0, 1]))
-    assert CATALOG["smooth_product"].reference(3) == pytest.approx(smooth**1, rel=1e-12)
+    assert CATALOG["smooth_product"].reference == pytest.approx(smooth**1, rel=1e-12)
 
 
 def test_catalog_factories_match_descriptions():
     u = np.array([[0.25, 0.5], [0.75, 0.8]])
-    assert CATALOG["halfspace"].factory(2)(u).tolist() == [1.0, 0.0]
-    box = CATALOG["axis_box"].factory(2)(u)
+    assert CATALOG["halfspace"].f(u).tolist() == [1.0, 0.0]
+    box = CATALOG["axis_box"].f(u)
     assert box[0] == pytest.approx((0.25 * 0.5) ** -0.1)
     assert box[1] == 0.0
-    axis = CATALOG["axis_singular"].factory(2)(u)
+    axis = CATALOG["axis_singular"].f(u)
     assert axis[0] == 0.0  # u1 = 0.25 <= 1/3
     assert axis[1] == pytest.approx((0.75 * 0.8) ** -0.1)
-    corner = CATALOG["corner_singular"].factory(2)(u)
+    corner = CATALOG["corner_singular"].f(u)
     assert corner[0] == pytest.approx((0.25 * 0.5) ** -0.4)
     assert corner[1] == 0.0  # 0.75 + 0.8 >= 1.5
-    smooth = CATALOG["smooth_product"].factory(2)(u)
+    smooth = CATALOG["smooth_product"].f(u)
     assert smooth[0] == pytest.approx(1.25 * 1.5 / 2.25)
