@@ -15,7 +15,7 @@ import time
 
 from rqmc.experiment import (
     CATALOG_NAMES,
-    catalog_config,
+    StudyConfig,
     report_to_csv,
     report_to_json,
     run_study,
@@ -53,7 +53,7 @@ def main() -> None:
     print("-" * len(header))
     for name, extra in jobs:
         t0 = time.perf_counter()
-        config = catalog_config(name, **overrides, **extra)
+        config = StudyConfig(name, **overrides, **extra)
         report = run_study(config)
         print(
             f"{config.integrand_name:<38}{config.sampler:<15}"

@@ -23,7 +23,6 @@ from .experiment import (
     STANDARD_MODEL,
     StudyConfig,
     _g17,
-    catalog_config,
     replicate_estimates,
     report_to_csv,
     report_to_json,
@@ -171,8 +170,6 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         ("R", "replications", int),
         ("sampler", "sampler", str),
         ("slack", "slack", float),
-        ("d_u", "irregular_dimension", int),
-        ("maxA", "max_growth", float),
         ("seed", "master_seed", int),
         ("d", "dimension", int),
         ("reference", "reference_value", float),
@@ -187,6 +184,7 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         overrides.get("replications", DEFAULT_REPLICATIONS),
     )
 
+    integrand = name
     if name in PAYOFF_KINDS:
         std = STANDARD_MODEL
         model = GbmModel(
@@ -197,10 +195,8 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             d=overrides.pop("dimension", std.d),
             strike=_take(kv, "K", float, std.strike),
         )
-        spec = PayoffSpec(name, model, _take(kv, "factor", str, "ot"))
-        config = StudyConfig(spec, **overrides)
-    else:
-        config = catalog_config(name, **overrides)
+        integrand = PayoffSpec(name, model, _take(kv, "factor", str, "ot"))
+    config = StudyConfig(integrand, **overrides)
 
     if kv:
         raise ContractError(

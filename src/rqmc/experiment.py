@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .digital_nets import generate_net
+from .digital_nets import generate_net, load_direction_numbers
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
     GbmModel,
@@ -62,6 +62,7 @@ SAMPLERS = ("scrambled_net", "plain_mc")
 DEFAULT_N_GRID = tuple(2**k for k in range(6, 17))
 DEFAULT_REPLICATIONS = 32
 DEFAULT_SLOPE_SLACK = 0.12  # absorbs the theorem's poly-log factor at desk scale
+MIN_FIT_RECORDS = 4  # records a rate fit needs, and sizes a study's grid needs
 
 # Market constants shared by the shipped payoff studies.
 STANDARD_MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
@@ -92,26 +93,26 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
 class StudyConfig:
     """Everything needed to reproduce one rate study.
 
-    ``integrand`` is a catalog name or a payoff bound to a model and a
-    path factor.  It resolves once, at construction, to ``entry``, the
-    ``CatalogEntry`` that the study evaluates and echoes; ``entry`` is
-    derived, not a constructor argument.  ``reference_value`` is the exact
-    integral: a number, or ``GEOMETRIC_ORACLE`` for the geometric payoff.
+    ``integrand`` is one of ``CATALOG_NAMES``, where ``geometric_ot`` and
+    ``geometric_cholesky`` name their ``PayoffSpec``, or a payoff bound to
+    a model and a path factor.  It resolves once, at construction, to
+    ``entry``, the ``CatalogEntry`` that the study evaluates and echoes;
+    ``entry`` is derived, not a constructor argument.  The entry alone
+    declares d_u and maxA, which the predicted rate reads; a custom study
+    declares them on its own ``CatalogEntry``.
 
-    The four fields the entry implies are taken from it when left as
-    ``None``: ``dimension`` (the entry's, else 2), ``irregular_dimension``,
-    ``max_growth`` and ``reference_value``.  A payoff's entry has
-    ``dimension = model.d``, ``max_growth = 0``, and d_u = 1 only for the
-    geometric payoff under ``ot``, whose jump that factor makes
-    axis-parallel; every other payoff has d_u = d.  The geometric payoff's
-    reference is ``GEOMETRIC_ORACLE``; any other payoff needs an explicit
-    ``reference_value`` before a study of it can run.
+    ``dimension`` and ``reference_value`` left as ``None`` are the entry's
+    (d = 2 when the entry takes any d).  ``reference_value`` is the exact
+    integral: a number, or ``GEOMETRIC_ORACLE`` for the geometric payoff.
+    A payoff's entry has ``dimension = model.d``, maxA = 0, and d_u = 1
+    only for the geometric payoff under ``ot``, whose jump that factor
+    makes axis-parallel; every other payoff has d_u = d.  The geometric
+    payoff's reference is ``GEOMETRIC_ORACLE``; any other payoff needs an
+    explicit ``reference_value`` before a study of it can run.
     """
 
     integrand: str | PayoffSpec
     dimension: int | None = None
-    irregular_dimension: int | None = None
-    max_growth: float | None = None
     reference_value: float | str | None = None
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     replications: int = DEFAULT_REPLICATIONS
@@ -123,23 +124,26 @@ class StudyConfig:
     def __post_init__(self):
         if self.dimension is not None and self.dimension < 1:
             raise ContractError(f"dimension must be >= 1, got {self.dimension}")
+        if self.sampler not in SAMPLERS:
+            raise ContractError(f"unknown sampler {self.sampler!r}")
+        integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
+        object.__setattr__(self, "integrand", integrand)
+        if self.sampler == "scrambled_net" and isinstance(integrand, PayoffSpec):
+            # A net the direction table cannot give is refused before the
+            # payoff's d x d path factor is built.
+            load_direction_numbers().direction_integers(integrand.model.d)
         # A dimension the integrand cannot take is rejected before any net
         # is drawn.
-        entry = _entry(self.integrand)
+        entry = _entry(integrand)
         d = self.dimension if self.dimension is not None else entry.dimension or 2
         if entry.dimension not in (None, d):
             raise ContractError(
                 f"integrand {entry.name!r} is defined for d={entry.dimension}"
             )
         object.__setattr__(self, "entry", entry)
-        for name, value in (
-            ("dimension", d),
-            ("irregular_dimension", entry.irregular_dimension),
-            ("max_growth", entry.max_growth),
-            ("reference_value", entry.reference),
-        ):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+        object.__setattr__(self, "dimension", d)
+        if self.reference_value is None:
+            object.__setattr__(self, "reference_value", entry.reference)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid:
             raise ContractError("n_grid must be nonempty")
@@ -150,14 +154,8 @@ class StudyConfig:
             raise ContractError("n_grid must be strictly increasing")
         if self.replications < 8:
             raise ContractError("need at least 8 replications")
-        if self.sampler not in SAMPLERS:
-            raise ContractError(f"unknown sampler {self.sampler!r}")
-        if not 1 <= self.irregular_dimension <= self.dimension:
-            raise ContractError("need 1 <= irregular_dimension <= dimension")
         if not (math.isfinite(self.slack) and self.slack >= 0):
             raise ContractError(f"slack must be finite and >= 0, got {self.slack}")
-        if not math.isfinite(self.max_growth):
-            raise ContractError(f"max_growth must be finite, got {self.max_growth}")
         if isinstance(self.reference_value, str):
             if self.reference_value != GEOMETRIC_ORACLE:
                 raise ContractError(
@@ -362,9 +360,9 @@ def fit_rate(records: Sequence[ErrorRecord]) -> RateFit:
     usable, excluded = [], []
     for rec in records:
         (excluded if rec.mean_abs_error == 0.0 else usable).append(rec)
-    if len(usable) < 4:
+    if len(usable) < MIN_FIT_RECORDS:
         raise InsufficientDataError(
-            f"rate fit needs >= 4 usable records, got {len(usable)}"
+            f"rate fit needs >= {MIN_FIT_RECORDS} usable records, got {len(usable)}"
         )
     x = np.log2([rec.n for rec in usable])
     y = np.log2([rec.mean_abs_error for rec in usable])
@@ -407,10 +405,15 @@ def run_study(config: StudyConfig) -> StudyReport:
     the empirical slope is at most -exponent + slack, so steeper decay
     also passes.
     """
-    resolve_reference(config)  # a bad reference is reported before a bad exponent
     exponent = theoretical_exponent(
-        config.dimension, config.irregular_dimension, config.max_growth
+        config.dimension, config.entry.irregular_dimension, config.entry.max_growth
     )
+    if len(config.n_grid) < MIN_FIT_RECORDS:
+        # refused before any replicate is drawn: fit_rate would refuse it after
+        raise InsufficientDataError(
+            f"rate fit needs >= {MIN_FIT_RECORDS} usable records, "
+            f"but n_grid has {len(config.n_grid)} sizes"
+        )
     records = expected_abs_error(config)
     fit = fit_rate(records)
     consistent = fit.slope <= -exponent + config.slack
@@ -452,8 +455,8 @@ def report_to_json(report: StudyReport) -> str:
     echo: dict = {
         "integrand": cfg.integrand_name,
         "dimension": cfg.dimension,
-        "irregular_dimension": cfg.irregular_dimension,
-        "max_growth": cfg.max_growth,
+        "irregular_dimension": cfg.entry.irregular_dimension,
+        "max_growth": cfg.entry.max_growth,
         "reference_value": cfg.reference_value,
         "n_grid": list(cfg.n_grid),
         "replications": cfg.replications,
@@ -589,8 +592,3 @@ _PAYOFF_STUDIES = {
 }
 
 CATALOG_NAMES = tuple(CATALOG) + tuple(_PAYOFF_STUDIES)
-
-
-def catalog_config(name: str, **overrides) -> StudyConfig:
-    """StudyConfig for a named catalog integrand, with field overrides."""
-    return StudyConfig(_PAYOFF_STUDIES.get(name, name), **overrides)

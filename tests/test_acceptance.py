@@ -16,7 +16,7 @@ from rqmc.digital_nets import PointSet, certify_t, generate_net, generate_points
 from rqmc.experiment import (
     CATALOG_NAMES,
     STANDARD_MODEL,
-    catalog_config,
+    StudyConfig,
     expected_abs_error,
     report_to_csv,
     report_to_json,
@@ -153,7 +153,7 @@ def test_06_growth_condition_detector():
 
 def test_07_rate_axis_parallel_singularity():
     t0 = time.monotonic()
-    report = run_study(catalog_config("axis_singular", replications=32, master_seed=11))
+    report = run_study(StudyConfig("axis_singular", replications=32, master_seed=11))
     elapsed = time.monotonic() - t0
     ok = report.fit.slope <= -0.80 and report.verdict == "consistent" and elapsed < 300.0
     _report(7, "rate study, axis-parallel singular", ok,
@@ -162,8 +162,8 @@ def test_07_rate_axis_parallel_singularity():
 
 def test_08_rate_nonaxis_discontinuity():
     t0 = time.monotonic()
-    qmc = run_study(catalog_config("halfspace", replications=32, master_seed=11))
-    mc = run_study(catalog_config("halfspace", replications=32, master_seed=11, sampler="plain_mc"))
+    qmc = run_study(StudyConfig("halfspace", replications=32, master_seed=11))
+    mc = run_study(StudyConfig("halfspace", replications=32, master_seed=11, sampler="plain_mc"))
     elapsed = time.monotonic() - t0
     ok = (qmc.fit.slope <= -0.60
           and -0.58 <= mc.fit.slope <= -0.42
@@ -186,17 +186,17 @@ def test_09_finance_end_to_end():
     exact_agreement = bool(np.array_equal(geo_mean > model.strike, u[:, 0] > kappa))
 
     oracle = geometric_asian_price(model)
-    (rec,) = expected_abs_error(catalog_config(
+    (rec,) = expected_abs_error(StudyConfig(
         "geometric_ot", n_grid=(2**16,), replications=16, master_seed=7))
     estimates = np.asarray(rec.estimates)
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
     price_dev = abs(estimates.mean() - oracle)
 
     se_ot = np.asarray(expected_abs_error(
-        catalog_config("geometric_ot", n_grid=(2**14,), replications=16, master_seed=7)
+        StudyConfig("geometric_ot", n_grid=(2**14,), replications=16, master_seed=7)
     )[0].estimates).std(ddof=1)
     se_chol = np.asarray(expected_abs_error(
-        catalog_config("geometric_cholesky", n_grid=(2**14,), replications=16, master_seed=7)
+        StudyConfig("geometric_cholesky", n_grid=(2**14,), replications=16, master_seed=7)
     )[0].estimates).std(ddof=1)
     elapsed = time.monotonic() - t0
     ok = exact_agreement and price_dev <= 3.0 * se and se_ot < se_chol and elapsed < 180.0
@@ -208,7 +208,7 @@ def test_09_finance_end_to_end():
 def test_10_estimator_soundness():
     worst_dev = 0.0
     for name in CATALOG_NAMES:
-        cfg = catalog_config(name, n_grid=(256,), replications=64, master_seed=13)
+        cfg = StudyConfig(name, n_grid=(256,), replications=64, master_seed=13)
         (rec,) = expected_abs_error(cfg)
         estimates = np.asarray(rec.estimates)
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -216,9 +216,9 @@ def test_10_estimator_soundness():
         assert dev <= 4.0, (name, dev)
         worst_dev = max(worst_dev, dev)
 
-    cfg = catalog_config("halfspace", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
+    cfg = StudyConfig("halfspace", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
     first, rerun = run_study(cfg), run_study(cfg)
-    gcfg = catalog_config("geometric_ot", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
+    gcfg = StudyConfig("geometric_ot", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
     identical = (report_to_json(first) == report_to_json(rerun)
                  and report_to_csv(first) == report_to_csv(rerun)
                  and report_to_json(run_study(gcfg)) == report_to_json(run_study(gcfg)))

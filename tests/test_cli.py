@@ -7,15 +7,18 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rqmc.cli
+import rqmc.experiment
 from rqmc.cli import main
 from rqmc.digital_nets import radical_inverse
-from rqmc.finance import PAYOFF_KINDS, GbmModel, geometric_asian_price
+from rqmc.experiment import CATALOG, STANDARD_MODEL, StudyConfig
+from rqmc.finance import PAYOFF_KINDS, GbmModel, PayoffSpec, geometric_asian_price
 
 
 def run(capsys, *argv):
@@ -137,6 +140,17 @@ def test_verify_huge_m_names_m_and_n(tmp_path, capsys):
     assert err == "error: m=20000 is too large for 4 points: b^m > 4\n"
 
 
+def test_verify_huge_base_names_m_and_n(tmp_path, capsys):
+    f = tmp_path / "net.txt"
+    run(capsys, "points", "-m", "2", "-d", "2", "--out", str(f))
+    code, out, err = run(
+        capsys, "verify-net", str(f), "-t", "0", "-m", "2", "-b", "1" + "0" * 4000
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: base is too large for 4 points at m=2: b^m > 4\n"
+
+
 def test_verify_rejects_nan_coordinates(tmp_path, capsys):
     for text in ("0.1 0.2\nnan 0.3\n", "0.1\nnan\n"):
         f = tmp_path / "nan.txt"
@@ -225,7 +239,7 @@ def test_rate_study_json_verdict(tmp_path, capsys):
 def test_rate_study_inconsistent_exit_code(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
-        "integrand = halfspace\nsampler = plain_mc\nd_u = 1\n"
+        "integrand = axis_singular\nsampler = plain_mc\n"
         "n_min = 64\nn_max = 1024\nR = 8\nseed = 2\n",
     )
     code, out, err = run(capsys, "rate-study", "--config", cfg)
@@ -268,22 +282,34 @@ def test_rate_study_colon_separators(tmp_path, capsys):
     assert tabbed == out
 
 
-def test_rate_study_infeasible_growth(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, "integrand = axis_singular\nmaxA = 1.2\nn_min = 64\nn_max = 1024\nR = 8\n"
-    )
-    code, _, err = run(capsys, "rate-study", "--config", cfg)
+def test_rate_study_infeasible_growth(tmp_path, capsys, monkeypatch):
+    # maxA is the integrand's own: an entry that declares maxA >= 1 has no
+    # predicted rate, and its study stops before the integrand is called
+    calls = []
+
+    def f(u):
+        calls.append(1)
+        return CATALOG["axis_singular"].f(u)
+
+    entry = replace(CATALOG["axis_singular"], name="steep", max_growth=1.2, f=f)
+    monkeypatch.setitem(CATALOG, "steep", entry)
+    cfg = write_config(tmp_path, "integrand = steep\nn_min = 64\nn_max = 1024\nR = 8\n")
+    code, out, err = run(capsys, "rate-study", "--config", cfg)
     assert code == 2
-    assert "error:" in err
-    # non-finite growth or slack must not reach the report as NaN/Infinity
-    for line in ("maxA = nan", "slack = nan", "slack = inf"):
+    assert out == ""
+    assert err.startswith("error: max growth exponent 1.2 >= 1"), err
+    assert calls == []
+    # a config cannot set maxA, and non-finite slack must not reach the
+    # report as NaN/Infinity
+    for line in ("maxA = 1.2", "maxA = nan", "slack = nan", "slack = inf"):
         cfg = write_config(
             tmp_path, f"integrand = axis_singular\n{line}\nn_min = 64\nn_max = 1024\nR = 8\n"
         )
         code, out, err = run(capsys, "rate-study", "--config", cfg, "--format", "json")
         assert code == 2, line
         assert out == ""
-        assert "error:" in err
+        assert err.startswith("error:")
+        assert line.split()[0] in err, err
 
 
 def test_rate_study_unused_keys_rejected(tmp_path, capsys):
@@ -293,6 +319,8 @@ def test_rate_study_unused_keys_rejected(tmp_path, capsys):
             "integrand = geometric_ot\nfactor = cholesky\nn_min = 64\nn_max = 1024\nR = 8\n",
             "factor",
         ),
+        # d_u is the integrand's, not a setting (maxA: see infeasible growth)
+        ("integrand = axis_singular\nd_u = 2\nn_max = 1024\nR = 8\n", "d_u"),
     ]
     for text, key in cases:
         code, out, err = run(
@@ -349,7 +377,7 @@ def test_rate_study_bad_values_name_key_and_line(tmp_path, capsys):
         ("n_min = 64x\nintegrand = halfspace\n", ":1: n_min must be an integer, got '64x'"),
         ("integrand = halfspace\nseed = -\n", ":2: seed must be an integer, got '-'"),
         ("integrand = halfspace\nslack = wide\n", ":2: slack must be a number, got 'wide'"),
-        ("integrand = axis_singular\nd_u = 1.0\n", ":2: d_u must be an integer, got '1.0'"),
+        ("integrand = axis_singular\nd = 1.0\n", ":2: d must be an integer, got '1.0'"),
         (
             "integrand = asian_call\nreference = 0.1\nK = one\n",
             ":3: K must be a number, got 'one'",
@@ -424,9 +452,9 @@ def test_rate_study_geometric_payoff_oracle(tmp_path, capsys):
 
 
 # sha256 of stdout and the exit code for each payoff kind and factor:
-# `rate-study --format json` with n_max = 1024, R = 8 and no d_u or maxA
-# key, so the echoed irregular_dimension, max_growth and reference_value
-# are the ones the integrand implies; and `price --format json -n 256 -R 8`.
+# `rate-study --format json` with n_max = 1024, R = 8, whose echoed
+# irregular_dimension and max_growth are the ones the integrand declares;
+# and `price --format json -n 256 -R 8`.
 GOLDEN_CLI = {
     ("asian_call", "ot"): (1, "ad3331ca7f29707415bb5541d47dbd2441360aa1c84404fe8ca3bff19ecfb243", "67532f658eed3e23db83239bf1529c0102a7201354c66cc7c5f62ca844d568f5"),
     ("asian_call", "cholesky"): (1, "0777e6b198aa7c71005cd76f7a0243d9e535aa37cd6187ccd1be60408dd30273", "9ad46e8b47749edb13feb909dac8e518ca105922b54aaf5e5b85f0cb15e03e55"),
@@ -579,6 +607,23 @@ def test_price_out_file(tmp_path, capsys):
     assert out == ""
     obj = json.loads(target.read_text())
     assert obj["payoff"] == "asian_delta"
+
+
+def test_price_dimension_beyond_table_fails_before_path_factor(capsys, monkeypatch):
+    # the d x d path factor costs O(d^3): a net the direction table cannot
+    # give is refused before it is built
+    calls = []
+    monkeypatch.setattr(rqmc.experiment, "path_factor", lambda *a: calls.append(a))
+    code, out, err = run(
+        capsys, "price", "--payoff", "asian_call", "-d", "65", "-n", "64", "-R", "8"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: dimension 65 exceeds the bundled direction-number table (max 64)\n"
+    assert calls == []
+    # plain Monte Carlo draws no net, so it keeps any d
+    StudyConfig(PayoffSpec("asian_call", replace(STANDARD_MODEL, d=65)), sampler="plain_mc")
+    assert len(calls) == 1
 
 
 def test_price_replications_capped(capsys):

@@ -314,6 +314,17 @@ def test_verify_huge_m_is_rejected_before_any_power():
         verify_net(np.zeros((17, 2)), 0, 6)
 
 
+def test_verify_huge_base_is_rejected_before_any_power():
+    # a base above the count makes b^m > n at any m >= 1; neither b nor b^m
+    # is formatted, as a 4001-digit b^2 would exceed the same limit
+    b = 10**4000
+    with pytest.raises(ContractError, match="base is too large for 4 points at m=2") as exc:
+        verify_net(np.zeros((4, 2)), 0, 2, b=b)
+    assert len(str(exc.value)) < 100
+    # at m = 0 any base gives one point
+    assert verify_net(np.zeros((1, 2)), 0, 0, b=b).passed
+
+
 def test_verify_rejects_out_of_range_coords():
     with pytest.raises(ContractError):
         verify_net(np.array([[0.5], [1.0]]), 0, 1)

@@ -17,12 +17,12 @@ from rqmc.experiment import (
     CATALOG,
     CATALOG_NAMES,
     DEFAULT_N_GRID,
+    MIN_FIT_RECORDS,
     SAMPLERS,
     STANDARD_MODEL,
     CatalogEntry,
     ErrorRecord,
     StudyConfig,
-    catalog_config,
     expected_abs_error,
     fit_rate,
     replicate_estimates,
@@ -92,8 +92,6 @@ def base_config(**overrides) -> StudyConfig:
     kw = dict(
         integrand="halfspace",
         dimension=2,
-        irregular_dimension=2,
-        max_growth=0.0,
         reference_value=0.5,
         n_grid=SMALL_GRID,
         replications=8,
@@ -114,14 +112,10 @@ def test_config_validation():
     with pytest.raises(ContractError):
         base_config(sampler="latin_hypercube")
     with pytest.raises(ContractError):
-        base_config(irregular_dimension=3)
-    with pytest.raises(ContractError):
         base_config(slack=-0.1)
     for bad in (math.nan, math.inf):
         with pytest.raises(ContractError):
             base_config(slack=bad)
-        with pytest.raises(ContractError):
-            base_config(max_growth=bad)
     with pytest.raises(ContractError):
         base_config(reference_value="exact")
     with pytest.raises(ContractError):
@@ -134,8 +128,6 @@ def test_integrand_name():
     cfg = StudyConfig(
         integrand=spec,
         dimension=4,
-        irregular_dimension=1,
-        max_growth=0.0,
         reference_value="oracle:geometric_asian",
         n_grid=SMALL_GRID,
         replications=8,
@@ -315,13 +307,29 @@ def test_run_study_consistent_halfspace():
     assert report.fit.slope <= -2.0 / 3.0 + report.config.slack
 
 
-def test_run_study_flags_wrong_claim():
-    # plain Monte Carlo cannot meet an exponent-1 claim
-    cfg = base_config(sampler="plain_mc", irregular_dimension=1, master_seed=2)
+def test_run_study_flags_wrong_claim(add_entry):
+    # plain Monte Carlo cannot meet an exponent-1 claim, here one that an
+    # entry makes for the halfspace indicator by declaring d_u = 1
+    entry = replace(CATALOG["halfspace"], name="halfspace_d_u_1", irregular_dimension=1)
+    cfg = base_config(integrand=add_entry(entry), sampler="plain_mc", master_seed=2)
     report = run_study(cfg)
     assert report.exponent == pytest.approx(1.0)
     assert not report.consistent
     assert report.verdict == "inconsistent"
+
+
+def test_run_study_refuses_short_grid_before_any_draw(add_entry):
+    calls = []
+
+    def f(u):
+        calls.append(1)
+        return u[:, 0].copy()
+
+    add_entry(replace(CATALOG["halfspace"], name="counted", f=f))
+    cfg = base_config(integrand="counted", n_grid=SMALL_GRID[:MIN_FIT_RECORDS - 1])
+    with pytest.raises(InsufficientDataError, match="n_grid has 3 sizes"):
+        run_study(cfg)
+    assert calls == []
 
 
 def test_report_csv_schema():
@@ -353,7 +361,7 @@ def test_report_json_schema_and_roundtrip():
 
 
 def test_payoff_study_json_echoes_model():
-    cfg = catalog_config("geometric_ot", n_grid=SMALL_GRID, replications=8)
+    cfg = StudyConfig("geometric_ot", n_grid=SMALL_GRID, replications=8)
     report = run_study(cfg)
     obj = json.loads(report_to_json(report))
     assert obj["config"]["integrand"] == "geometric_indicator_payoff[ot]"
@@ -366,9 +374,9 @@ def test_payoff_study_json_echoes_model():
 @pytest.mark.parametrize(
     "cfg",
     [
-        catalog_config("axis_singular", n_grid=SMALL_GRID, replications=8, master_seed=2),
-        catalog_config("halfspace", n_grid=SMALL_GRID, replications=8, sampler="plain_mc"),
-        catalog_config("geometric_ot", n_grid=SMALL_GRID, replications=8, master_seed=5),
+        StudyConfig("axis_singular", n_grid=SMALL_GRID, replications=8, master_seed=2),
+        StudyConfig("halfspace", n_grid=SMALL_GRID, replications=8, sampler="plain_mc"),
+        StudyConfig("geometric_ot", n_grid=SMALL_GRID, replications=8, master_seed=5),
     ],
     ids=["axis_singular", "plain_mc", "geometric_ot"],
 )
@@ -413,7 +421,7 @@ def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, thresho
     if threshold is not None:
         monkeypatch.setattr(ex, "_PARALLEL_ROWS", threshold)
     assert n_max >= ex._PARALLEL_ROWS
-    cfg = catalog_config(
+    cfg = StudyConfig(
         "smooth_product",
         dimension=3,
         n_grid=(n_max // 4, n_max),
@@ -520,14 +528,14 @@ GOLDEN_REPORTS = {
 def test_golden_report_bytes():
     assert {name for name, _ in GOLDEN_REPORTS} == set(CATALOG_NAMES)
     for (name, sampler), digest in GOLDEN_REPORTS.items():
-        cfg = catalog_config(name, n_grid=SMALL_GRID, replications=8, sampler=sampler)
+        cfg = StudyConfig(name, n_grid=SMALL_GRID, replications=8, sampler=sampler)
         text = report_to_json(run_study(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, sampler)
 
 
 def test_error_shrinks_with_n():
     for name in ("smooth_product", "halfspace"):
-        cfg = catalog_config(name, n_grid=(64, 4096), replications=16, master_seed=6)
+        cfg = StudyConfig(name, n_grid=(64, 4096), replications=16, master_seed=6)
         small, large = expected_abs_error(cfg)
         assert large.mean_abs_error < small.mean_abs_error, name
 
@@ -547,45 +555,43 @@ def test_catalog_names_cover_all_regimes():
     }
 
 
-def test_catalog_config_defaults():
-    cfg = catalog_config("axis_singular")
+def test_named_study_defaults():
+    cfg = StudyConfig("axis_singular")
     assert cfg.integrand == "axis_singular"
     assert cfg.dimension == 2
-    assert cfg.irregular_dimension == 1
-    assert cfg.max_growth == 0.1
+    assert cfg.entry.irregular_dimension == 1
+    assert cfg.entry.max_growth == 0.1
     assert cfg.n_grid == DEFAULT_N_GRID
 
-    ot = catalog_config("geometric_ot")
+    ot = StudyConfig("geometric_ot")
     assert isinstance(ot.integrand, PayoffSpec)
-    assert ot.irregular_dimension == 1
+    assert ot.entry.irregular_dimension == 1
     assert ot.integrand.factor == "ot"
     assert ot.reference_value == "oracle:geometric_asian"
 
-    chol = catalog_config("geometric_cholesky")
-    assert chol.irregular_dimension == STANDARD_MODEL.d
+    chol = StudyConfig("geometric_cholesky")
+    assert chol.entry.irregular_dimension == STANDARD_MODEL.d
     assert chol.integrand.factor == "cholesky"
 
 
 def test_study_config_works_out_implied_fields():
     # a catalog entry: its own d_u, maxA and reference, at its dimension
     cfg = StudyConfig("corner_singular")
-    assert (cfg.dimension, cfg.irregular_dimension, cfg.max_growth) == (2, 2, 0.4)
+    assert (cfg.dimension, cfg.entry.irregular_dimension, cfg.entry.max_growth) == (2, 2, 0.4)
     assert cfg.reference_value == CATALOG["corner_singular"].reference
     assert StudyConfig("smooth_product", dimension=5).dimension == 5
     # a payoff: d from the model, d_u by factor, maxA = 0
     model = GbmModel(1.0, 0.05, 0.2, 1.0, 6, 1.0)
     ot = StudyConfig(PayoffSpec("geometric_indicator_payoff", model))
-    assert (ot.dimension, ot.irregular_dimension, ot.max_growth) == (6, 1, 0.0)
+    assert (ot.dimension, ot.entry.irregular_dimension, ot.entry.max_growth) == (6, 1, 0.0)
     assert ot.reference_value == "oracle:geometric_asian"
     chol = StudyConfig(
         PayoffSpec("asian_call", model, "cholesky"),
         n_grid=SMALL_GRID,
         replications=8,
     )
-    assert chol.irregular_dimension == 6
+    assert chol.entry.irregular_dimension == 6
     assert chol.reference_value is None
-    # a value the caller gives wins over the implied one
-    assert StudyConfig("halfspace", irregular_dimension=1).irregular_dimension == 1
     with pytest.raises(ContractError, match="unknown integrand"):
         StudyConfig("no_such_integrand")
     # an arithmetic payoff has no oracle: the study fails before any work
@@ -601,7 +607,7 @@ def test_payoff_implied_irregular_dimension(kind, factor):
     model = GbmModel(1.0, 0.05, 0.2, 1.0, 6, 1.0)
     cfg = StudyConfig(PayoffSpec(kind, model, factor))
     geometric_ot = kind == "geometric_indicator_payoff" and factor == "ot"
-    assert cfg.irregular_dimension == (1 if geometric_ot else 6)
+    assert cfg.entry.irregular_dimension == (1 if geometric_ot else 6)
     assert cfg.entry.name == cfg.integrand_name == f"{kind}[{factor}]"
 
 
@@ -623,17 +629,17 @@ def test_ot_factor_cuts_only_the_geometric_indicator_along_u1():
             assert low_paying < top_idle < kappa
 
 
-def test_catalog_config_overrides_and_errors():
-    cfg = catalog_config("smooth_product", dimension=5, master_seed=17)
+def test_named_study_overrides_and_errors():
+    cfg = StudyConfig("smooth_product", dimension=5, master_seed=17)
     assert cfg.dimension == 5
     assert cfg.master_seed == 17
     with pytest.raises(ContractError):
-        catalog_config("unknown_integrand")
+        StudyConfig("unknown_integrand")
     # a dimension the integrand cannot take fails before any net is drawn
     with pytest.raises(ContractError, match="defined for d=2"):
-        catalog_config("halfspace", dimension=3)
+        StudyConfig("halfspace", dimension=3)
     with pytest.raises(ContractError, match="defined for d=4"):
-        catalog_config("geometric_ot", dimension=3)
+        StudyConfig("geometric_ot", dimension=3)
 
 
 def test_oracle_reference_requires_geometric_payoff():
@@ -642,8 +648,6 @@ def test_oracle_reference_requires_geometric_payoff():
         StudyConfig(
             integrand=PayoffSpec("asian_call", STANDARD_MODEL),
             dimension=4,
-            irregular_dimension=1,
-            max_growth=0.0,
             reference_value="oracle:geometric_asian",
             n_grid=SMALL_GRID,
             replications=8,
