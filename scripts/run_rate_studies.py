@@ -56,13 +56,13 @@ def main() -> None:
         config = StudyConfig(name, **overrides, **extra)
         report = run_study(config)
         print(
-            f"{config.integrand_name:<38}{config.sampler:<15}"
+            f"{config.entry.name:<38}{config.sampler:<15}"
             f"{report.fit.slope:>+9.3f}{-report.exponent:>+9.3f}"
             f"{report.fit.r_squared:>7.3f}  {report.verdict}"
             f"   ({time.perf_counter() - t0:.1f}s)"
         )
         if out_dir:
-            stem = f"{config.integrand_name}_{config.sampler}"
+            stem = f"{config.entry.name}_{config.sampler}"
             (out_dir / f"{stem}.csv").write_text(report_to_csv(report))
             (out_dir / f"{stem}.json").write_text(report_to_json(report))
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -53,10 +54,9 @@ def _cmd_points(args) -> int:
     points = generate_net(args.m, args.d)
     if args.scramble:
         points = scramble(points, ScrambleSeed(args.seed))
-    lines = [
-        " ".join(_g17(c) for c in row) for row in points.coords
-    ]
-    _write_text("\n".join(lines) + "\n", args.out)
+    # a handle, not a path: savetxt would gzip a path ending in .gz
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+        np.savetxt(fh, points.coords, fmt="%.17g")
     return 0
 
 
@@ -200,7 +200,7 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
 
     if kv:
         raise ContractError(
-            f"config keys not used by integrand {config.integrand_name!r}: "
+            f"config keys not used by integrand {config.entry.name!r}: "
             + ", ".join(sorted(kv))
         )
     return config
@@ -213,12 +213,11 @@ def _cmd_rate_study(args) -> int:
         report_to_json(report) if args.format == "json" else report_to_csv(report)
     )
     _write_text(text, args.out)
-    if args.out is not None or args.format == "csv":
-        print(
-            f"slope {report.fit.slope:+.4f} vs theoretical "
-            f"{-report.exponent:+.4f} (slack {config.slack}): {report.verdict}",
-            file=sys.stderr,
-        )
+    print(
+        f"slope {report.fit.slope:+.4f} vs theoretical "
+        f"{-report.exponent:+.4f} (slack {config.slack}): {report.verdict}",
+        file=sys.stderr,
+    )
     return 0 if report.consistent else 1
 
 

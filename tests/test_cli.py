@@ -16,9 +16,10 @@ import pytest
 import rqmc.cli
 import rqmc.experiment
 from rqmc.cli import main
-from rqmc.digital_nets import radical_inverse
+from rqmc.digital_nets import generate_net, radical_inverse
 from rqmc.experiment import CATALOG, STANDARD_MODEL, StudyConfig
 from rqmc.finance import PAYOFF_KINDS, GbmModel, PayoffSpec, geometric_asian_price
+from rqmc.scrambling import ScrambleSeed, scramble
 
 
 def run(capsys, *argv):
@@ -70,11 +71,18 @@ def test_points_scramble_deterministic(capsys):
 
 
 def test_points_out_file(tmp_path, capsys):
-    target = tmp_path / "pts.txt"
-    code, out, _ = run(capsys, "points", "-m", "2", "-d", "2", "--out", str(target))
-    assert code == 0
-    assert out == ""
-    assert parse_points(target.read_text()).shape == (4, 2)
+    # stdout and --out carry the same bytes: one row per point, each
+    # coordinate at 17 significant digits, space separated
+    coords = scramble(generate_net(6, 3), ScrambleSeed(5)).coords
+    expected = "".join(
+        " ".join(format(x, ".17g") for x in row) + "\n" for row in coords
+    )
+    argv = ("points", "-m", "6", "-d", "3", "--scramble", "--seed", "5")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)
+    target = tmp_path / "pts.txt.gz"  # plain text whatever the suffix
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out, target.read_text()) == (0, "", expected)
 
 
 def test_points_capacity_limits(capsys):
@@ -228,12 +236,18 @@ def test_rate_study_consistent_csv(tmp_path, capsys):
 
 def test_rate_study_json_verdict(tmp_path, capsys):
     cfg = write_config(tmp_path, HALFSPACE_CFG)
-    code, out, _ = run(capsys, "rate-study", "--config", cfg, "--format", "json")
+    argv = ("rate-study", "--config", cfg, "--format", "json")
+    code, out, err = run(capsys, *argv)
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "consistent"
     assert obj["config"]["integrand"] == "halfspace"
     assert obj["config"]["n_grid"] == [64, 128, 256, 512, 1024]
+    # the verdict line goes to stderr with or without --out
+    assert err.startswith("slope ") and err.endswith(": consistent\n")
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", err)
+    assert target.read_text() == out
 
 
 def test_rate_study_inconsistent_exit_code(tmp_path, capsys):

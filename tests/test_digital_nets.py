@@ -12,6 +12,7 @@ from rqmc.digital_nets import (
     DirectionTable,
     ElementaryInterval,
     PointSet,
+    _cell_columns,
     certify_t,
     generate_net,
     generate_points,
@@ -263,6 +264,29 @@ def test_locate_cell_neighbor_cells_exclude_point(data):
             moved[j] += delta
             if 0 <= moved[j] < 2 ** shape[j]:
                 assert not ElementaryInterval(shape, tuple(moved)).contains(point)
+
+
+@pytest.mark.parametrize(
+    "b, net", [(2, True), (2, False), (3, False)], ids=["net", "float_b2", "float_b3"]
+)
+def test_cell_columns_match_locate_cell(b, net):
+    # locate_cell is the scalar oracle for the cell kernel verify_net counts
+    # with: a depth-53 net takes the bit path, a float array the float path
+    rng = np.random.default_rng(20260419)
+    if net:
+        points = generate_net(8, 3)
+        assert points.depth == PRECISION_DEPTH
+        coords = points.coords
+    else:
+        points = coords = rng.random((200, 3))
+        coords[:3] = [[0.0] * 3, [1 / 3] * 3, [np.nextafter(1.0, 0.0)] * 3]
+    max_k = 20 if b == 2 else 12
+    for _ in range(10):
+        shape = tuple(int(k) for k in rng.integers(0, max_k + 1, size=3))
+        cols = _cell_columns(points, shape, b)
+        expected = np.array([locate_cell(row, shape, b) for row in coords])
+        for j, col in enumerate(cols):
+            assert col.tolist() == expected[:, j].tolist(), (shape, j)
 
 
 # ---------------------------------------------------------------- verification

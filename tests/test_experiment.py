@@ -122,8 +122,8 @@ def test_config_validation():
         base_config(reference_value=math.nan)
 
 
-def test_integrand_name():
-    assert base_config().integrand_name == "halfspace"
+def test_entry_name():
+    assert base_config().entry.name == "halfspace"
     spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
     cfg = StudyConfig(
         integrand=spec,
@@ -132,7 +132,7 @@ def test_integrand_name():
         n_grid=SMALL_GRID,
         replications=8,
     )
-    assert cfg.integrand_name == "geometric_indicator_payoff[ot]"
+    assert cfg.entry.name == "geometric_indicator_payoff[ot]"
 
 
 # ---------------------------------------------------------------- records & estimates
@@ -608,7 +608,7 @@ def test_payoff_implied_irregular_dimension(kind, factor):
     cfg = StudyConfig(PayoffSpec(kind, model, factor))
     geometric_ot = kind == "geometric_indicator_payoff" and factor == "ot"
     assert cfg.entry.irregular_dimension == (1 if geometric_ot else 6)
-    assert cfg.entry.name == cfg.integrand_name == f"{kind}[{factor}]"
+    assert cfg.entry.name == f"{kind}[{factor}]"
 
 
 def test_ot_factor_cuts_only_the_geometric_indicator_along_u1():

@@ -1,11 +1,12 @@
-"""The README's Python examples run as written, and its `$ rqmc` examples
-print what they show."""
+"""The README's Python examples run as written, its `$ rqmc` examples
+print what they show, and its catalog table states what the catalog holds."""
 
 import re
 import shlex
 from pathlib import Path
 
 from rqmc.cli import main
+from rqmc.experiment import CATALOG_NAMES, StudyConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,20 @@ def test_readme_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys)
             assert (code, printed) == (0, shown), command
             ran.append(argv[1])
     assert ran == ["points", "rate-study", "price"]
+
+
+def test_readme_catalog_table_matches_catalog():
+    # The table is the catalog's one description: its names, d_u and maxA
+    # are checked against the entries, row by row.
+    section = README.read_text().split("### Integrand catalog\n", 1)[1]
+    header, _, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.split("\n#", 1)[0].splitlines()
+        if line.startswith("|")
+    ]
+    assert header[0] == "name" and header[2:4] == ["d_u", "maxA"]
+    assert [row[0] for row in rows] == [f"`{name}`" for name in CATALOG_NAMES]
+    for row in rows:
+        entry = StudyConfig(row[0].strip("`")).entry
+        assert int(row[2]) == entry.irregular_dimension, row[0]
+        assert float(row[3]) == entry.max_growth, row[0]
