@@ -40,12 +40,9 @@ _MAX_REPLICATIONS_LOG2 = 16
 _MAX_DRAWS_LOG2 = 26
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _output(out: str | None):
+    """Where a command writes: stdout, or the text file ``out``."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w")
 
 
 def _cmd_points(args) -> int:
@@ -55,7 +52,7 @@ def _cmd_points(args) -> int:
     if args.scramble:
         points = scramble(points, ScrambleSeed(args.seed))
     # a handle, not a path: savetxt would gzip a path ending in .gz
-    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+    with _output(args.out) as fh:
         np.savetxt(fh, points.coords, fmt="%.17g")
     return 0
 
@@ -212,7 +209,8 @@ def _cmd_rate_study(args) -> int:
     text = (
         report_to_json(report) if args.format == "json" else report_to_csv(report)
     )
-    _write_text(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     print(
         f"slope {report.fit.slope:+.4f} vs theoretical "
         f"{-report.exponent:+.4f} (slack {config.slack}): {report.verdict}",
@@ -261,7 +259,8 @@ def _cmd_price(args) -> int:
             )
             + "\n"
         )
-    _write_text(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 

@@ -383,16 +383,24 @@ def verify_net(
     expected = b**t
     shapes_checked = 0
     for shape in _compositions(q, d):
-        sizes = [b**k for k in shape]
-        flat = np.ravel_multi_index(_cell_columns(points, shape, b), sizes)
+        # mixed-radix cell index; np.ravel_multi_index caps axes below d = 64
+        cols = _cell_columns(points, shape, b)
+        flat = np.zeros(n, dtype=np.int64)
+        for k, col in zip(shape, cols):
+            flat = flat * b**k + col
         counts = np.bincount(flat, minlength=b**q)
         shapes_checked += 1
         if not np.all(counts == expected):
             bad = int(np.argmin(counts == expected))
-            cells = tuple(int(c) for c in np.unravel_index(bad, sizes))
+            cells = []
+            rem = bad
+            for k in reversed(shape):
+                rem, c = divmod(rem, b**k)
+                cells.append(c)
+            cells.reverse()
             return VerifyResult(
                 passed=False,
-                violation=ElementaryInterval(shape, cells, b),
+                violation=ElementaryInterval(shape, tuple(cells), b),
                 expected_count=expected,
                 observed_count=int(counts[bad]),
                 shapes_checked=shapes_checked,

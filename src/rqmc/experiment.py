@@ -157,9 +157,9 @@ class StudyConfig:
         if not (math.isfinite(self.slack) and self.slack >= 0):
             raise ContractError(f"slack must be finite and >= 0, got {self.slack}")
         if isinstance(self.reference_value, str):
-            # a tag is valid only as the entry's own reference, which
+            # the tag is valid only as the entry's own reference, which
             # dataclasses.replace passes back in for a geometric study
-            if self.reference_value != entry.reference:
+            if not self.reference_value == entry.reference == GEOMETRIC_ORACLE:
                 raise ContractError(
                     f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
                     "which applies only to the geometric indicator payoff"

@@ -321,6 +321,24 @@ def test_verify_reports_counts_and_shapes():
     assert res.shapes_checked == 5  # shapes (0,4),(1,3),(2,2),(3,1),(4,0)
 
 
+def test_verify_full_table_dimension():
+    # d = 64 is above numpy's axis cap for ravel_multi_index: the flat cell
+    # index is built without it, so every dimension the table gives verifies
+    assert verify_net(generate_net(1, 64), 0, 1).passed
+    assert verify_net(generate_net(2, 64), 1, 2).passed
+    # base 3, three points: axis 40 puts two points in its middle third and
+    # none in the last, so that shape fails first, at the middle cell
+    pts = np.tile([[0.1], [0.4], [0.7]], (1, 64))
+    assert verify_net(pts, 0, 1, b=3).passed
+    pts[2, 40] = 0.5
+    res = verify_net(pts, 0, 1, b=3)
+    assert not res.passed
+    assert res.violation.digit_counts == tuple(int(j == 40) for j in range(64))
+    assert res.violation.cells == tuple(int(j == 40) for j in range(64))
+    assert (res.observed_count, res.expected_count) == (2, 1)
+    assert res.shapes_checked == 64 - 40
+
+
 def test_verify_wrong_count_is_contract_error_not_fail():
     with pytest.raises(ContractError):
         verify_net(np.zeros((5, 2)), 0, 2)

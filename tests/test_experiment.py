@@ -656,6 +656,23 @@ def test_oracle_reference_requires_geometric_payoff():
         expected_abs_error(base_config(reference_value="oracle:unknown"))
 
 
+def test_string_reference_other_than_tag_is_refused(add_entry):
+    # an entry's own string reference is no licence: only the tag is a string
+    add_entry(
+        CatalogEntry(
+            name="tagged_other",
+            dimension=None,
+            irregular_dimension=1,
+            max_growth=0.0,
+            reference="oracle:unknown",
+            f=lambda u: np.ones(len(u)),
+        )
+    )
+    for ref in (None, "oracle:unknown"):
+        with pytest.raises(ContractError, match="a number or 'oracle:geometric"):
+            base_config(integrand="tagged_other", reference_value=ref)
+
+
 def test_catalog_reference_values_against_quadrature():
     mpmath.mp.dps = 30
     # axis_box: product of two 1-d integrals
