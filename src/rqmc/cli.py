@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -59,9 +60,14 @@ def _cmd_points(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        coords = np.loadtxt(args.file, ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():
+            # numpy warns on a file with no rows; it is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            coords = np.loadtxt(args.file, ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise ContractError(f"cannot parse point file: {exc}") from exc
+    if not coords.size:
+        raise ContractError(f"point file {args.file} holds no points")
     result = verify_net(coords, args.t, args.m, d=args.d, b=args.b)
     if result.passed:
         print(

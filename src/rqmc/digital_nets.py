@@ -158,9 +158,6 @@ class PointSet:
         """Coordinates as float64, correctly rounded from the digit string."""
         return self.ints.astype(np.float64) * 2.0 ** -self.depth
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class ElementaryInterval:

@@ -128,10 +128,11 @@ class StudyConfig:
             raise ContractError(f"unknown sampler {self.sampler!r}")
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
-        if self.sampler == "scrambled_net" and isinstance(integrand, PayoffSpec):
-            # A net the direction table cannot give is refused before the
-            # payoff's d x d path factor is built.
-            load_direction_numbers().direction_integers(integrand.model.d)
+        # Every sampler has the direction table's dimension cap (plain MC is
+        # the control for a net of the same d), checked before any factor.
+        d = integrand.model.d if isinstance(integrand, PayoffSpec) else self.dimension
+        if d is not None:
+            load_direction_numbers().direction_integers(d)
         # A dimension the integrand cannot take is rejected before any net
         # is drawn.
         entry = _entry(integrand)

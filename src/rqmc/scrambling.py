@@ -21,10 +21,12 @@ allocation per digit (see ``_swap_mask`` for the identities).  A scramble
 runs on the calling thread and shares no state between calls, so callers
 on several threads at once each get the serial bits of their own seed.
 
-The scramble also extends every coordinate with freshly drawn digits up
-to the target depth, so outputs land in the open interval (0,1): a
-coordinate whose float image would round to 0.0 or 1.0 has its filler
-digits redrawn (a probability ~2^-53 event).
+The scramble has one law: at most ``PRECISION_DEPTH`` = 53 digits in, 64
+out.  Digits past the input's are fresh filler, redrawn where a coordinate
+would round to 0.0 or 1.0, so outputs lie in the open interval (0,1).
+Digit 54, the first past the float mantissa, decides whether a coordinate
+rounds to 1.0; it must be filler for the redraw to move it, so 53 is the
+input limit.
 """
 
 from __future__ import annotations
@@ -34,10 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .digital_nets import PointSet
+from .digital_nets import PRECISION_DEPTH, PointSet
 from .errors import ContractError
-
-DEFAULT_DEPTH = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -121,8 +121,8 @@ def permutation_for(
     for digit in prefix:
         if digit not in (0, 1):
             raise ContractError("prefix digits must be 0 or 1")
-    if len(prefix) >= DEFAULT_DEPTH:
-        raise ContractError(f"prefix length must be < {DEFAULT_DEPTH}")
+    if len(prefix) >= 64:
+        raise ContractError("prefix length must be < 64")
     k = len(prefix) + 1
     prefix_int = 0
     for digit in prefix:
@@ -155,8 +155,8 @@ def _node_table(keys: np.ndarray) -> np.ndarray:
     return table
 
 
-def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.ndarray:
-    """XOR mask of the node swap bits at the given digit positions.
+def _swap_mask(col: np.ndarray, hj: int, salt: int = 0) -> np.ndarray:
+    """XOR mask of the node swap bits of digits 1..64.
 
     The swap bit of digit ``k`` is ``_mix(p ^ key_k) & 1``, where ``p`` is
     the ``k-1`` leading digits of ``col`` and ``key_k`` a key for
@@ -167,10 +167,10 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
 
     1. Digit ``k``'s bit depends only on its prefix, and a column of ``n``
        rows has at most ``2^(t-1) <= n`` distinct prefixes before digit
-       ``t = n.bit_length()``.  So digits ``1..t`` (of a range starting at
-       digit 1) are gathered from ``_node_table``, at most ``2n`` hashes
-       instead of ``t*n``.  The table depends only on the keys, so each
-       row still depends on its own input row alone.
+       ``t = n.bit_length()``.  So digits ``1..t`` are gathered from
+       ``_node_table``, at most ``2n`` hashes instead of ``t*n``.  The
+       table depends only on the keys, so each row still depends on its
+       own input row alone.
     2. Right shifts distribute over XOR, so the first xorshift of the
        finalizer, ``y ^ (y >> 30)`` with ``y = (half >> s) ^ key``, equals
        ``(h >> s) ^ (key ^ (key >> 30))`` for ``h = half ^ (half >> 30)``,
@@ -188,12 +188,12 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     accumulators for the high and low words of the mask: 32 bytes a row.
     """
     n = col.size
-    keys = _mix_vec(np.arange(digits.start, digits.stop, dtype=_U64) ^ _U64(hj))
+    keys = _mix_vec(np.arange(1, 65, dtype=_U64) ^ _U64(hj))
     if salt:
         keys = _mix_vec(keys ^ _U64(salt * _GOLDEN & _MASK64))
     # The table's bits sit in the high word, so it covers at most 32 digits;
     # it is built before the column buffers, which keeps the peak at those.
-    t = min(n.bit_length(), len(digits), 32) if digits.start == 1 else 0
+    t = min(n.bit_length(), 32)
     table = _node_table(keys[:t]) if t else None
     # The prefix of digit k is col >> (65 - k) = half >> (64 - k): no shift
     # reaches 64, and k = 1 gets the empty prefix 0.
@@ -210,7 +210,7 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     c = tmp.view(_U32)[:n]
     keys = keys[t:]
     keys ^= keys >> _U64(30)
-    for k, key in zip(digits[t:], keys):
+    for k, key in zip(range(t + 1, 65), keys):
         word, pos = (hi, 32 - k) if k <= 32 else (lo, 64 - k)
         np.right_shift(h, _U64(64 - k), out=x)
         x ^= key
@@ -229,63 +229,51 @@ def _swap_mask(col: np.ndarray, hj: int, digits: range, salt: int = 0) -> np.nda
     return x
 
 
-def scramble(
-    points: PointSet, seed: ScrambleSeed, depth: int = DEFAULT_DEPTH
-) -> PointSet:
+def scramble(points: PointSet, seed: ScrambleSeed) -> PointSet:
     """Nested uniform scramble of a base-2 point set.
 
-    Applies prefix-keyed digit permutations to the first ``depth`` digits
-    of every coordinate; digits beyond the input's own depth are fresh
-    uniform draws, so every output coordinate lies strictly inside (0,1).
-    Identical (points, seed, depth) always produce identical output, and
-    output point ``i`` corresponds to input point ``i``: it depends only
-    on input point ``i`` and the seed, so the first n points of a
-    scrambled net are the scramble of the net's first n points.
+    Takes points of at most ``PRECISION_DEPTH`` = 53 digits and applies
+    prefix-keyed digit permutations to all 64 digits of every coordinate.
+    Digits beyond the input's own are fresh uniform draws, redrawn where a
+    coordinate would round to 0.0 or 1.0, so every output lies strictly
+    inside (0,1).  Digit 54 decides whether a coordinate rounds to 1.0, so
+    it must be such a draw: hence the input limit of 53.  Identical
+    (points, seed) always produce identical output, and output point ``i``
+    corresponds to input point ``i``: it depends only on input point ``i``
+    and the seed, so the first n points of a scrambled net are the scramble
+    of the net's first n points.
 
     Each coordinate is scrambled as one contiguous column by
     ``_swap_mask``, which gives exactly the bits of the tree
     ``permutation_for`` describes.  Each column is lifted to left-aligned
     digits only while it is hashed and is written straight into the
     result, so the call holds the result plus one column's 40 bytes a row.
-
-    Parameters
-    ----------
-    points : PointSet
-        Base-2 points; ``points.depth`` digits per coordinate.
-    seed : ScrambleSeed
-    depth : int
-        Output digits per coordinate, ``points.depth <= depth <= 64``.
     """
-    if depth < points.depth:
-        raise ContractError(
-            f"scramble depth {depth} below input depth {points.depth}: "
-            "distinct points could alias"
-        )
-    if depth > 64:
-        raise ContractError("depth beyond 64 digits is not representable")
-    in_depth, shift = points.depth, _U64(64 - depth)
+    in_depth = points.depth
+    if in_depth > PRECISION_DEPTH:
+        raise ContractError(f"input depth {in_depth} exceeds {PRECISION_DEPTH} digits")
     keep = _U64(_MASK64 ^ ((1 << (64 - in_depth)) - 1))
     out = np.empty_like(points.ints)
     for j in range(points.d):
         # A contiguous copy of column j, lifted to left-aligned digits.
         col = points.ints[:, j] << _U64(64 - in_depth)
         hj = _dim_key(seed, j)
-        bits = _swap_mask(col, hj, range(1, depth + 1))
+        bits = _swap_mask(col, hj)
         bits ^= col
         # Exclude float images 0.0 and 1.0 by redrawing the filler digits
-        # (positions in_depth+1 .. depth) with a salted key.  Equal input
+        # (positions in_depth+1 .. 64) with a salted key.  Equal input
         # values redraw identically, preserving nested consistency.
         salt = 0
-        while depth > in_depth:
-            vals = (bits >> shift).astype(np.float64) * 2.0**-depth
+        while True:
+            vals = bits.astype(np.float64) * 2.0**-64
             bad = (vals == 0.0) | (vals == 1.0)
             if not bad.any():
                 break
             salt += 1
-            refill = _swap_mask(col[bad], hj, range(in_depth + 1, depth + 1), salt)
-            bits[bad] = (bits[bad] & keep) | refill
-        np.right_shift(bits, shift, out=out[:, j])
-    return PointSet(out, depth)
+            refill = _swap_mask(col[bad], hj, salt)
+            bits[bad] = (bits[bad] & keep) | (refill & ~keep)
+        out[:, j] = bits
+    return PointSet(out, 64)
 
 
 def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.ndarray:

@@ -17,6 +17,7 @@ import rqmc.cli
 import rqmc.experiment
 from rqmc.cli import main
 from rqmc.digital_nets import generate_net, radical_inverse
+from rqmc.errors import CapacityError
 from rqmc.experiment import CATALOG, STANDARD_MODEL, StudyConfig
 from rqmc.finance import PAYOFF_KINDS, GbmModel, PayoffSpec, geometric_asian_price
 from rqmc.scrambling import ScrambleSeed, scramble
@@ -170,6 +171,20 @@ def test_verify_rejects_nan_coordinates(tmp_path, capsys):
         assert out == ""
         assert "coordinates must lie in [0,1)" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_verify_empty_file_is_one_error_line(tmp_path):
+    # numpy warns on a file with no rows; stderr is the one error line
+    f = tmp_path / "empty.txt"
+    f.write_text("")
+    src = str(Path(rqmc.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rqmc.cli", "verify-net", str(f), "-t", "0", "-m", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: point file {f} holds no points\n"
 
 
 def test_verify_garbage_and_missing_files(tmp_path, capsys):
@@ -635,9 +650,26 @@ def test_price_dimension_beyond_table_fails_before_path_factor(capsys, monkeypat
     assert out == ""
     assert err == "error: dimension 65 exceeds the bundled direction-number table (max 64)\n"
     assert calls == []
-    # plain Monte Carlo draws no net, so it keeps any d
-    StudyConfig(PayoffSpec("asian_call", replace(STANDARD_MODEL, d=65)), sampler="plain_mc")
-    assert len(calls) == 1
+    # plain Monte Carlo is the control for a net of the same d: same cap
+    spec = PayoffSpec("asian_call", replace(STANDARD_MODEL, d=65))
+    with pytest.raises(CapacityError, match="dimension 65 exceeds"):
+        StudyConfig(spec, sampler="plain_mc")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "integrand, d", [("asian_call", 10**7), ("smooth_product", 10**8)]
+)
+def test_plain_mc_dimension_beyond_table_fails_first(tmp_path, capsys, integrand, d):
+    # a d x d path factor ran out of memory, and a catalog integrand drew
+    # 10^8-column points for a minute: both are refused before either
+    cfg = write_config(tmp_path, f"integrand {integrand}\nsampler plain_mc\nd {d}\n")
+    code, out, err = run(capsys, "rate-study", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: dimension {d} exceeds the bundled direction-number table (max 64)\n"
+    )
 
 
 def test_price_replications_capped(capsys):

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rqmc import scrambling
-from rqmc.digital_nets import PointSet, generate_net, generate_points, verify_net
+from rqmc.digital_nets import (
+    PRECISION_DEPTH,
+    PointSet,
+    generate_net,
+    generate_points,
+    verify_net,
+)
 from rqmc.errors import ContractError
 from rqmc.scrambling import (
     _GOLDEN,
-    DEFAULT_DEPTH,
     ScrambleSeed,
     _dim_key,
     _mix,
@@ -118,14 +123,14 @@ def test_scramble_deterministic_and_replicates_differ():
 
 def test_scramble_matches_digitwise_permutations():
     # the array implementation must realize exactly the permutation tree
-    # that permutation_for describes
-    depth = 8
-    pts = PointSet(np.array([[0], [173], [255], [64]], dtype=np.uint64), depth)
-    out = scramble(pts, SEED, depth=depth)
+    # that permutation_for describes, on all 64 output digits
+    pts = PointSet(np.array([[0], [173], [255], [64]], dtype=np.uint64), 8)
+    out = scramble(pts, SEED)
+    assert out.depth == 64
     for i in range(pts.n):
-        a = digits_of(int(pts.ints[i, 0]), depth)
-        b = digits_of(int(out.ints[i, 0]), depth)
-        for k in range(depth):
+        a = digits_of(int(pts.ints[i, 0]) << 56, 64)
+        b = digits_of(int(out.ints[i, 0]), 64)
+        for k in range(64):
             perm = permutation_for(SEED, 0, a[:k])
             assert b[k] == perm[a[k]], (i, k)
 
@@ -148,42 +153,31 @@ def test_short_columns_match_digitwise_permutations(n):
     # table, n = 3, 5 and 1000 from a table with fewer entries than rows
     pts = generate_points(range(n), 2)
     rows = range(n) if n <= 5 else (0, 1, 2, 511, 512, 513, 777, 998, 999)
-    for depth in (53, 64):
-        assert_digitwise(pts, scramble(pts, SEED, depth=depth), rows)
+    assert_digitwise(pts, scramble(pts, SEED), rows)
 
 
 def test_scramble_of_no_points():
-    for depth in (53, 64):
-        out = scramble(generate_points([], 3), SEED, depth=depth)
-        assert out.ints.shape == (0, 3) and out.depth == depth
+    out = scramble(generate_points([], 3), SEED)
+    assert out.ints.shape == (0, 3) and out.depth == 64
 
 
 def test_repeated_rows_scramble_identically():
-    # more rows than distinct prefixes; at depth 2 the table is capped at
-    # the two digits there are, below n.bit_length() = 3
+    # more rows than distinct prefixes: the node table has more levels
+    # (n.bit_length() = 3) than a depth-2 input has digits
     ints = np.array([[0, 3], [3, 1], [1, 1], [3, 1], [0, 3], [0, 3]], dtype=np.uint64)
-    for in_depth, depth in ((2, 2), (2, 53), (53, 53), (53, 64)):
+    for in_depth in (2, 53):
         pts = PointSet(ints << np.uint64(in_depth - 2), in_depth)
-        out = scramble(pts, SEED, depth=depth)
+        out = scramble(pts, SEED)
         assert_digitwise(pts, out, range(pts.n))
         for i, k in ((0, 4), (0, 5), (1, 3)):
-            assert np.array_equal(out.ints[i], out.ints[k]), (in_depth, depth)
+            assert np.array_equal(out.ints[i], out.ints[k]), in_depth
 
 
 def test_long_columns_match_digitwise_permutations():
     # the golden-byte tests run at n <= 1024; the kernel must realize the
     # same tree on a longer column too, on every digit, filler included
     net = generate_net(12, 3)
-    rows = (0, 1, 777, 2048, 4095)
-    for depth in (64, 53):
-        out = scramble(net, SEED, depth=depth)
-        for j in range(net.d):
-            for i in rows:
-                a = digits_of(int(net.ints[i, j]) << (depth - net.depth), depth)
-                b = digits_of(int(out.ints[i, j]), depth)
-                for k in range(depth):
-                    perm = permutation_for(SEED, j, a[:k])
-                    assert b[k] == perm[a[k]], (depth, j, i, k)
+    assert_digitwise(net, scramble(net, SEED), (0, 1, 777, 2048, 4095))
 
 
 # sha256 of scramble(generate_net(16, 4), ScrambleSeed(0, k)).ints, k = 0..3,
@@ -235,14 +229,13 @@ def test_concurrent_scrambles_match_serial():
 def test_scramble_prefix_sharing():
     # nested property: points sharing p leading digits share exactly p
     # scrambled leading digits (they diverge where the inputs diverge)
-    depth_in, depth_out = 16, 32
     for p in (0, 1, 7, 15):
         a = 0b1011001110001101 & ~((1 << (16 - p)) - 1)
         b = a | (1 << (15 - p))  # differs from a at digit p+1
-        pts = PointSet(np.array([[a], [b]], dtype=np.uint64), depth_in)
-        out = scramble(pts, SEED, depth=depth_out)
+        pts = PointSet(np.array([[a], [b]], dtype=np.uint64), 16)
+        out = scramble(pts, SEED)
         x, y = int(out.ints[0, 0]), int(out.ints[1, 0])
-        shared = 32 - (x ^ y).bit_length()
+        shared = 64 - (x ^ y).bit_length()
         assert shared == p, p
 
 
@@ -251,7 +244,7 @@ def test_scramble_prefix_sharing():
 def test_scramble_preserves_net_property(master, rep):
     net = generate_net(6, 2)
     s = scramble(net, ScrambleSeed(master, rep))
-    assert s.depth == DEFAULT_DEPTH
+    assert s.depth == 64
     assert verify_net(s, 0, 6).passed
 
 
@@ -274,15 +267,23 @@ def test_scramble_outputs_open_interval():
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
-def test_filler_redraw_keeps_outputs_open_and_distinct():
-    # one input digit scrambled to two output digits: a quarter of the draws
-    # land on 0.0 and take the salted filler redraw
-    pts = PointSet(np.array([[0], [1]], dtype=np.uint64), 1)
-    for master in range(50):
-        s = scramble(pts, ScrambleSeed(master), depth=2)
-        assert np.all(s.coords > 0.0) and np.all(s.coords < 1.0)
-        assert s.ints[0, 0] >> np.uint64(1) != s.ints[1, 0] >> np.uint64(1)
-        assert np.array_equal(s.ints, scramble(pts, ScrambleSeed(master), depth=2).ints)
+def from_digits(digits: list[int]) -> int:
+    return int("".join(map(str, digits)), 2)
+
+
+def preimage(seed: ScrambleSeed, depth: int, digit: int) -> int:
+    """The input of ``depth`` digits whose scrambled digits 1..depth in
+    dimension 0 all equal ``digit``."""
+    a: list[int] = []
+    for _ in range(depth):
+        a.append(permutation_for(seed, 0, a).index(digit))
+    return from_digits(a)
+
+
+def crafted(seed: ScrambleSeed, depth: int, *digits: int) -> PointSet:
+    """One row per ``digit``: its ``preimage`` at ``depth``."""
+    rows = [[preimage(seed, depth, digit)] for digit in digits]
+    return PointSet(np.array(rows, dtype=np.uint64), depth)
 
 
 def redraw_bit(seed: ScrambleSeed, dim: int, k: int, prefix: int, salt: int) -> int:
@@ -291,68 +292,107 @@ def redraw_bit(seed: ScrambleSeed, dim: int, k: int, prefix: int, salt: int) -> 
     return _mix(_mix(_mix(k ^ hj) ^ salt * _GOLDEN) ^ prefix) & 1
 
 
+def oracle_scramble(seed: ScrambleSeed, a: int) -> tuple[int, int]:
+    """Scalar scramble of the 53-digit input ``a`` in dimension 0, and the
+    salt that ends its filler redraw: digits 1..64 from permutation_for,
+    then filler digits 54..64 redrawn with salt 1, 2, ... while the value
+    rounds to 0.0 or 1.0."""
+    a_digits = digits_of(a << 11, 64)
+    out = [permutation_for(seed, 0, a_digits[:k])[a_digits[k]] for k in range(64)]
+    salt = 0
+    while float(from_digits(out)) in (0.0, 2.0**64):
+        salt += 1
+        out[53:] = [redraw_bit(seed, 0, k, a << (k - 54), salt) for k in range(54, 65)]
+    return from_digits(out), salt
+
+
+def zero_redraw_masters(count: int) -> list[int]:
+    """Master seeds below ``count`` whose all-zeros input (``preimage`` at
+    depth 53 and digit 0) has eleven unsalted filler digits 0 as well, so
+    its scramble is exactly 0 before the redraw.  The swap bits are the
+    ``swap_bits`` formula, vectorized over seeds."""
+    hj = np.array([_dim_key(ScrambleSeed(m), 0) for m in range(count)], np.uint64)
+    a = np.zeros(count, dtype=np.uint64)
+    filler = np.zeros(count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for k in range(1, 65):
+            prefix = a << np.uint64(max(k - 54, 0))
+            bit = _mix_vec(_mix_vec(hj ^ np.uint64(k)) ^ prefix) & np.uint64(1)
+            if k <= 53:
+                a = (a << np.uint64(1)) | bit
+            else:
+                filler |= bit
+    return np.flatnonzero(filler == 0).tolist()
+
+
+def test_filler_redraw_keeps_outputs_open_and_distinct():
+    # a 53-digit input scrambled to all ones takes the salted filler
+    # redraw for about half the seeds: digit 54 rounds it up to 1.0
+    for master in range(50):
+        seed = ScrambleSeed(master)
+        pts = crafted(seed, 53, 1, 0)
+        s = scramble(pts, seed)
+        assert np.all(s.coords > 0.0) and np.all(s.coords < 1.0)
+        assert s.ints[0, 0] >> np.uint64(11) != s.ints[1, 0] >> np.uint64(11)
+        assert np.array_equal(s.ints, scramble(pts, seed).ints)
+
+
 def test_filler_redraw_bits_match_scalar_oracle():
-    # the kernel's salted bits for the depth-2 case above, and the whole
-    # redraw loop at depth 2 and 3: filler digits are redrawn with salt 1,
-    # 2, ... until the output is nonzero, so at depth 3 the salt that ends
-    # the loop shows in the output
+    # the whole redraw loop on crafted 53-digit inputs: all-ones inputs
+    # redraw for about half the seeds, all-zeros inputs for the seeds
+    # whose filler digits are all 0 too; the salt that ends the loop shows
+    # in the output
     redrawn = 0
     for master in range(50):
         seed = ScrambleSeed(master)
-        hj = _dim_key(seed, 0)
-        for a in (0, 1):
-            col = np.array([a << 63], dtype=np.uint64)
-            for salt in (1, 2, 3):
-                got = int(scrambling._swap_mask(col, hj, range(2, 3), salt)[0])
-                assert got == redraw_bit(seed, 0, 2, a, salt) << 62, (master, a, salt)
-        for depth in (2, 3):
-            pts = PointSet(np.array([[0], [1]], dtype=np.uint64), 1)
-            out = scramble(pts, seed, depth=depth).ints[:, 0].tolist()
-            for a, got in zip((0, 1), out):
-                a_digits = [a] + [0] * (depth - 1)
-                expect = [
-                    permutation_for(seed, 0, a_digits[:k])[a_digits[k]]
-                    for k in range(depth)
-                ]
-                salt = 0
-                while not any(expect):
-                    salt += 1
-                    expect[1:] = [
-                        redraw_bit(seed, 0, k, a << (k - 2), salt)
-                        for k in range(2, depth + 1)
-                    ]
-                redrawn += salt > 0
-                assert digits_of(got, depth) == expect, (master, depth, a)
+        pts = crafted(seed, 53, 1)
+        expect, salt = oracle_scramble(seed, int(pts.ints[0, 0]))
+        assert int(scramble(pts, seed).ints[0, 0]) == expect, master
+        redrawn += salt > 0
     assert redrawn > 10
+    masters = zero_redraw_masters(2**15)
+    assert len(masters) > 10
+    for master in masters:
+        seed = ScrambleSeed(master)
+        pts = crafted(seed, 53, 0)
+        expect, salt = oracle_scramble(seed, int(pts.ints[0, 0]))
+        assert salt > 0, master
+        assert int(scramble(pts, seed).ints[0, 0]) == expect, master
 
 
-def test_swap_mask_matches_scalar_formula_off_the_first_digit():
-    # digit ranges that do not start at digit 1 (the filler redraw's case),
-    # salted and unsalted, on random odd columns; range(1, 20) with a salt
-    # takes the leading digits from a salted node table
+def test_swap_mask_matches_scalar_formula():
+    # all 64 digits, salted (the filler redraw's keys) and unsalted, on
+    # random odd columns of 1, 3 and 300 rows, whose leading digits come
+    # from node tables of 1, 2 and 9 levels
     rng = np.random.default_rng(11)
     col = rng.integers(0, 2**63, 300, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     hj = _dim_key(SEED, 2)
-    ranges = (range(2, 65), range(30, 40), range(33, 65), range(64, 65), range(1, 20))
-    for digits in ranges:
-        for salt in (0, 1, 5):
-            keys = [_mix(k ^ hj) for k in digits]
-            if salt:
-                keys = [_mix(key ^ salt * _GOLDEN) for key in keys]
-            mask = scrambling._swap_mask(col, hj, digits, salt).tolist()
+    for salt in (0, 1, 5):
+        keys = [_mix(k ^ hj) for k in range(1, 65)]
+        if salt:
+            keys = [_mix(key ^ salt * _GOLDEN) for key in keys]
+        for rows in (1, 3, 300):
+            mask = scrambling._swap_mask(col[:rows], hj, salt).tolist()
             for x, got in zip(col.tolist(), mask):
                 expect = 0
-                for k, key in zip(digits, keys):
+                for k, key in enumerate(keys, start=1):
                     expect |= (_mix(key ^ (x >> (65 - k))) & 1) << (64 - k)
-                assert got == expect, (digits, salt, x)
+                assert got == expect, (salt, rows, x)
 
 
 def test_scramble_depth_contract():
-    pts = PointSet(np.array([[3]], dtype=np.uint64), 8)
-    with pytest.raises(ContractError):
-        scramble(pts, SEED, depth=4)
-    with pytest.raises(ContractError):
-        scramble(pts, SEED, depth=65)
+    # at most 53 digits in, 64 out.  Past 53, digit 54 is an input digit
+    # that the filler redraw cannot move: all-ones inputs of depth 54 and
+    # 60 looped forever, and depth-64 all-ones and all-zeros inputs came
+    # out as exactly 1.0 and 0.0
+    seed = ScrambleSeed(0)
+    out = scramble(crafted(seed, PRECISION_DEPTH, 1, 0), seed)
+    assert out.depth == 64
+    assert np.all(out.coords > 0.0) and np.all(out.coords < 1.0)
+    for depth, digit in ((54, 1), (60, 1), (64, 1), (64, 0)):
+        pts = crafted(seed, depth, digit)
+        with pytest.raises(ContractError, match=f"input depth {depth} exceeds 53"):
+            scramble(pts, seed)
 
 
 def test_scrambled_origin_is_uniform():
