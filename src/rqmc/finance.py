@@ -18,6 +18,9 @@ Payoffs cover the discounted arithmetic Asian call and the pathwise
 estimators of its delta, gamma, rho, theta, and vega (all sharing the
 indicator of S_A > K), plus the geometric-mean payoff whose exact
 lognormal expectation serves as the reference value in rate studies.
+
+``scipy.special`` is loaded on first use, by the three functions that need
+the normal distribution, so a caller that prices nothing never loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractError, NotPositiveDefiniteError
 
@@ -174,8 +176,10 @@ def geometric_weight(model: GbmModel) -> np.ndarray:
 
 def inv_norm_cdf(p):
     """Standard normal quantile, |Phi(result) - p| <= 1e-12, on (0,1) strictly."""
+    from scipy import special
+
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ContractError("quantile argument must lie strictly inside (0,1)")
     return special.ndtri(p)
 
@@ -189,7 +193,13 @@ def generate_path(u, model: GbmModel, a: np.ndarray):
         raise ContractError("factor dimension does not match the model")
     z = inv_norm_cdf(u)
     drift = (model.r - 0.5 * model.sigma**2) * model.times
-    return model.s0 * np.exp(drift + model.sigma * (z @ a.T))
+    # s0 * exp(drift + sigma * (z @ a.T)), in place: + and * commute exactly
+    y = z @ a.T
+    y *= model.sigma
+    y += drift
+    np.exp(y, out=y)
+    y *= model.s0
+    return y
 
 
 @dataclass(frozen=True)
@@ -229,16 +239,16 @@ def payoff_eval(spec: PayoffSpec, s):
     s = np.asarray(s, dtype=np.float64)
     if s.shape[-1:] != (m.d,):
         raise ContractError(f"paths must have {m.d} dates")
-    if np.any(s <= 0.0):
+    if not np.all(s > 0.0):
         raise ContractError("prices must be positive")
 
     disc = math.exp(-m.r * m.maturity)
     kind = spec.kind
     if kind == "geometric_indicator_payoff":
-        sg = np.exp(np.mean(np.log(s), axis=-1))
+        sg = np.exp(_row_mean(np.log(s)))
         return disc * (sg - m.strike) * (sg > m.strike)
 
-    sa = np.mean(s, axis=-1)
+    sa = _row_mean(s)
     live = sa > m.strike
     j = np.arange(1, m.d + 1)
     if kind == "asian_call":
@@ -257,17 +267,45 @@ def payoff_eval(spec: PayoffSpec, s):
     elif kind == "asian_theta":
         # dS_i/dT = S_i ((r - sigma^2/2) i/(2d) + ln(S_i/S0)/(2T)) at fixed u
         drift = m.r - 0.5 * m.sigma**2
-        dsa_dt = np.mean(
-            s * (drift * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity)),
-            axis=-1,
+        dsa_dt = _row_mean(
+            s * (drift * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity))
         )
         val = dsa_dt - m.r * (sa - m.strike)
     elif kind == "asian_vega":
         ds_dsig = s * (np.log(s / m.s0) - (m.r + 0.5 * m.sigma**2) * m.times) / m.sigma
-        val = np.mean(ds_dsig, axis=-1)
+        val = _row_mean(ds_dsig)
     else:  # pragma: no cover
         raise ContractError(f"unknown payoff kind {kind!r}")
     return disc * val * live
+
+
+def _row_mean(x: np.ndarray):
+    """``np.mean(x, axis=-1)`` bit for bit, one column at a time.
+
+    numpy reduces each contiguous row of d <= 128 values in one fixed
+    order: in sequence for d < 8, else in eight running sums over strides
+    of 8, combined pairwise, then the remainder.  Summing whole columns in
+    that order does the same additions without a reduction per row.
+    Adding 0.0 to the leading terms makes a row of -0.0 sum to +0.0, as
+    numpy's does.  Longer rows are summed blockwise by numpy itself.
+    """
+    d = x.shape[-1]
+    if d > 128:
+        return np.mean(x, axis=-1)
+    if d < 8:
+        acc = x[..., 0] + 0.0
+        for j in range(1, d):
+            acc += x[..., j]
+    else:
+        r = [x[..., j] + 0.0 for j in range(8)]
+        stop = d - d % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += x[..., i + j]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for j in range(stop, d):
+            acc += x[..., j]
+    return acc / d
 
 
 def _log_geometric_moments(model: GbmModel) -> tuple[float, float]:
@@ -291,6 +329,8 @@ def geometric_threshold(model: GbmModel) -> float:
     the quantile of the payout boundary.  With sigma = 0 the indicator is
     constant and kappa degenerates to 0 or 1.
     """
+    from scipy import special
+
     mu, sig = _log_geometric_moments(model)
     if sig == 0.0:
         return 0.0 if math.exp(mu) > model.strike else 1.0
@@ -306,6 +346,8 @@ def geometric_asian_price(model: GbmModel) -> float:
     This doubles as the exact mean of the geometric indicator payoff,
     since (S_G - K) 1{S_G > K} = (S_G - K)^+.
     """
+    from scipy import special
+
     m = model
     mu, sig = _log_geometric_moments(m)
     disc = math.exp(-m.r * m.maturity)

@@ -617,13 +617,39 @@ def test_cli_import_skips_unused_modules():
     src = str(Path(rqmc.cli.__file__).resolve().parents[1])
     code = (
         "import sys, rqmc.cli; "
-        "print('rqmc.experiment' in sys.modules, 'rqmc.singularity' in sys.modules)"
+        "print('rqmc.experiment' in sys.modules, 'rqmc.singularity' in sys.modules, "
+        "'scipy.special' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out.split() == ["True", "False"]
+    assert out.split() == ["True", "False", "False"]
+
+
+def test_cli_loads_scipy_special_only_for_a_payoff(tmp_path):
+    # points, verify-net and a catalog study that is no payoff never need a
+    # normal quantile; pricing a payoff does
+    src = str(Path(rqmc.cli.__file__).resolve().parents[1])
+    (tmp_path / "study.cfg").write_text(HALFSPACE_CFG)
+    code = """if True:
+        import sys
+        from rqmc.cli import main
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+        run("points", "-m", "4", "-d", "2", "--out", "pts.txt")
+        run("verify-net", "pts.txt", "-t", "0", "-m", "4")
+        run("rate-study", "--config", "study.cfg", "--out", "study.csv")
+        print("scipy.special" in sys.modules)
+        run("price", "--payoff", "geometric_indicator_payoff", "-n", "64", "-R", "8",
+            "--out", "price.txt")
+        print("scipy.special" in sys.modules)
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.splitlines()[-2:] == ["False", "True"]
 
 
 def test_price_out_file(tmp_path, capsys):

@@ -28,6 +28,7 @@ from rqmc.finance import (
     payoff_eval,
     reconstructs,
 )
+from rqmc.finance import _row_mean
 from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
 
 MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
@@ -222,6 +223,13 @@ def test_inv_norm_cdf_domain():
         inv_norm_cdf(np.array([0.5, 1.0]))
 
 
+def test_inv_norm_cdf_rejects_nan():
+    with pytest.raises(ContractError, match="strictly inside"):
+        inv_norm_cdf(np.array([0.5, np.nan]))
+    with pytest.raises(ContractError, match="strictly inside"):
+        inv_norm_cdf(np.nan)
+
+
 def test_inv_norm_cdf_derivative_bound_decays():
     # d/du inv_norm_cdf(u) * u^1.1 must decrease toward 0: the quantile's
     # boundary growth is milder than any positive exponent
@@ -278,6 +286,12 @@ def test_generate_path_shape_contracts():
     other = path_factor(GbmModel(1.0, 0.05, 0.2, 1.0, 2, 1.0), "cholesky")
     with pytest.raises(ContractError):
         generate_path(np.full(4, 0.5), MODEL, other)
+
+
+def test_generate_path_rejects_nan_point():
+    u = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, np.nan, 0.5, 0.5]])
+    with pytest.raises(ContractError, match="strictly inside"):
+        generate_path(u, MODEL, path_factor(MODEL, "cholesky"))
 
 
 def test_generate_path_rejects_0d_points():
@@ -413,6 +427,26 @@ def test_payoff_rejects_bad_paths():
         payoff_eval(spec, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ContractError):
         payoff_eval(spec, np.array([1.0, -1.0, 1.0, 1.0]))
+
+
+def test_payoff_rejects_nan_path():
+    s = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]])
+    for kind in PAYOFF_KINDS:
+        with pytest.raises(ContractError, match="prices must be positive"):
+            payoff_eval(PayoffSpec(kind, MODEL), s)
+
+
+@pytest.mark.parametrize("shape", [(), (33,), (2, 3)])
+def test_row_mean_is_np_mean_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    for d in [*range(1, 65), 129, 200]:
+        x = rng.standard_normal((*shape, d)) * 10.0 ** rng.integers(-6, 7, (*shape, d))
+        neg_zero = np.full((*shape, d), -0.0)
+        for v in (x, neg_zero):
+            got = np.asarray(_row_mean(v))
+            want = np.asarray(np.mean(v, axis=-1))
+            assert got.shape == want.shape, d
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
 
 
 @settings(deadline=None, max_examples=60)
