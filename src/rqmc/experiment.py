@@ -52,7 +52,6 @@ from .finance import (
     PayoffSpec,
     generate_path,
     geometric_asian_price,
-    inv_norm_cdf,
     path_factor,
     payoff_eval,
 )
@@ -185,10 +184,10 @@ def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
     spec, d = integrand, integrand.model.d
     geometric = spec.kind == "geometric_indicator_payoff"
     a = path_factor(spec.model, spec.factor)
-    # The normal quantile loads scipy.special on first use.  Load it here, on
-    # the calling thread: loaded by the first replicates on the thread pool,
-    # it took about twice the CPU time (see BENCH_import.json).
-    inv_norm_cdf(0.5)
+    # finance loads scipy.special on first use.  Load it here, on the calling
+    # thread: loaded by the first replicates on the thread pool, it took
+    # about twice the CPU time (see BENCH_import.json).
+    import scipy.special  # noqa: F401
 
     def f(u: np.ndarray) -> np.ndarray:
         """Discounted payoff per row; row i's value depends only on row i of u."""

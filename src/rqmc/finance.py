@@ -193,13 +193,7 @@ def generate_path(u, model: GbmModel, a: np.ndarray):
         raise ContractError("factor dimension does not match the model")
     z = inv_norm_cdf(u)
     drift = (model.r - 0.5 * model.sigma**2) * model.times
-    # s0 * exp(drift + sigma * (z @ a.T)), in place: + and * commute exactly
-    y = z @ a.T
-    y *= model.sigma
-    y += drift
-    np.exp(y, out=y)
-    y *= model.s0
-    return y
+    return model.s0 * np.exp(drift + model.sigma * (z @ a.T))
 
 
 @dataclass(frozen=True)
@@ -282,29 +276,17 @@ def payoff_eval(spec: PayoffSpec, s):
 def _row_mean(x: np.ndarray):
     """``np.mean(x, axis=-1)`` bit for bit, one column at a time.
 
-    numpy reduces each contiguous row of d <= 128 values in one fixed
-    order: in sequence for d < 8, else in eight running sums over strides
-    of 8, combined pairwise, then the remainder.  Summing whole columns in
-    that order does the same additions without a reduction per row.
-    Adding 0.0 to the leading terms makes a row of -0.0 sum to +0.0, as
-    numpy's does.  Longer rows are summed blockwise by numpy itself.
+    numpy adds a row of d < 8 values in sequence, whatever the layout, so
+    adding whole columns in sequence does the same additions without a
+    reduction per row.  Adding 0.0 to the first column makes a row of
+    -0.0 sum to +0.0, as numpy's does.  Longer rows go to ``np.mean``.
     """
     d = x.shape[-1]
-    if d > 128:
+    if d >= 8:
         return np.mean(x, axis=-1)
-    if d < 8:
-        acc = x[..., 0] + 0.0
-        for j in range(1, d):
-            acc += x[..., j]
-    else:
-        r = [x[..., j] + 0.0 for j in range(8)]
-        stop = d - d % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += x[..., i + j]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for j in range(stop, d):
-            acc += x[..., j]
+    acc = x[..., 0] + 0.0
+    for j in range(1, d):
+        acc += x[..., j]
     return acc / d
 
 

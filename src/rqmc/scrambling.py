@@ -293,14 +293,8 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
     idx = np.arange(n, dtype=_U64)
     idx += _U64(start)
     out = np.empty((n, d), dtype=np.float64)
-    h, tmp = np.empty_like(idx), np.empty_like(idx)
     for j in range(d):
         key_j = _U64(_mix(base ^ (j + 1) * _GOLDEN))
-        np.bitwise_xor(idx, key_j, out=h)
-        _mix_into(h, tmp)
-        h >>= _U64(12)
-        out[:, j] = h  # < 2^52, so exact in float64
-    # (h + 0.5) * 2^-52: both steps are exact
-    out += 0.5
-    out *= 2.0**-52
+        h = _mix_vec(idx ^ key_j)
+        out[:, j] = ((h >> _U64(12)).astype(np.float64) + 0.5) * 2.0**-52
     return out
