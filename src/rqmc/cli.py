@@ -49,9 +49,10 @@ def _output(out: str | None):
 def _cmd_points(args) -> int:
     if args.m < 0 or args.m > _MAX_POINTS_M:
         raise CapacityError(f"m must be in 0..{_MAX_POINTS_M}")
+    seed = ScrambleSeed(args.seed) if args.scramble else None  # before the net
     points = generate_net(args.m, args.d)
-    if args.scramble:
-        points = scramble(points, ScrambleSeed(args.seed))
+    if seed is not None:
+        points = scramble(points, seed)
     # a handle, not a path: savetxt would gzip a path ending in .gz
     with _output(args.out) as fh:
         np.savetxt(fh, points.coords, fmt="%.17g")
@@ -198,7 +199,7 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             d=overrides.pop("dimension", std.d),
             strike=_take(kv, "K", float, std.strike),
         )
-        integrand = PayoffSpec(name, model, _take(kv, "factor", str, "ot"))
+        integrand = PayoffSpec(name, model, _take(kv, "factor", str, PayoffSpec.factor))
     config = StudyConfig(integrand, **overrides)
 
     if kv:
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-d", type=int, default=std.d, help="monitoring dates")
     p.add_argument("-K", "--strike", type=float, default=std.strike, help="strike")
-    p.add_argument("--factor", choices=FACTOR_METHODS, default="ot")
+    p.add_argument("--factor", choices=FACTOR_METHODS, default=PayoffSpec.factor)
     p.add_argument("-n", type=int, default=2**16, help="points per replicate")
     p.add_argument("-R", "--replications", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)

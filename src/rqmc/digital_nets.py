@@ -13,6 +13,7 @@ rather than float comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -85,7 +86,7 @@ class DirectionTable:
         by the set bits of ``i``.
         """
         if d < 1:
-            raise ContractError("dimension must be >= 1")
+            raise ContractError(f"dimension must be >= 1, got {d}")
         if d > self.max_dim:
             raise CapacityError(
                 f"dimension {d} exceeds the bundled direction-number table "
@@ -260,21 +261,18 @@ def generate_net(m: int, d: int) -> PointSet:
     """First ``2^m`` sequence points in ``d`` dimensions, in natural index order."""
     if m < 0:
         raise ContractError("m must be >= 0")
-    if d < 1:
-        raise ContractError("dimension must be >= 1")
     if m > PRECISION_DEPTH:
         raise CapacityError(f"m={m} exceeds {PRECISION_DEPTH}-digit precision")
+    load_direction_numbers().direction_integers(d)  # refuse d before 2^m indices
     return generate_points(np.arange(2**m, dtype=np.uint64), d)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All (k_1..k_parts) with sum == total, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All (k_1..k_parts) with sum == total, in lexicographic order: the gaps
+    between ``parts - 1`` bars placed among ``total + parts - 1`` slots."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def locate_cell(

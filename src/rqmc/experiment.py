@@ -122,10 +122,9 @@ class StudyConfig:
     entry: CatalogEntry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension is not None and self.dimension < 1:
-            raise ContractError(f"dimension must be >= 1, got {self.dimension}")
         if self.sampler not in SAMPLERS:
             raise ContractError(f"unknown sampler {self.sampler!r}")
+        ScrambleSeed(self.master_seed)  # a bad seed is refused before any work
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
         # Every sampler has the direction table's dimension cap (plain MC is

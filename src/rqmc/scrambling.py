@@ -105,8 +105,8 @@ class ScrambleSeed:
         return _mix(h ^ (self.replicate_index + 1) * _GOLDEN)
 
 
-def _dim_key(seed: ScrambleSeed, dim: int) -> int:
-    return _mix(seed._key(_DOMAIN_SCRAMBLE) ^ (dim + 1) * _GOLDEN)
+def _dim_key(seed: ScrambleSeed, dim: int, domain: int = _DOMAIN_SCRAMBLE) -> int:
+    return _mix(seed._key(domain) ^ (dim + 1) * _GOLDEN)
 
 
 def permutation_for(
@@ -194,15 +194,12 @@ def _swap_mask(col: np.ndarray, hj: int, salt: int = 0) -> np.ndarray:
     # The table's bits sit in the high word, so it covers at most 32 digits;
     # it is built before the column buffers, which keeps the peak at those.
     t = min(n.bit_length(), 32)
-    table = _node_table(keys[:t]) if t else None
-    # The prefix of digit k is col >> (65 - k) = half >> (64 - k): no shift
-    # reaches 64, and k = 1 gets the empty prefix 0.
+    table = _node_table(keys[:t])
+    # The prefix of digit k is col >> (65 - k) = half >> (64 - k), and k = 1
+    # gets the empty prefix 0; a shift of 64 happens only on an empty column.
     x = col >> _U64(1)
-    if t:
-        hi = np.take(table, (x >> _U64(64 - t)).view(np.int64))
-        del table
-    else:
-        hi = np.zeros(n, dtype=_U32)
+    hi = np.take(table, (x >> _U64(64 - t)).view(np.int64))
+    del table
     lo = np.zeros(n, dtype=_U32)
     h = x >> _U64(30)
     h ^= x
@@ -289,12 +286,10 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
         raise ContractError("need n >= 0 and d >= 1")
     if not (0 <= start < 2**64 and start + n <= 2**64):
         raise ContractError("point indices must lie in 0 .. 2^64 - 1")
-    base = seed._key(_DOMAIN_UNIFORM)
     idx = np.arange(n, dtype=_U64)
     idx += _U64(start)
     out = np.empty((n, d), dtype=np.float64)
     for j in range(d):
-        key_j = _U64(_mix(base ^ (j + 1) * _GOLDEN))
-        h = _mix_vec(idx ^ key_j)
+        h = _mix_vec(idx ^ _U64(_dim_key(seed, j, _DOMAIN_UNIFORM)))
         out[:, j] = ((h >> _U64(12)).astype(np.float64) + 0.5) * 2.0**-52
     return out

@@ -708,3 +708,48 @@ def test_price_replications_capped(capsys):
         assert code == 2, size
         assert out == ""
         assert err.startswith("error: at most " + cap), err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("integrand = halfspace\nR =\n", "{cfg}:2: expected `key = value`"),
+        # an empty grid would otherwise reach the capacity check
+        ("integrand = halfspace\nn_min = 1024\nn_max = 64\n", "n_max must be >= n_min"),
+    ],
+)
+def test_rate_study_config_contract_errors(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    code, out, err = run(capsys, "rate-study", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err == "error: " + message.format(cfg=cfg) + "\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_bad_seed_is_refused_before_the_net(tmp_path, capsys, monkeypatch, seed):
+    def no_net(*args):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(rqmc.cli, "generate_net", no_net)
+    monkeypatch.setattr(rqmc.experiment, "generate_net", no_net)
+    monkeypatch.setattr(rqmc.experiment, "path_factor", no_net)
+    in_file = tmp_path / "seed.cfg"
+    in_file.write_text(f"integrand = halfspace\nseed = {seed}\n")
+    for argv in (
+        ("price", "--payoff", "asian_call", "-n", "64", "-R", "8", "--seed", seed),
+        ("rate-study", "--config", str(in_file)),
+        ("rate-study", "--config", write_config(tmp_path, HALFSPACE_CFG), "--seed", seed),
+        ("points", "-m", "2", "-d", "1", "--scramble", "--seed", seed),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: master_seed must fit in 64 bits\n", argv
+
+
+def test_points_without_scramble_ignore_the_seed(capsys):
+    code, out, err = run(capsys, "points", "-m", "2", "-d", "1", "--seed", "-1")
+    assert code == 0
+    assert err == ""
+    assert parse_points(out)[:, 0].tolist() == [0.0, 0.5, 0.25, 0.75]

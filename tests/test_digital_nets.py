@@ -13,6 +13,7 @@ from rqmc.digital_nets import (
     ElementaryInterval,
     PointSet,
     _cell_columns,
+    _compositions,
     certify_t,
     generate_net,
     generate_points,
@@ -423,3 +424,46 @@ def test_generate_net_validation():
         generate_net(-1, 1)
     with pytest.raises(ContractError):
         generate_net(2, 0)
+
+
+def test_compositions_match_recursive_definition():
+    # verify_net reports the first violating shape, so the order matters
+    def recursive(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in recursive(total - first, parts - 1):
+                yield (first,) + rest
+
+    for total in range(13):
+        for parts in range(1, 7):
+            got = list(_compositions(total, parts))
+            assert got == list(recursive(total, parts)), (total, parts)
+
+
+def test_dimension_is_checked_by_the_direction_table():
+    with pytest.raises(ContractError, match="dimension must be >= 1, got 0"):
+        load_direction_numbers().direction_integers(0)
+    # before the 2^m indices: 2^53 of them would not fit in memory
+    with pytest.raises(ContractError, match="dimension must be >= 1, got -3"):
+        generate_net(PRECISION_DEPTH, -3)
+    with pytest.raises(CapacityError, match="dimension 65 exceeds"):
+        generate_net(PRECISION_DEPTH, 65)
+
+
+def test_pointset_rejects_one_dimensional_ints():
+    with pytest.raises(ContractError, match="must be a 2-d array"):
+        PointSet(np.arange(4, dtype=np.uint64), 2)
+
+
+def test_locate_cell_rejects_one_and_nan():
+    for u in (1.0, float("nan"), -0.25):
+        with pytest.raises(ContractError, match="outside"):
+            locate_cell((0.5, u), (1, 1))
+
+
+def test_verify_takes_a_one_dimensional_float_array_as_one_column():
+    res = verify_net(np.array([0.0, 0.5, 0.25, 0.75]), 0, 2)
+    assert res.passed and res.shapes_checked == 1
+    assert not verify_net(np.array([0.0, 0.5, 0.25, 0.3]), 0, 2).passed

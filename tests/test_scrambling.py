@@ -464,3 +464,15 @@ def test_uniform_points_validation():
     for start, n in ((-1, 5), (2**64 - 4, 5), (2**64, 0)):
         with pytest.raises(ContractError, match="2\\^64"):
             uniform_points(SEED, n, 2, start)
+
+
+def test_uniform_points_match_scalar_formula():
+    # coordinate j of point i hashes i with the dimension key of the
+    # uniform domain, written out here from the scalar finalizer
+    seed, start = ScrambleSeed(77, 3), 2**40 - 3
+    u = uniform_points(seed, 6, 3, start)
+    base = seed._key(scrambling._DOMAIN_UNIFORM)
+    for i in range(6):
+        for j in range(3):
+            h = _mix((start + i) ^ _mix(base ^ (j + 1) * _GOLDEN))
+            assert u[i, j] == ((h >> 12) + 0.5) * 2.0**-52, (i, j)

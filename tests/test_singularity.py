@@ -311,3 +311,22 @@ def test_growth_check_fixed_step_skips_tight_samples():
 def test_growth_check_dimension_cap():
     with pytest.raises(CapacityError):
         check_growth(lambda u: 1.0, GrowthSpec((0.5,) * 5))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda A, eps: extension_1d(A, 0.5, eps),
+        sup_extension_1d,
+        approx_error_1d,
+    ],
+    ids=["extension_1d", "sup_extension_1d", "approx_error_1d"],
+)
+def test_1d_laws_share_one_domain(law):
+    for A in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ContractError, match=r"exponent must lie in \(0,1\)"):
+            law(A, 0.1)
+    for eps in (0.0, 0.5, -0.1, math.nan):
+        with pytest.raises(ContractError, match=r"eps must lie in \(0, 1/2\)"):
+            law(0.5, eps)
+    assert math.isfinite(law(0.5, 0.1))
