@@ -48,6 +48,7 @@ import numpy as np
 from .digital_nets import generate_net, load_direction_numbers
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
+    _BLOCK_MADDS,
     GbmModel,
     PayoffSpec,
     generate_path,
@@ -253,14 +254,11 @@ def resolve_reference(config: StudyConfig) -> float:
     return float(ref)
 
 
-# Multiply-adds per row block of the transform: a block of 2^17 // d^2 rows
-# keeps generate_path's (rows, d) @ (d, d) dgemm at most half OpenBLAS's 2^18
-# threading cutoff.  On (rows, 4) @ (4, 4) a BLAS worker ran at 2^16 rows and
-# at no size up to 2^14 rows; asian_rho's `s @ j` woke none up to 2^16.  So
-# no BLAS worker wakes and then spin-waits through the single-threaded work
-# that follows.  Smaller blocks cost more in per-call overhead: at d = 4,
-# blocks of 2048 rows made the transform about 12% slower than 8192 rows.
-_BLOCK_MADDS = 2**17
+# A row block holds at most this many coordinates.  Long blocks keep the
+# per-call overhead of the draw and the integrand small: on plain-MC studies,
+# blocks of 2^17 coordinates instead of one dgemm chunk took 17% less time at
+# d = 4 and 95% less at d = 64 (see BENCH_blocks.json).
+_BLOCK_COORDS = 2**17
 
 
 # Studies with n_max of at least this many rows run their replicates on a
@@ -283,11 +281,11 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     estimate at n is the mean of its first n values, which equals a
     separate draw at n: replicate k is a pure function of (config, n, k).
 
-    The integrand is evaluated on blocks of ``max(1, 2**17 // d**2)`` rows
-    (plain-MC points are drawn per block), which gives the same values as
-    one call on all rows, since row i's value depends only on row i.  At
-    that size the path transform's matrix product stays below OpenBLAS's
-    threading cutoff, so no BLAS worker wakes and is left spinning.
+    The integrand is evaluated on blocks of at most 2^17 coordinates
+    (plain-MC points are drawn per block), each a whole multiple of
+    ``generate_path``'s ``max(1, 2**17 // d**2)``-row dgemm chunk: 32768
+    rows at d = 4, 2048 at d = 64.  That gives the same values as one call
+    on all rows, since row i's value depends only on row i.
 
     Grids with n_max >= 2^16 run the replicates on ``min(R, usable CPUs)``
     threads and collect them in k order, so the estimates do not depend on
@@ -298,7 +296,12 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     n_grid = config.n_grid
     n_max = n_grid[-1]
     d = config.dimension
-    block = max(1, _BLOCK_MADDS // d**2)
+    # A block is as many of generate_path's dgemm chunks as fit in
+    # _BLOCK_COORDS coordinates, at least one.  Blocks then start on chunk
+    # boundaries, so every matrix product sees the rows it would see on
+    # chunk-sized blocks.
+    chunk = max(1, _BLOCK_MADDS // d**2)
+    block = chunk * max(1, _BLOCK_COORDS // (chunk * d))
     if config.sampler == "scrambled_net":
         net = generate_net(n_max.bit_length() - 1, d)
 

@@ -184,16 +184,41 @@ def inv_norm_cdf(p):
     return special.ndtri(p)
 
 
+# Multiply-adds per matrix product of the path transform: chunks of
+# 2^17 // d^2 rows keep the (rows, d) @ (d, d) dgemm at most half OpenBLAS's
+# 2^18 threading cutoff.  On (rows, 4) @ (4, 4) a BLAS worker ran at 2^16
+# rows and at no size up to 2^14 rows; asian_rho's `s @ j` woke none up to
+# 2^16.  So no BLAS worker wakes and then spin-waits through the
+# single-threaded work that follows.
+_BLOCK_MADDS = 2**17
+
+
 def generate_path(u, model: GbmModel, a: np.ndarray):
-    """Price path S(u) under factor A; accepts (d,) or (n, d) u."""
+    """Price path S(u) under factor A; accepts (d,) or (n, d) u.
+
+    The quantiles are taken on all rows at once.  The product with A runs
+    on chunks of ``max(1, 2**17 // d**2)`` rows, each written over its own
+    quantiles; the scale, drift, ``exp`` and ``s0`` follow in place, in the
+    order of ``s0 * exp(drift + sigma * (z @ A^T))``.  Row i of the result
+    depends only on row i of ``u`` and on the chunk it falls in (a one-row
+    product can round differently), so rows cut on chunk boundaries get
+    the bits of one call on all rows.
+    """
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1:] != (model.d,):
         raise ContractError(f"points must have {model.d} coordinates")
     if a.shape != (model.d, model.d):
         raise ContractError("factor dimension does not match the model")
     z = inv_norm_cdf(u)
-    drift = (model.r - 0.5 * model.sigma**2) * model.times
-    return model.s0 * np.exp(drift + model.sigma * (z @ a.T))
+    s = z.reshape(-1, model.d)
+    chunk = max(1, _BLOCK_MADDS // model.d**2)
+    for start in range(0, len(s), chunk):
+        s[start : start + chunk] = s[start : start + chunk] @ a.T
+    s *= model.sigma
+    s += (model.r - 0.5 * model.sigma**2) * model.times
+    np.exp(s, out=s)
+    s *= model.s0
+    return s.reshape(z.shape)
 
 
 @dataclass(frozen=True)

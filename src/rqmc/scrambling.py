@@ -53,6 +53,8 @@ _U32 = np.uint32
 # Low 32 bits of M2 times 2^31 + 1: bit 31 of c * _M2_BIT (mod 2^32) is the
 # SplitMix64 output bit 0 for a finalizer state c before its second multiply.
 _M2_BIT = _U32((0x94D049BB133111EB * (2**31 + 1)) & 0xFFFFFFFF)
+# Bits of the double 1.0: OR-ed onto a 52-bit integer m they give 1 + m 2^-52.
+_ONE_BITS = _U64(0x3FF0000000000000)
 
 
 def _mix(x: int) -> int:
@@ -280,7 +282,14 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
     dimension), so the first ``n`` points of a fixed stream are shared
     across sample sizes exactly as with the digital sequence, and a draw
     from ``start`` equals rows ``start:start + n`` of one longer draw.
-    Values lie strictly inside (0,1).
+    Values lie strictly inside (0,1): coordinate j of point i is
+    ``((h >> 12) + 0.5) * 2**-52`` for the hash ``h`` of i under the key of
+    dimension j.
+
+    Each column is hashed in place in one reused buffer.  Its float is built
+    exactly: ``(h >> 12) | _ONE_BITS`` is the double ``1 + (h >> 12) 2^-52``
+    in [1, 2), and subtracting ``1 - 2^-53`` is exact by Sterbenz's lemma,
+    since the double lies within a factor of two of it.
     """
     if n < 0 or d < 1:
         raise ContractError("need n >= 0 and d >= 1")
@@ -288,8 +297,12 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
         raise ContractError("point indices must lie in 0 .. 2^64 - 1")
     idx = np.arange(n, dtype=_U64)
     idx += _U64(start)
+    h, tmp = np.empty_like(idx), np.empty_like(idx)
     out = np.empty((n, d), dtype=np.float64)
     for j in range(d):
-        h = _mix_vec(idx ^ _U64(_dim_key(seed, j, _DOMAIN_UNIFORM)))
-        out[:, j] = ((h >> _U64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        np.bitwise_xor(idx, _U64(_dim_key(seed, j, _DOMAIN_UNIFORM)), out=h)
+        _mix_into(h, tmp)
+        h >>= _U64(12)
+        h |= _ONE_BITS
+        np.subtract(h.view(np.float64), 1.0 - 2.0**-53, out=out[:, j])
     return out

@@ -393,8 +393,8 @@ def test_study_estimates_equal_separate_runs_at_each_n(cfg):
 @pytest.mark.parametrize("factor", ["cholesky", "ot"])
 @pytest.mark.parametrize("kind", PAYOFF_KINDS)
 def test_row_blocks_match_whole_array(kind, factor, d):
-    # The engine evaluates blocks of 2^17 // d^2 rows: 4 blocks at d = 4,
-    # and at d = 3 blocks of 14563 rows with a ragged last one.  The
+    # generate_path multiplies chunks of 2^17 // d^2 rows: 4 chunks at
+    # d = 4, and at d = 3 chunks of 14563 rows with a ragged last one.  The
     # estimates must equal the prefix means of one call on all rows.
     grid = (2**13, 2**14, 2**15)
     assert grid[-1] > ex._BLOCK_MADDS // d**2
@@ -410,13 +410,89 @@ def test_row_blocks_match_whole_array(kind, factor, d):
     assert (replicate_estimates(cfg) == np.array(whole).T).all()
 
 
+def chunk_block_estimates(cfg: StudyConfig) -> np.ndarray:
+    # The reference engine: f on blocks of max(1, 2**17 // d**2) rows, one
+    # dgemm chunk of the path transform each: the cut that the frozen report
+    # bytes were made with.
+    d, n_max = cfg.dimension, cfg.n_grid[-1]
+    chunk = max(1, 2**17 // d**2)
+    means = []
+    for k in range(cfg.replications):
+        seed = ScrambleSeed(cfg.master_seed, k)
+        if cfg.sampler == "scrambled_net":
+            u = scramble(generate_net(n_max.bit_length() - 1, d), seed).coords
+        else:
+            u = uniform_points(seed, n_max, d)
+        vals = np.concatenate(
+            [cfg.entry.f(u[s : s + chunk]) for s in range(0, n_max, chunk)]
+        )
+        means.append([vals[:n].mean() for n in cfg.n_grid])
+    return np.array(means).T
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("d", [1, 3, 4, 64])
+def test_blocks_match_dgemm_chunk_blocks(sampler, d):
+    # A block holds up to 2^17 coordinates: 131072 rows at d = 1, 43689 at
+    # d = 3 (so n_max = 2^16 leaves a partial last block), 32768 at d = 4
+    # and 2048 at d = 64.  The estimates must equal those of dgemm-chunk
+    # blocks bit for bit.  Nets at d = 64 stop at 2^12 rows, two blocks, to
+    # keep the scramble short.
+    n_max = 2**12 if (sampler, d) == ("scrambled_net", 64) else 2**16
+    cfg = StudyConfig(
+        "smooth_product",
+        dimension=d,
+        n_grid=(n_max // 4, n_max),
+        replications=8,
+        master_seed=3,
+        sampler=sampler,
+    )
+    assert replicate_estimates(cfg).tobytes() == chunk_block_estimates(cfg).tobytes()
+
+
+@pytest.mark.parametrize("factor", ["cholesky", "ot"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_payoff_blocks_match_dgemm_chunk_blocks(kind, factor):
+    # At d = 3 the dgemm chunk has an odd 14563 rows and a block holds three
+    # chunks; generate_path chunks each block from its first row, so every
+    # product sees the rows it sees on chunk-sized blocks.
+    spec = PayoffSpec(kind, replace(STANDARD_MODEL, d=3), factor)
+    cfg = StudyConfig(
+        spec, n_grid=(2**12, 2**14, 2**16), replications=8, sampler="plain_mc"
+    )
+    assert replicate_estimates(cfg).tobytes() == chunk_block_estimates(cfg).tobytes()
+
+
+def test_plain_mc_draws_long_blocks_at_d64(monkeypatch):
+    # 2048-row blocks at d = 64: 32 draws per 2^16-row replicate, where
+    # 32-row blocks made 2048.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return uniform_points(*args)
+
+    monkeypatch.setattr(ex, "uniform_points", counting)
+    cfg = StudyConfig(
+        "smooth_product",
+        dimension=64,
+        n_grid=(2**14, 2**16),
+        replications=8,
+        sampler="plain_mc",
+    )
+    replicate_estimates(cfg)
+    assert len(calls) == 32 * cfg.replications
+    assert {n for _, n, _, _ in calls} == {2048}
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize(
     "n_max, threshold", [(2**15, 2**15), (2**16, None)], ids=["patched", "default"]
 )
 def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, threshold):
-    # At d = 3 the blocks have 14563 rows and the last one is ragged.  The
-    # pool must give the inline loop's estimates bit for bit.
+    # At d = 3 a block has 43689 rows, three dgemm chunks of 14563, and at
+    # n_max = 2^16 the last block is ragged.  The pool must give the inline
+    # loop's estimates bit for bit.
     assert n_max % (ex._BLOCK_MADDS // 9)
     if threshold is not None:
         monkeypatch.setattr(ex, "_PARALLEL_ROWS", threshold)

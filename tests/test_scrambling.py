@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -476,3 +477,15 @@ def test_uniform_points_match_scalar_formula():
         for j in range(3):
             h = _mix((start + i) ^ _mix(base ^ (j + 1) * _GOLDEN))
             assert u[i, j] == ((h >> 12) + 0.5) * 2.0**-52, (i, j)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2**52 - 1])
+def test_uniform_points_float_is_exact(monkeypatch, m):
+    # With the hash made the identity and the key 0, index h gives the float
+    # of m = h >> 12, which must be (m + 1/2) 2^-52 exactly; the low 12 bits
+    # of h are dropped.
+    monkeypatch.setattr(scrambling, "_mix_into", lambda x, tmp: None)
+    monkeypatch.setattr(scrambling, "_dim_key", lambda seed, j, domain: 0)
+    for low in (0, 0xFFF):
+        (u,) = uniform_points(SEED, 1, 1, m << 12 | low)[0]
+        assert Fraction(u) == (Fraction(m) + Fraction(1, 2)) * Fraction(1, 2**52)
