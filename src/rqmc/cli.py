@@ -40,6 +40,17 @@ _MAX_POINTS_M = 20
 _MAX_REPLICATIONS_LOG2 = 16
 _MAX_DRAWS_LOG2 = 26
 
+# The GbmModel fields in `price`'s flag order: (field, rate-study config key,
+# price flags, help, cast).  Each flag's dest is its field.
+_MODEL_FIELDS = (
+    ("s0", "s0", ("--s0",), "initial price", float),
+    ("r", "r", ("--r",), "risk-free rate", float),
+    ("sigma", "sigma", ("--sigma",), "volatility", float),
+    ("maturity", "T", ("-T", "--maturity"), "maturity", float),
+    ("d", "d", ("-d",), "monitoring dates", int),
+    ("strike", "K", ("-K", "--strike"), "strike", float),
+)
+
 
 def _output(out: str | None):
     """Where a command writes: stdout, or the text file ``out``."""
@@ -168,6 +179,14 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
     name = _take(kv, "integrand", str)
     if name is None:
         raise ContractError("config must name an integrand")
+    integrand = name
+    if name in PAYOFF_KINDS:
+        # read before the study keys: a payoff's d is its model's
+        model = GbmModel(**{
+            field: _take(kv, key, cast, getattr(STANDARD_MODEL, field))
+            for field, key, _, _, cast in _MODEL_FIELDS
+        })
+        integrand = PayoffSpec(name, model, _take(kv, "factor", str, PayoffSpec.factor))
 
     overrides: dict = {"n_grid": _n_grid_from(kv)}
     for key, field, cast in (
@@ -188,18 +207,6 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         overrides.get("replications", DEFAULT_REPLICATIONS),
     )
 
-    integrand = name
-    if name in PAYOFF_KINDS:
-        std = STANDARD_MODEL
-        model = GbmModel(
-            s0=_take(kv, "s0", float, std.s0),
-            r=_take(kv, "r", float, std.r),
-            sigma=_take(kv, "sigma", float, std.sigma),
-            maturity=_take(kv, "T", float, std.maturity),
-            d=overrides.pop("dimension", std.d),
-            strike=_take(kv, "K", float, std.strike),
-        )
-        integrand = PayoffSpec(name, model, _take(kv, "factor", str, PayoffSpec.factor))
     config = StudyConfig(integrand, **overrides)
 
     if kv:
@@ -228,14 +235,7 @@ def _cmd_rate_study(args) -> int:
 
 def _cmd_price(args) -> int:
     _check_capacity(args.n, args.replications)
-    model = GbmModel(
-        s0=args.s0,
-        r=args.r,
-        sigma=args.sigma,
-        maturity=args.maturity,
-        d=args.d,
-        strike=args.strike,
-    )
+    model = GbmModel(**{field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
     spec = PayoffSpec(args.payoff, model, args.factor)
     config = StudyConfig(
         integrand=spec,
@@ -307,16 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate_study)
 
     p = sub.add_parser("price", help="RQMC price / Greek with replicate error")
-    std = STANDARD_MODEL
     p.add_argument("--payoff", required=True, choices=PAYOFF_KINDS)
-    p.add_argument("--s0", type=float, default=std.s0, help="initial price")
-    p.add_argument("--r", type=float, default=std.r, help="risk-free rate")
-    p.add_argument("--sigma", type=float, default=std.sigma, help="volatility")
-    p.add_argument(
-        "-T", "--maturity", type=float, default=std.maturity, help="maturity"
-    )
-    p.add_argument("-d", type=int, default=std.d, help="monitoring dates")
-    p.add_argument("-K", "--strike", type=float, default=std.strike, help="strike")
+    for field, _, flags, help_text, cast in _MODEL_FIELDS:
+        default = getattr(STANDARD_MODEL, field)
+        p.add_argument(*flags, type=cast, default=default, help=help_text)
     p.add_argument("--factor", choices=FACTOR_METHODS, default=PayoffSpec.factor)
     p.add_argument("-n", type=int, default=2**16, help="points per replicate")
     p.add_argument("-R", "--replications", type=int, default=16)

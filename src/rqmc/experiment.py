@@ -48,13 +48,11 @@ import numpy as np
 from .digital_nets import generate_net, load_direction_numbers
 from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
 from .finance import (
-    _BLOCK_MADDS,
     GbmModel,
     PayoffSpec,
-    generate_path,
+    chunk_rows,
     geometric_asian_price,
-    path_factor,
-    payoff_eval,
+    payoff_integrand,
 )
 from .scrambling import ScrambleSeed, scramble, uniform_points
 
@@ -174,7 +172,8 @@ class StudyConfig:
 def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
     """The catalog entry of a name, or the entry a payoff spec implies.
 
-    A payoff's path factor is built here, once per study.
+    A payoff's ``f`` is ``finance.payoff_integrand(spec)``, made once per
+    study: that builds the path factor and loads ``scipy.special``.
     """
     if not isinstance(integrand, PayoffSpec):
         entry = CATALOG.get(integrand)
@@ -183,16 +182,6 @@ def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
         return entry
     spec, d = integrand, integrand.model.d
     geometric = spec.kind == "geometric_indicator_payoff"
-    a = path_factor(spec.model, spec.factor)
-    # finance loads scipy.special on first use.  Load it here, on the calling
-    # thread: loaded by the first replicates on the thread pool, it took
-    # about twice the CPU time (see BENCH_import.json).
-    import scipy.special  # noqa: F401
-
-    def f(u: np.ndarray) -> np.ndarray:
-        """Discounted payoff per row; row i's value depends only on row i of u."""
-        return payoff_eval(spec, generate_path(u, spec.model, a))
-
     return CatalogEntry(
         name=f"{spec.kind}[{spec.factor}]",
         dimension=d,
@@ -200,7 +189,7 @@ def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
         irregular_dimension=1 if geometric and spec.factor == "ot" else d,
         max_growth=0.0,
         reference=GEOMETRIC_ORACLE if geometric else None,
-        f=f,
+        f=payoff_integrand(spec),
     )
 
 
@@ -282,10 +271,10 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     separate draw at n: replicate k is a pure function of (config, n, k).
 
     The integrand is evaluated on blocks of at most 2^17 coordinates
-    (plain-MC points are drawn per block), each a whole multiple of
-    ``generate_path``'s ``max(1, 2**17 // d**2)``-row dgemm chunk: 32768
-    rows at d = 4, 2048 at d = 64.  That gives the same values as one call
-    on all rows, since row i's value depends only on row i.
+    (plain-MC points are drawn per block), each as many ``chunk_rows(d)``
+    row chunks as fit, at least one: 32768 rows at d = 4, 2048 at d = 64.
+    Cut on chunk boundaries, they get the values of one ``generate_path``
+    call on all rows.
 
     Grids with n_max >= 2^16 run the replicates on ``min(R, usable CPUs)``
     threads and collect them in k order, so the estimates do not depend on
@@ -296,26 +285,24 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     n_grid = config.n_grid
     n_max = n_grid[-1]
     d = config.dimension
-    # A block is as many of generate_path's dgemm chunks as fit in
-    # _BLOCK_COORDS coordinates, at least one.  Blocks then start on chunk
-    # boundaries, so every matrix product sees the rows it would see on
-    # chunk-sized blocks.
-    chunk = max(1, _BLOCK_MADDS // d**2)
+    chunk = chunk_rows(d)
     block = chunk * max(1, _BLOCK_COORDS // (chunk * d))
     if config.sampler == "scrambled_net":
         net = generate_net(n_max.bit_length() - 1, d)
 
-    def prefix_means(k: int) -> list[float]:
-        # u and vals die on return, before this thread draws its next replicate.
-        seed = ScrambleSeed(config.master_seed, k)
-        if config.sampler == "scrambled_net":
+        def draw_for(seed: ScrambleSeed):
             u = scramble(net, seed).coords
+            return lambda start, stop: u[start:stop]
+    else:
+        def draw_for(seed: ScrambleSeed):
+            return lambda start, stop: uniform_points(seed, stop - start, d, start)
+
+    def prefix_means(k: int) -> list[float]:
+        # draw and vals die on return, before this thread's next replicate.
+        draw = draw_for(ScrambleSeed(config.master_seed, k))
         blocks = []
         for start in range(0, n_max, block):
-            if config.sampler == "scrambled_net":
-                rows = u[start : start + block]
-            else:
-                rows = uniform_points(seed, min(block, n_max - start), d, start)
+            rows = draw(start, min(start + block, n_max))
             blocks.append(np.asarray(f(rows), dtype=np.float64))
             if not np.all(np.isfinite(blocks[-1])):
                 point = rows[np.argmin(np.isfinite(blocks[-1]))].tolist()

@@ -19,8 +19,8 @@ estimators of its delta, gamma, rho, theta, and vega (all sharing the
 indicator of S_A > K), plus the geometric-mean payoff whose exact
 lognormal expectation serves as the reference value in rate studies.
 
-``scipy.special`` is loaded on first use, by the three functions that need
-the normal distribution, so a caller that prices nothing never loads it.
+``scipy.special`` is loaded on first use, by ``_special``, so a caller
+that prices nothing never loads it.
 """
 
 from __future__ import annotations
@@ -174,14 +174,19 @@ def geometric_weight(model: GbmModel) -> np.ndarray:
     return np.full(model.d, model.sigma / model.d)
 
 
-def inv_norm_cdf(p):
-    """Standard normal quantile, |Phi(result) - p| <= 1e-12, on (0,1) strictly."""
+def _special():
+    """``scipy.special``, imported on the first call."""
     from scipy import special
 
+    return special
+
+
+def inv_norm_cdf(p):
+    """Standard normal quantile, |Phi(result) - p| <= 1e-12, on (0,1) strictly."""
     p = np.asarray(p, dtype=np.float64)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ContractError("quantile argument must lie strictly inside (0,1)")
-    return special.ndtri(p)
+    return _special().ndtri(p)
 
 
 # Multiply-adds per matrix product of the path transform: chunks of
@@ -193,11 +198,16 @@ def inv_norm_cdf(p):
 _BLOCK_MADDS = 2**17
 
 
+def chunk_rows(d: int) -> int:
+    """Rows per matrix product of the path transform: 8192 at d = 4."""
+    return max(1, _BLOCK_MADDS // d**2)
+
+
 def generate_path(u, model: GbmModel, a: np.ndarray):
     """Price path S(u) under factor A; accepts (d,) or (n, d) u.
 
     The quantiles are taken on all rows at once.  The product with A runs
-    on chunks of ``max(1, 2**17 // d**2)`` rows, each written over its own
+    on chunks of ``chunk_rows(d)`` rows, each written over its own
     quantiles; the scale, drift, ``exp`` and ``s0`` follow in place, in the
     order of ``s0 * exp(drift + sigma * (z @ A^T))``.  Row i of the result
     depends only on row i of ``u`` and on the chunk it falls in (a one-row
@@ -211,7 +221,7 @@ def generate_path(u, model: GbmModel, a: np.ndarray):
         raise ContractError("factor dimension does not match the model")
     z = inv_norm_cdf(u)
     s = z.reshape(-1, model.d)
-    chunk = max(1, _BLOCK_MADDS // model.d**2)
+    chunk = chunk_rows(model.d)
     for start in range(0, len(s), chunk):
         s[start : start + chunk] = s[start : start + chunk] @ a.T
     s *= model.sigma
@@ -315,6 +325,17 @@ def _row_mean(x: np.ndarray):
     return acc / d
 
 
+def payoff_integrand(spec: PayoffSpec):
+    """``f(u) = payoff_eval(spec, generate_path(u, spec.model, A))``, A built once.
+
+    Loads ``scipy.special`` on the calling thread: loaded by a pool's first
+    replicates, it took about twice the CPU time (see BENCH_import.json).
+    """
+    a = path_factor(spec.model, spec.factor)
+    _special()
+    return lambda u: payoff_eval(spec, generate_path(u, spec.model, a))
+
+
 def _log_geometric_moments(model: GbmModel) -> tuple[float, float]:
     """Mean and standard deviation of log S_G, which is Gaussian.
 
@@ -336,14 +357,12 @@ def geometric_threshold(model: GbmModel) -> float:
     the quantile of the payout boundary.  With sigma = 0 the indicator is
     constant and kappa degenerates to 0 or 1.
     """
-    from scipy import special
-
     mu, sig = _log_geometric_moments(model)
     if sig == 0.0:
         return 0.0 if math.exp(mu) > model.strike else 1.0
     if model.strike == 0.0:
         return 0.0
-    return float(special.ndtr((math.log(model.strike) - mu) / sig))
+    return float(_special().ndtr((math.log(model.strike) - mu) / sig))
 
 
 def geometric_asian_price(model: GbmModel) -> float:
@@ -353,8 +372,7 @@ def geometric_asian_price(model: GbmModel) -> float:
     This doubles as the exact mean of the geometric indicator payoff,
     since (S_G - K) 1{S_G > K} = (S_G - K)^+.
     """
-    from scipy import special
-
+    special = _special()
     m = model
     mu, sig = _log_geometric_moments(m)
     disc = math.exp(-m.r * m.maturity)

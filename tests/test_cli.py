@@ -15,9 +15,10 @@ import pytest
 
 import rqmc.cli
 import rqmc.experiment
+import rqmc.finance
 from rqmc.cli import main
 from rqmc.digital_nets import generate_net, radical_inverse
-from rqmc.errors import CapacityError
+from rqmc.errors import CapacityError, ContractError
 from rqmc.experiment import CATALOG, STANDARD_MODEL, StudyConfig
 from rqmc.finance import PAYOFF_KINDS, GbmModel, PayoffSpec, geometric_asian_price
 from rqmc.scrambling import ScrambleSeed, scramble
@@ -521,6 +522,93 @@ def test_golden_cli_bytes(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == price_digest, (kind, factor)
 
 
+@pytest.mark.parametrize("spelling", ["short", "long"])
+def test_price_flags_and_study_keys_build_one_model(tmp_path, capsys, monkeypatch, spelling):
+    # each GbmModel field is one `price` flag and one payoff key of a
+    # rate-study config, with the same default
+    models = []
+
+    def capture(integrand, **kwargs):
+        models.append(integrand.model)
+        raise ContractError("model captured")
+
+    monkeypatch.setattr(rqmc.cli, "StudyConfig", capture)
+    values = {"s0": "1.5", "r": "0.03", "sigma": "0.3", "T": "2.0", "d": "3", "K": "1.25"}
+    flags = {"s0": "--s0", "r": "--r", "sigma": "--sigma", "d": "-d"}
+    flags.update(
+        {"T": "-T", "K": "-K"} if spelling == "short" else {"T": "--maturity", "K": "--strike"}
+    )
+
+    def models_built(price_flags, study_keys):
+        models.clear()
+        code, _, err = run(capsys, "price", "--payoff", "asian_call", *price_flags)
+        assert (code, err) == (2, "error: model captured\n")
+        cfg = write_config(tmp_path, "integrand = asian_call\n" + study_keys)
+        code, _, err = run(capsys, "rate-study", "--config", cfg)
+        assert (code, err) == (2, "error: model captured\n")
+        return models
+
+    set_flags = [tok for key, v in values.items() for tok in (flags[key], v)]
+    set_keys = "".join(f"{key} = {v}\n" for key, v in values.items())
+    set_model = GbmModel(1.5, 0.03, 0.3, 2.0, 3, 1.25)
+    assert models_built(set_flags, set_keys) == [set_model, set_model]
+    assert models_built([], "") == [STANDARD_MODEL, STANDARD_MODEL]
+
+
+PRICE_HELP = """\
+usage: rqmc price [-h] --payoff
+                  {asian_call,asian_delta,asian_gamma,asian_rho,asian_theta,asian_vega,geometric_indicator_payoff}
+                  [--s0 S0] [--r R] [--sigma SIGMA] [-T MATURITY] [-d D]
+                  [-K STRIKE] [--factor {cholesky,ot}] [-n N]
+                  [-R REPLICATIONS] [--seed SEED] [--format {text,json}]
+                  [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --payoff {asian_call,asian_delta,asian_gamma,asian_rho,asian_theta,asian_vega,geometric_indicator_payoff}
+  --s0 S0               initial price
+  --r R                 risk-free rate
+  --sigma SIGMA         volatility
+  -T MATURITY, --maturity MATURITY
+                        maturity
+  -d D                  monitoring dates
+  -K STRIKE, --strike STRIKE
+                        strike
+  --factor {cholesky,ot}
+  -n N                  points per replicate
+  -R REPLICATIONS, --replications REPLICATIONS
+  --seed SEED
+  --format {text,json}
+  --out OUT             output path (default stdout)
+"""
+
+RATE_STUDY_HELP = """\
+usage: rqmc rate-study [-h] --config CONFIG [--seed SEED] [--out OUT]
+                       [--format {csv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      flat key-value config file
+  --seed SEED          override master seed
+  --out OUT            output path (default stdout)
+  --format {csv,json}
+"""
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse 3.13 prints a flag's metavar once"
+)
+@pytest.mark.parametrize(
+    "command, text", [("price", PRICE_HELP), ("rate-study", RATE_STUDY_HELP)]
+)
+def test_help_bytes(capsys, monkeypatch, command, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
 # ---------------------------------------------------------------- price
 
 
@@ -668,7 +756,7 @@ def test_price_dimension_beyond_table_fails_before_path_factor(capsys, monkeypat
     # the d x d path factor costs O(d^3): a net the direction table cannot
     # give is refused before it is built
     calls = []
-    monkeypatch.setattr(rqmc.experiment, "path_factor", lambda *a: calls.append(a))
+    monkeypatch.setattr(rqmc.finance, "path_factor", lambda *a: calls.append(a))
     code, out, err = run(
         capsys, "price", "--payoff", "asian_call", "-d", "65", "-n", "64", "-R", "8"
     )
@@ -733,7 +821,7 @@ def test_bad_seed_is_refused_before_the_net(tmp_path, capsys, monkeypatch, seed)
 
     monkeypatch.setattr(rqmc.cli, "generate_net", no_net)
     monkeypatch.setattr(rqmc.experiment, "generate_net", no_net)
-    monkeypatch.setattr(rqmc.experiment, "path_factor", no_net)
+    monkeypatch.setattr(rqmc.finance, "path_factor", no_net)
     in_file = tmp_path / "seed.cfg"
     in_file.write_text(f"integrand = halfspace\nseed = {seed}\n")
     for argv in (

@@ -35,6 +35,7 @@ from rqmc.finance import (
     PAYOFF_KINDS,
     GbmModel,
     PayoffSpec,
+    chunk_rows,
     generate_path,
     geometric_asian_price,
     geometric_threshold,
@@ -397,7 +398,7 @@ def test_row_blocks_match_whole_array(kind, factor, d):
     # d = 4, and at d = 3 chunks of 14563 rows with a ragged last one.  The
     # estimates must equal the prefix means of one call on all rows.
     grid = (2**13, 2**14, 2**15)
-    assert grid[-1] > ex._BLOCK_MADDS // d**2
+    assert grid[-1] > chunk_rows(d)
     model = replace(STANDARD_MODEL, d=d)
     spec = PayoffSpec(kind, model, factor)
     cfg = StudyConfig(spec, n_grid=grid, replications=8, sampler="plain_mc")
@@ -485,6 +486,42 @@ def test_plain_mc_draws_long_blocks_at_d64(monkeypatch):
     assert {n for _, n, _, _ in calls} == {2048}
 
 
+def test_block_is_whole_chunks_of_at_most_2_17_coordinates(monkeypatch):
+    # For d = 1..64 the engine cuts a replicate into blocks of B rows (the
+    # last may be ragged): B is a positive multiple of chunk_rows(d), holds
+    # at most 2^17 coordinates unless it is one chunk, and is the largest
+    # such multiple.  Zero points stand in for the draws, which cost the
+    # test nothing.
+    draws = []
+
+    def zeros(seed, n, d, start):
+        draws.append((seed.replicate_index, start, n))
+        return np.zeros((n, d))
+
+    monkeypatch.setattr(ex, "uniform_points", zeros)
+    for d in range(1, 65):
+        chunk = chunk_rows(d)
+        n_max = 1 << (2 * chunk * max(1, 2**17 // (chunk * d)) - 1).bit_length()
+        cfg = StudyConfig(
+            "smooth_product",
+            dimension=d,
+            n_grid=(n_max // 2, n_max),
+            replications=8,
+            sampler="plain_mc",
+        )
+        draws.clear()
+        replicate_estimates(cfg)
+        firsts = [(start, n) for k, start, n in draws if k == 0]
+        block = firsts[0][1]
+        assert block > 0 and block % chunk == 0, d
+        assert block * d <= 2**17 or block == chunk, d
+        assert (block + chunk) * d > 2**17, d
+        assert len(firsts) >= 2, d
+        assert [start for start, _ in firsts] == list(range(0, n_max, block)), d
+        assert all(n == block for _, n in firsts[:-1]), d
+        assert sum(n for _, n in firsts) == n_max, d
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize(
     "n_max, threshold", [(2**15, 2**15), (2**16, None)], ids=["patched", "default"]
@@ -493,7 +530,7 @@ def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, thresho
     # At d = 3 a block has 43689 rows, three dgemm chunks of 14563, and at
     # n_max = 2^16 the last block is ragged.  The pool must give the inline
     # loop's estimates bit for bit.
-    assert n_max % (ex._BLOCK_MADDS // 9)
+    assert n_max % chunk_rows(3)
     if threshold is not None:
         monkeypatch.setattr(ex, "_PARALLEL_ROWS", threshold)
     assert n_max >= ex._PARALLEL_ROWS

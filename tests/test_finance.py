@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +17,12 @@ from rqmc import finance
 from rqmc.digital_nets import generate_points
 from rqmc.errors import ContractError, NotPositiveDefiniteError
 from rqmc.finance import (
+    FACTOR_METHODS,
     PAYOFF_KINDS,
     GbmModel,
     PayoffSpec,
     check_concentrated,
+    chunk_rows,
     cholesky_factor,
     covariance,
     generate_path,
@@ -26,6 +33,7 @@ from rqmc.finance import (
     ot_factor,
     path_factor,
     payoff_eval,
+    payoff_integrand,
     reconstructs,
 )
 from rqmc.finance import _row_mean
@@ -413,6 +421,41 @@ def test_payoff_batch_matches_scalar():
         batch = payoff_eval(spec, s)
         rows = np.array([payoff_eval(spec, si) for si in s])
         assert np.allclose(batch, rows, rtol=1e-13, atol=0.0), kind
+
+
+@pytest.mark.parametrize("factor", FACTOR_METHODS)
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_payoff_integrand_is_payoff_of_path(kind, factor):
+    # two dgemm chunks of 14563 rows at d = 3 and a ragged third one; the
+    # integrand must give the composed calls' bits, on this thread and on
+    # a worker thread
+    model = dataclasses.replace(MODEL, d=3)
+    spec = PayoffSpec(kind, model, factor)
+    u = uniform_points(ScrambleSeed(4), 2 * chunk_rows(3) + 5, 3)
+    want = payoff_eval(spec, generate_path(u, model, path_factor(model, factor)))
+    f = payoff_integrand(spec)
+    assert f(u).tobytes() == want.tobytes()
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(f, u).result().tobytes() == want.tobytes()
+
+
+def test_payoff_integrand_loads_scipy_special_before_any_call():
+    # the replicates that call f may run on a pool: the import happens at
+    # the call that builds f, on the calling thread
+    src = str(Path(finance.__file__).resolve().parents[1])
+    code = """if True:
+        import sys
+        from rqmc.finance import GbmModel, PayoffSpec, payoff_integrand
+        print("scipy.special" in sys.modules)
+        model = GbmModel(1.0, 0.05, 0.2, 1.0, 4, 1.0)
+        f = payoff_integrand(PayoffSpec("asian_call", model))
+        print("scipy.special" in sys.modules)
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_payoff_rejects_bad_paths():
