@@ -102,6 +102,8 @@ def k_epsilon_contains(u, region: AvoidanceRegion) -> bool | np.ndarray:
 
 
 ANCHOR = 0.5  # per-coordinate anchor of the Sobol'-extensible region
+_LADDER_DEPTH = 20  # check_growth's ladder reaches 2^-20 and 1 - 2^-20
+_SAMPLE_SEED = 0  # check_growth's mixed draws repeat from call to call
 
 
 @dataclass(frozen=True)
@@ -300,23 +302,23 @@ class GrowthCheckResult:
         return self.max_ratio <= 1.0
 
 
-def _ladder_samples(d: int, sample_count: int, ladder_depth: int, seed: int):
+def _ladder_samples(d: int, sample_count: int):
     """Boundary-biased sample points: dyadic ladders plus mixed draws."""
     pts = []
     for i in range(d):
-        for k in range(2, ladder_depth + 1):
+        for k in range(2, _LADDER_DEPTH + 1):
             for val in (2.0**-k, 1.0 - 2.0**-k):
                 p = np.full(d, 0.5)
                 p[i] = val
                 pts.append(p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SAMPLE_SEED)
     while len(pts) < sample_count:
         p = np.empty(d)
         for i in range(d):
 
             r = rng.random()
             if r < 0.8:
-                k = rng.integers(2, ladder_depth + 1)
+                k = rng.integers(2, _LADDER_DEPTH + 1)
                 lev = 2.0**-k
                 p[i] = lev if r < 0.4 else 1.0 - lev
             else:
@@ -330,8 +332,6 @@ def check_growth(
     spec: GrowthSpec,
     sample_count: int = 128,
     fd_step: float | None = None,
-    ladder_depth: int = 20,
-    seed: int = 0,
 ) -> GrowthCheckResult:
     """Probe whether a black-box function obeys a growth specification.
 
@@ -350,7 +350,7 @@ def check_growth(
     d = spec.d
     if d > 4:
         raise CapacityError("mixed finite differences supported for d <= 4 only")
-    samples = _ladder_samples(d, sample_count, ladder_depth, seed)
+    samples = _ladder_samples(d, sample_count)
 
     best = GrowthCheckResult(-math.inf, None, None, 0, 0)
     subsets = [

@@ -137,8 +137,8 @@ def test_06_growth_condition_detector():
     f = lambda u: float(u[0]) ** -0.5
     # sample_count equals the ladder size for d = 1, so only dyadic ladder
     # points down to 2^-20 are tested.
-    accept = check_growth(f, GrowthSpec((0.5,)), sample_count=38, ladder_depth=20)
-    reject = check_growth(f, GrowthSpec((0.1,)), sample_count=38, ladder_depth=20)
+    accept = check_growth(f, GrowthSpec((0.5,)), sample_count=38)
+    reject = check_growth(f, GrowthSpec((0.1,)), sample_count=38)
     deriv = lambda u: math.sqrt(2.0 * math.pi) * math.exp(0.5 * inv_norm_cdf(u) ** 2)
     c_fit = deriv(2.0**-4) * (2.0**-4) ** 1.1
     bound_holds = all(deriv(2.0**-k) <= c_fit * (2.0**-k) ** -1.1 for k in range(5, 41))

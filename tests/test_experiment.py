@@ -1,6 +1,5 @@
 """Replicated error measurement, rate fitting, and the integrand catalog."""
 
-import hashlib
 import json
 import math
 import threading
@@ -9,6 +8,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+
+from goldens import GOLDEN_REPORTS, report_digest
 
 from rqmc import experiment as ex
 from rqmc.digital_nets import generate_net
@@ -624,26 +625,10 @@ def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sam
     )
 
 
-# sha256 of report_to_json at n = 64..1024, R = 8, master seed 0.  A change
-# to any report byte is a behaviour change, not an optimisation.
-GOLDEN_REPORTS = {
-    ("smooth_product", "scrambled_net"): "19481e5862e4593bb00a61c64cbbc175baf178d1d0c763e38c955265729f6fcc",
-    ("halfspace", "scrambled_net"): "0cc9350514bacb7cb80da5e663218ace905f57f68c882d63a1a06a16298e9fe1",
-    ("axis_box", "scrambled_net"): "71bd3e2511a94c8add51c849d6621fbaa46ba1111afffec51f166977cf788528",
-    ("axis_singular", "scrambled_net"): "03f14c9c5735b70a53a0cf15866dc1178bf4718cca8e083748e5002ba7ea9659",
-    ("corner_singular", "scrambled_net"): "b8516db7f4a8c1eafde2b7070b391786901e6b12ab7037344e2c24410a7571c9",
-    ("geometric_ot", "scrambled_net"): "a48d0c89c08a40345b2feef7b4729bf5ce69bf06e07743ecdbbf5f87e8b480e4",
-    ("geometric_cholesky", "scrambled_net"): "5ae225745b1268feb63a949b424dfcb1cf395eb144d6ac99cbe9958bdf13b66d",
-    ("halfspace", "plain_mc"): "789ecc530a1406944040b8f86ec7388833f0f56ec001135aa34720c9a377d7c4",
-}
-
-
 def test_golden_report_bytes():
     assert {name for name, _ in GOLDEN_REPORTS} == set(CATALOG_NAMES)
     for (name, sampler), digest in GOLDEN_REPORTS.items():
-        cfg = StudyConfig(name, n_grid=SMALL_GRID, replications=8, sampler=sampler)
-        text = report_to_json(run_study(cfg))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, sampler)
+        assert report_digest(name, sampler) == digest, (name, sampler)
 
 
 def test_error_shrinks_with_n():

@@ -1,6 +1,5 @@
 """Nested uniform scrambling: law, determinism, and net preservation."""
 
-import hashlib
 import sys
 import threading
 from fractions import Fraction
@@ -10,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+
+from goldens import LONG_FORM_SHA256, long_form_digest
 
 from rqmc import scrambling
 from rqmc.digital_nets import (
@@ -181,21 +182,9 @@ def test_long_columns_match_digitwise_permutations():
     assert_digitwise(net, scramble(net, SEED), (0, 1, 777, 2048, 4095))
 
 
-# sha256 of scramble(generate_net(16, 4), ScrambleSeed(0, k)).ints, k = 0..3,
-# frozen from the per-digit kernel that allocated per digit
-LONG_FORM_SHA256 = (
-    "8351588eca54b14df1b04b4db3335d7d640ba3b762d500c11e91b7f549f86dbd",
-    "fedae5c3d03a2e07c2763617c46d7eebc97db76bd829ba58229d98cff92b6fb8",
-    "1dafaf3eb904cc12eca96b4250eacfeacc71fe4545e1227627d4357a5b938273",
-    "31659ad2b7e1db94d43a0029771cedf0e40efac1ec5640824755538c30ced1da",
-)
-
-
 def test_long_form_golden_bits():
-    net = generate_net(16, 4)
     for k, expected in enumerate(LONG_FORM_SHA256):
-        ints = scramble(net, ScrambleSeed(0, k)).ints
-        assert hashlib.sha256(ints.tobytes()).hexdigest() == expected, k
+        assert long_form_digest(k) == expected, k
 
 
 def test_concurrent_scrambles_match_serial():
