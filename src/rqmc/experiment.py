@@ -274,7 +274,8 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     (plain-MC points are drawn per block), each as many ``chunk_rows(d)``
     row chunks as fit, at least one: 32768 rows at d = 4, 2048 at d = 64.
     Cut on chunk boundaries, they get the values of one ``generate_path``
-    call on all rows.
+    call on all rows.  Each block's values, one finite float per point,
+    are written into the replicate's one buffer of n_max values.
 
     Grids with n_max >= 2^16 run the replicates on ``min(R, usable CPUs)``
     threads and collect them in k order, so the estimates do not depend on
@@ -300,19 +301,24 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     def prefix_means(k: int) -> list[float]:
         # draw and vals die on return, before this thread's next replicate.
         draw = draw_for(ScrambleSeed(config.master_seed, k))
-        blocks = []
+        vals = np.empty(n_max)
         for start in range(0, n_max, block):
-            rows = draw(start, min(start + block, n_max))
-            blocks.append(np.asarray(f(rows), dtype=np.float64))
-            if not np.all(np.isfinite(blocks[-1])):
-                point = rows[np.argmin(np.isfinite(blocks[-1]))].tolist()
+            stop = min(start + block, n_max)
+            rows = draw(start, stop)
+            out = np.asarray(f(rows), dtype=np.float64)
+            if out.shape != (stop - start,):
+                raise ContractError(
+                    f"integrand {config.entry.name!r} returned values of shape "
+                    f"{out.shape} for {stop - start} points; need one per point"
+                )
+            if not np.all(np.isfinite(out)):
+                point = rows[np.argmin(np.isfinite(out))].tolist()
                 raise ContractError(
                     f"integrand returned a non-finite value at point {point} "
                     f"(replicate {k})"
                 )
-        # Joined at the end: a buffer allocated before the draws made glibc
-        # trim and re-fault the heap on every replicate of short plain-MC grids.
-        vals = np.concatenate(blocks)
+            vals[start:stop] = out
+            del rows, out  # freed before the next block is drawn
         return [vals[:n].mean() for n in n_grid]
 
     workers = min(config.replications, _usable_cpus())

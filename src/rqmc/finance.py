@@ -68,6 +68,11 @@ class GbmModel:
             raise ContractError("volatility must be >= 0")
         if self.maturity <= 0:
             raise ContractError("maturity must be > 0")
+        if not math.isfinite(self.sigma * self.sigma * self.maturity):
+            raise ContractError(
+                f"sigma={self.sigma} is too large: the variance sigma^2 T "
+                "of log S_T must be finite"
+            )
         if self.d < 1:
             raise ContractError("need at least one monitoring date")
         if self.strike < 0:
@@ -158,7 +163,12 @@ def path_factor(model: GbmModel, method: str) -> np.ndarray:
     if method == "cholesky":
         a = cholesky_factor(cov)
     elif method == "ot":
+        # The rotation depends on w's direction only.  The geometric weight
+        # (sigma/d) * 1 scaled by a power of two is exact, so A has the
+        # unscaled weight's bits, and |A0^T w| cannot underflow however small
+        # sigma is.
         w = geometric_weight(model)
+        w = np.ldexp(w, -math.frexp(w[0])[1])
         if not np.any(w):
             w = np.ones(model.d)  # sigma = 0: indicator constant, any rotation
         a = ot_factor(cov, w)
@@ -258,14 +268,24 @@ def payoff_eval(spec: PayoffSpec, s):
 
     Shape ``(..., d)`` gives values of shape ``(...)``: an ``(n, d)`` array
     of n paths gives n values, and a single ``(d,)`` path a numpy scalar.
+    ``s`` is never modified: the payoff works on a copy.
 
     The six arithmetic kinds share the indicator of S_A > K and vanish
     whenever S_A <= K; the geometric kind pays (S_G - K) on S_G > K.
     Each Greek is the derivative of the discounted price V with respect
     to its parameter; theta is dV/dT, the change per unit of maturity.
     """
+    return _payoff(spec, np.array(s, dtype=np.float64))
+
+
+def _payoff(spec: PayoffSpec, s: np.ndarray):
+    """``payoff_eval`` on a float64 path array ``s``, which it may overwrite.
+
+    Path-sized steps run in place (the geometric kind's ``log``) or on one
+    temporary (``asian_theta``, ``asian_vega``), each in the operand order of
+    the formula in its comment, so every value has that formula's bits.
+    """
     m = spec.model
-    s = np.asarray(s, dtype=np.float64)
     if s.shape[-1:] != (m.d,):
         raise ContractError(f"paths must have {m.d} dates")
     if not np.all(s > 0.0):
@@ -274,7 +294,7 @@ def payoff_eval(spec: PayoffSpec, s):
     disc = math.exp(-m.r * m.maturity)
     kind = spec.kind
     if kind == "geometric_indicator_payoff":
-        sg = np.exp(_row_mean(np.log(s)))
+        sg = np.exp(_row_mean(np.log(s, out=s)))
         return disc * (sg - m.strike) * (sg > m.strike)
 
     sa = _row_mean(s)
@@ -296,13 +316,20 @@ def payoff_eval(spec: PayoffSpec, s):
     elif kind == "asian_theta":
         # dS_i/dT = S_i ((r - sigma^2/2) i/(2d) + ln(S_i/S0)/(2T)) at fixed u
         drift = m.r - 0.5 * m.sigma**2
-        dsa_dt = _row_mean(
-            s * (drift * j / (2.0 * m.d) + np.log(s / m.s0) / (2.0 * m.maturity))
-        )
-        val = dsa_dt - m.r * (sa - m.strike)
+        t = s / m.s0
+        np.log(t, out=t)
+        t /= 2.0 * m.maturity
+        np.add(drift * j / (2.0 * m.d), t, out=t)
+        np.multiply(s, t, out=t)
+        val = _row_mean(t) - m.r * (sa - m.strike)
     elif kind == "asian_vega":
-        ds_dsig = s * (np.log(s / m.s0) - (m.r + 0.5 * m.sigma**2) * m.times) / m.sigma
-        val = _row_mean(ds_dsig)
+        # dS_i/dsigma = S_i (ln(S_i/S0) - (r + sigma^2/2) t_i) / sigma
+        t = s / m.s0
+        np.log(t, out=t)
+        t -= (m.r + 0.5 * m.sigma**2) * m.times
+        np.multiply(s, t, out=t)
+        t /= m.sigma
+        val = _row_mean(t)
     else:  # pragma: no cover
         raise ContractError(f"unknown payoff kind {kind!r}")
     return disc * val * live
@@ -333,7 +360,8 @@ def payoff_integrand(spec: PayoffSpec):
     """
     a = path_factor(spec.model, spec.factor)
     _special()
-    return lambda u: payoff_eval(spec, generate_path(u, spec.model, a))
+    # generate_path's result is fresh, so the payoff may overwrite it
+    return lambda u: _payoff(spec, generate_path(u, spec.model, a))
 
 
 def _log_geometric_moments(model: GbmModel) -> tuple[float, float]:

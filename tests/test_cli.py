@@ -671,6 +671,47 @@ def test_price_validation_errors(capsys):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("factor", ["cholesky", "ot"])
+def test_sigma_whose_variance_overflows_is_refused(tmp_path, capsys, factor):
+    # sigma^2 overflowed: an OverflowError traceback under cholesky, and
+    # under ot a numpy warning, then a message about the factor
+    cfg = write_config(
+        tmp_path,
+        "integrand = geometric_indicator_payoff\n"
+        f"factor = {factor}\nsigma = 1e155\nn_max = 1024\nR = 8\n",
+    )
+    for argv in (
+        ["price", "--payoff", "geometric_indicator_payoff", "--factor", factor,
+         "--sigma", "2e154", "-n", "512", "-R", "8"],
+        ["rate-study", "--config", cfg],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: sigma=") and "too large" in err, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tiny_sigma_prices_under_both_factors(capsys):
+    # at sigma = 1e-165 the ot factor warned twice and failed to
+    # reconstruct the covariance; the paths are the drift under either
+    # factor, so both price the same
+    estimates = []
+    for factor in ("cholesky", "ot"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "price", "--payoff", "geometric_indicator_payoff",
+                "--factor", factor, "--sigma", "1e-165", "-n", "512", "-R", "8",
+            )
+        assert (code, err) == (0, ""), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        estimates.append(dict(l.split(" ", 1) for l in out.strip().split("\n"))["estimate"])
+    assert estimates[0] == estimates[1]
+
+
 def test_cli_import_skips_unused_modules():
     # the package re-exports nothing, so a command loads only what it uses
     src = str(Path(rqmc.cli.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -233,6 +234,51 @@ def test_nonfinite_integrand_reported(add_entry):
     cfg = base_config(integrand="blows_up", reference_value=0.0, n_grid=(64,))
     with pytest.raises(ContractError, match="non-finite"):
         replicate_estimates(cfg)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_integrand_must_give_one_value_per_point(add_entry, sampler):
+    # a block's values go into one buffer; one value short per block used
+    # to pass, and an n = 512 estimate averaged 511 values
+    for name, f in (
+        ("drops_one", lambda u: np.ones(len(u) - 1)),
+        ("column", lambda u: np.ones((len(u), 1))),
+        ("scalar", lambda u: 1.0),
+    ):
+        add_entry(
+            CatalogEntry(
+                name=name,
+                dimension=None,
+                irregular_dimension=1,
+                max_growth=0.0,
+                reference=1.0,
+                f=f,
+            )
+        )
+        cfg = base_config(integrand=name, n_grid=(512,), sampler=sampler)
+        with pytest.raises(ContractError, match=f"integrand '{name}' returned"):
+            replicate_estimates(cfg)
+
+
+def test_plain_mc_replicate_peak_memory(monkeypatch):
+    # One inline replicate holds its n_max values, one block's points and
+    # paths, and the payoff's row-sized temporaries: 4.60 MiB at n_max =
+    # 2^18, d = 4.  Block values joined at the end, and a fresh array per
+    # path-sized payoff step, peaked at 5.25 MiB.
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
+    cfg = StudyConfig(
+        "geometric_cholesky",
+        n_grid=(2**16, 2**18),
+        replications=8,
+        sampler="plain_mc",
+    )
+    tracemalloc.start()
+    try:
+        replicate_estimates(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.9 * 2**20, peak / 2**20
 
 
 def test_unknown_integrand_rejected():

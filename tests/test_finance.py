@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -66,6 +67,14 @@ def test_model_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractError, match=f"{field} must be finite"):
                 GbmModel(**{**good, field: bad})
+
+
+def test_model_refuses_sigma_whose_variance_overflows():
+    # sigma^2 T is the variance of log S_T; generate_path squares sigma
+    GbmModel(1.0, 0.05, 1e154, 1.0, 4, 1.0)
+    for sigma, maturity in ((2e154, 1.0), (1e155, 1e-300), (1e154, 1e10)):
+        with pytest.raises(ContractError, match="sigma=.* is too large"):
+            GbmModel(1.0, 0.05, sigma, maturity, 4, 1.0)
 
 
 def test_model_grid():
@@ -188,6 +197,28 @@ def test_path_factor_sigma_zero_ot_degenerates_gracefully():
     flat = GbmModel(1.0, 0.05, 0.0, 1.0, 3, 1.0)
     f = path_factor(flat, "ot")
     assert reconstructs(f, covariance(flat))
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 9, 64])
+def test_ot_factor_of_the_scaled_weight_keeps_its_bits(d):
+    # path_factor rotates for the geometric weight scaled by a power of
+    # two, which is exact: A has the bits of the unscaled weight's factor
+    for sigma in (0.01, 0.2, 0.37, 3.0):
+        model = dataclasses.replace(MODEL, sigma=sigma, d=d)
+        want = ot_factor(covariance(model), geometric_weight(model))
+        assert path_factor(model, "ot").tobytes() == want.tobytes()
+
+
+def test_ot_factor_takes_tiny_sigma_without_warnings():
+    # unscaled, |A0^T w| underflowed at sigma = 1e-165: numpy warned, and
+    # the factor failed to reconstruct the covariance
+    for sigma in (1e-165, 1e-300, 5e-320):
+        model = dataclasses.replace(MODEL, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = path_factor(model, "ot")
+        assert reconstructs(a, covariance(model))
+        check_concentrated(a, np.ones(model.d))
 
 
 def test_path_factor_validation(monkeypatch):
@@ -432,11 +463,17 @@ def test_payoff_integrand_is_payoff_of_path(kind, factor):
     model = dataclasses.replace(MODEL, d=3)
     spec = PayoffSpec(kind, model, factor)
     u = uniform_points(ScrambleSeed(4), 2 * chunk_rows(3) + 5, 3)
-    want = payoff_eval(spec, generate_path(u, model, path_factor(model, factor)))
+    s = generate_path(u, model, path_factor(model, factor))
+    u_bits, s_bits = u.tobytes(), s.tobytes()
+    want = payoff_eval(spec, s)
     f = payoff_integrand(spec)
     assert f(u).tobytes() == want.tobytes()
     with ThreadPoolExecutor(1) as pool:
         assert pool.submit(f, u).result().tobytes() == want.tobytes()
+    # neither modifies its argument, a (d,) row view into it included
+    payoff_eval(spec, s[5])
+    f(u[5])
+    assert (u.tobytes(), s.tobytes()) == (u_bits, s_bits)
 
 
 def test_payoff_integrand_loads_scipy_special_before_any_call():
