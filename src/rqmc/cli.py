@@ -9,8 +9,6 @@ All output is deterministic given the flags and seed; floats print with
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import warnings
 from contextlib import nullcontext
@@ -22,13 +20,12 @@ from .errors import CapacityError, ContractError
 from .experiment import (
     DEFAULT_N_GRID,
     DEFAULT_REPLICATIONS,
+    MODEL_KEYS,
     STANDARD_MODEL,
     StudyConfig,
-    _g17,
-    replicate_estimates,
+    price_report,
     report_to_csv,
     report_to_json,
-    resolve_reference,
     run_study,
 )
 from .finance import FACTOR_METHODS, PAYOFF_KINDS, GbmModel, PayoffSpec
@@ -40,15 +37,15 @@ _MAX_POINTS_M = 20
 _MAX_REPLICATIONS_LOG2 = 16
 _MAX_DRAWS_LOG2 = 26
 
-# The GbmModel fields in `price`'s flag order: (field, rate-study config key,
-# price flags, help, cast).  Each flag's dest is its field.
+# The GbmModel fields in `price`'s flag order: (field, price flags, help,
+# cast).  Each flag's dest is its field; MODEL_KEYS gives its config key.
 _MODEL_FIELDS = (
-    ("s0", "s0", ("--s0",), "initial price", float),
-    ("r", "r", ("--r",), "risk-free rate", float),
-    ("sigma", "sigma", ("--sigma",), "volatility", float),
-    ("maturity", "T", ("-T", "--maturity"), "maturity", float),
-    ("d", "d", ("-d",), "monitoring dates", int),
-    ("strike", "K", ("-K", "--strike"), "strike", float),
+    ("s0", ("--s0",), "initial price", float),
+    ("r", ("--r",), "risk-free rate", float),
+    ("sigma", ("--sigma",), "volatility", float),
+    ("maturity", ("-T", "--maturity"), "maturity", float),
+    ("d", ("-d",), "monitoring dates", int),
+    ("strike", ("-K", "--strike"), "strike", float),
 )
 
 
@@ -183,8 +180,8 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
     if name in PAYOFF_KINDS:
         # read before the study keys: a payoff's d is its model's
         model = GbmModel(**{
-            field: _take(kv, key, cast, getattr(STANDARD_MODEL, field))
-            for field, key, _, _, cast in _MODEL_FIELDS
+            field: _take(kv, MODEL_KEYS[field], cast, getattr(STANDARD_MODEL, field))
+            for field, _, _, cast in _MODEL_FIELDS
         })
         integrand = PayoffSpec(name, model, _take(kv, "factor", str, PayoffSpec.factor))
 
@@ -236,36 +233,13 @@ def _cmd_rate_study(args) -> int:
 def _cmd_price(args) -> int:
     _check_capacity(args.n, args.replications)
     model = GbmModel(**{field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
-    spec = PayoffSpec(args.payoff, model, args.factor)
     config = StudyConfig(
-        integrand=spec,
+        integrand=PayoffSpec(args.payoff, model, args.factor),
         n_grid=(args.n,),
         replications=args.replications,
         master_seed=args.seed,
     )
-    estimates = replicate_estimates(config)[0]
-    estimate = float(estimates.mean())
-    std_error = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
-    result: dict = {
-        "payoff": spec.kind,
-        "factor": spec.factor,
-        "n": args.n,
-        "R": args.replications,
-        "estimate": estimate,
-        "std_error": std_error,
-    }
-    if config.reference_value is not None:
-        result["oracle"] = resolve_reference(config)
-    if args.format == "json":
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    else:
-        text = (
-            "\n".join(
-                f"{k} {_g17(v) if isinstance(v, float) else v}"
-                for k, v in result.items()
-            )
-            + "\n"
-        )
+    text = price_report(config, args.format)
     with _output(args.out) as fh:
         fh.write(text)
     return 0
@@ -308,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="RQMC price / Greek with replicate error")
     p.add_argument("--payoff", required=True, choices=PAYOFF_KINDS)
-    for field, _, flags, help_text, cast in _MODEL_FIELDS:
+    for field, flags, help_text, cast in _MODEL_FIELDS:
         default = getattr(STANDARD_MODEL, field)
         p.add_argument(*flags, type=cast, default=default, help=help_text)
     p.add_argument("--factor", choices=FACTOR_METHODS, default=PayoffSpec.factor)

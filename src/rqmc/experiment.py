@@ -66,6 +66,9 @@ MIN_FIT_RECORDS = 4  # records a rate fit needs, and sizes a study's grid needs
 # Market constants shared by the shipped payoff studies.
 STANDARD_MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
 
+# Each GbmModel field's key in a rate-study config and a report's model echo.
+MODEL_KEYS = dict(s0="s0", r="r", sigma="sigma", maturity="T", d="d", strike="K")
+
 # The one oracle: the geometric payoff's closed-form lognormal price.
 GEOMETRIC_ORACLE = "oracle:geometric_asian"
 
@@ -215,8 +218,11 @@ class ErrorRecord:
 
     @property
     def std_error(self) -> float:
-        e = self.abs_errors
-        return float(e.std(ddof=1) / math.sqrt(len(e)))
+        return _std_error(self.abs_errors)
+
+
+def _std_error(x: np.ndarray) -> float:
+    return float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
 @dataclass(frozen=True)
@@ -461,14 +467,7 @@ def report_to_json(report: StudyReport) -> str:
     if isinstance(cfg.integrand, PayoffSpec):
         m = cfg.integrand.model
         echo["factor_method"] = cfg.integrand.factor
-        echo["model"] = {
-            "s0": m.s0,
-            "r": m.r,
-            "sigma": m.sigma,
-            "T": m.maturity,
-            "d": m.d,
-            "K": m.strike,
-        }
+        echo["model"] = {key: getattr(m, field) for field, key in MODEL_KEYS.items()}
     obj = {
         "config": echo,
         "reference": report.records[0].reference,
@@ -492,6 +491,31 @@ def report_to_json(report: StudyReport) -> str:
         "theoretical_exponent": report.exponent,
         "verdict": report.verdict,
     }
+    return _json(obj)
+
+
+def price_report(config: StudyConfig, fmt: str) -> str:
+    """``rqmc price``'s ``"json"`` or ``"text"`` report of a payoff at its one n:
+    the replicate mean, its standard error and any oracle price."""
+    (estimates,) = replicate_estimates(config)
+    result: dict = {
+        "payoff": config.integrand.kind,
+        "factor": config.integrand.factor,
+        "n": config.n_grid[0],
+        "R": config.replications,
+        "estimate": float(estimates.mean()),
+        "std_error": _std_error(estimates),
+    }
+    if config.reference_value is not None:
+        result["oracle"] = resolve_reference(config)
+    if fmt == "json":
+        return _json(result)
+    return "".join(
+        f"{k} {_g17(v) if isinstance(v, float) else v}\n" for k, v in result.items()
+    )
+
+
+def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

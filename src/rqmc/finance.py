@@ -26,6 +26,7 @@ that prices nothing never loads it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ PAYOFF_KINDS = (
 FACTOR_METHODS = ("cholesky", "ot")
 
 _FACTOR_RTOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp(x) is finite iff x <= it
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,25 @@ class GbmModel:
             raise ContractError("need at least one monitoring date")
         if self.strike < 0:
             raise ContractError("strike must be >= 0")
+        if not -self.r * self.maturity <= _LOG_FLOAT_MAX:
+            raise ContractError(
+                "the discount factor e^(-rT) overflows at "
+                f"r={self.r} and maturity={self.maturity}"
+            )
+        if not math.isfinite((self.r - 0.5 * self.sigma**2) * self.maturity):
+            raise ContractError(
+                "the drift (r - sigma^2/2) T overflows at "
+                f"r={self.r}, sigma={self.sigma} and maturity={self.maturity}"
+            )
+        try:
+            dt = self.dt
+        except OverflowError:  # d is beyond the float range
+            dt = 0.0
+        if not dt > 0.0:
+            raise ContractError(
+                "the date spacing T/d must be a float > 0, "
+                f"got maturity={self.maturity} and d={self.d}"
+            )
 
     @property
     def dt(self) -> float:
@@ -259,8 +280,19 @@ class PayoffSpec:
             raise ContractError(f"unknown payoff kind {self.kind!r}")
         if self.factor not in FACTOR_METHODS:
             raise ContractError(f"unknown factor method {self.factor!r}")
-        if self.kind in ("asian_gamma", "asian_vega") and self.model.sigma == 0.0:
+        m = self.model
+        if self.kind in ("asian_gamma", "asian_vega") and m.sigma == 0.0:
             raise ContractError(f"{self.kind} divides by sigma; sigma must be > 0")
+        if self.kind == "asian_gamma":
+            try:
+                divisor = _gamma_divisor(m)
+            except OverflowError:  # s0^2 overflowed
+                divisor = math.inf
+            if not 0.0 < divisor < math.inf:
+                raise ContractError(
+                    f"asian_gamma's divisor s0^2 sigma^2 dt = {divisor} must be finite "
+                    f"and > 0; got s0={m.s0}, sigma={m.sigma} and dt={m.dt}"
+                )
 
 
 def payoff_eval(spec: PayoffSpec, s):
@@ -308,7 +340,7 @@ def _payoff(spec: PayoffSpec, s: np.ndarray):
         val = (
             sa
             * (np.log(s[..., 0] / m.s0) - (m.r + 0.5 * m.sigma**2) * m.dt)
-            / (m.s0**2 * m.sigma**2 * m.dt)
+            / _gamma_divisor(m)
         )
     elif kind == "asian_rho":
         dsa_dr = (m.maturity / m.d**2) * (s @ j)
@@ -333,6 +365,10 @@ def _payoff(spec: PayoffSpec, s: np.ndarray):
     else:  # pragma: no cover
         raise ContractError(f"unknown payoff kind {kind!r}")
     return disc * val * live
+
+
+def _gamma_divisor(m: GbmModel) -> float:
+    return m.s0**2 * m.sigma**2 * m.dt
 
 
 def _row_mean(x: np.ndarray):

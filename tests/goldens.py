@@ -42,23 +42,24 @@ PERFBENCH = ROOT / "perfbench"
 # sha256 of stdout and the exit code for each payoff kind and factor:
 # `rate-study --format json` with n_max = 1024, R = 8, whose echoed
 # irregular_dimension and max_growth are the ones the integrand declares;
-# and `price --format json -n 256 -R 8`.
+# then `price -n 256 -R 8` with `--format json` and with `--format text`.
 GOLDEN_CLI = {
-    ("asian_call", "ot"): (1, "ad3331ca7f29707415bb5541d47dbd2441360aa1c84404fe8ca3bff19ecfb243", "67532f658eed3e23db83239bf1529c0102a7201354c66cc7c5f62ca844d568f5"),
-    ("asian_call", "cholesky"): (1, "0777e6b198aa7c71005cd76f7a0243d9e535aa37cd6187ccd1be60408dd30273", "9ad46e8b47749edb13feb909dac8e518ca105922b54aaf5e5b85f0cb15e03e55"),
-    ("asian_delta", "ot"): (1, "09456e8e419267f65dcb6de6e43f7d5fa19df3c028ac16d509b367154b9b7db4", "3e70363a2d61bb4289589d9ed02a0c744a2b2b167f29c06b144f4533cf4020b8"),
-    ("asian_delta", "cholesky"): (1, "80b3ac63cd28abd50edf2ffab970808041529cb4122d3e7d8d166d1969a36b14", "f9978bfca80403701f8e0729cd7e1198aacee215a4b7f65297b4807a914e55c1"),
-    ("asian_gamma", "ot"): (1, "9f2172422e5b4c1a846005b070f9a7fbfe5ed3224d879fb9d6cc4036fac7a46d", "8945ce72d61c1052a38a3a4aa723e282f6022b5dd88ccdf4da9275d1c3c5dd11"),
-    ("asian_gamma", "cholesky"): (1, "0c4ee85e1e65694852fc3bbadf7c3b4cbd4b701c0d2082e4ba44126b4caa5d1b", "0765c64544eb17bd12f7c57ccf33422322bb797a54879df2c139b4da603b3364"),
-    ("asian_rho", "ot"): (1, "3c105c9e55c166415158bbc56fdc2f0399b75113562d3a1ab7617704c15e8b40", "a075cec8d3cefaad1ac64a94e1742c5b7d471e9d5de9ddb7d72e922bb5e3b443"),
-    ("asian_rho", "cholesky"): (1, "25e05cfbf5026162c947a6a49ea20153f110d7ffd1f451f009acf57667779760", "5eac113b197e4a8664bc317dcc0324c52e88ca3d290389ffe1f2c5602d8a2f66"),
-    ("asian_theta", "ot"): (1, "b94f12547ad24d9277abd354c1c3e586a3438f44474230635dcfb7282391c0d3", "aad0a2f3fcb88673821a100645a852cac84f955f7b3ae96e4f9ad4a52422f395"),
-    ("asian_theta", "cholesky"): (1, "211ce76889c1a893804f7808d0d9d401466ed2ceda987820aee2328c4aa49a7b", "ca58d09076e0e4fd5ab21964399f7e707ef119a74d8cff1582b604b75572b706"),
-    ("asian_vega", "ot"): (1, "be3f9666fda71c39fadcfb081d28d4f7c6bd9d9b485ac72808e3e9078ce4d57a", "2a05cca790a3e99e9a6672e2199ceae91909af213c543d08c93597699ce2ec1d"),
-    ("asian_vega", "cholesky"): (1, "1b9d3bb0b840da8c4727849f4314ecf1bbca882e0df568baceff3009644edb6d", "f52dc448ad453dcb9ec4111579d113be7d15e5991a8763f7e8837d0c57557a66"),
-    ("geometric_indicator_payoff", "ot"): (0, "a48d0c89c08a40345b2feef7b4729bf5ce69bf06e07743ecdbbf5f87e8b480e4", "4a88a80a85754e4eec01d6b11c144790d4fa2e1d5cc56fa8f0d8b528bb995ce0"),
-    ("geometric_indicator_payoff", "cholesky"): (0, "5ae225745b1268feb63a949b424dfcb1cf395eb144d6ac99cbe9958bdf13b66d", "4221a7ff6caf0ca1a93c6336b88162acac0b01c53d16ae2c5c17a5304b9c280c"),
+    ("asian_call", "ot"): (1, "ad3331ca7f29707415bb5541d47dbd2441360aa1c84404fe8ca3bff19ecfb243", "67532f658eed3e23db83239bf1529c0102a7201354c66cc7c5f62ca844d568f5", "50ae7af22de7cc2698ef6db086e8ac5d37f805aae6f2124110f6ff357a0d8fb9"),
+    ("asian_call", "cholesky"): (1, "0777e6b198aa7c71005cd76f7a0243d9e535aa37cd6187ccd1be60408dd30273", "9ad46e8b47749edb13feb909dac8e518ca105922b54aaf5e5b85f0cb15e03e55", "40b449657fd8b58fe7fe80ae238cf35359954492bb00ced1f98a073455b4f574"),
+    ("asian_delta", "ot"): (1, "09456e8e419267f65dcb6de6e43f7d5fa19df3c028ac16d509b367154b9b7db4", "3e70363a2d61bb4289589d9ed02a0c744a2b2b167f29c06b144f4533cf4020b8", "69314a158fea97c22591e79c3d42deaacc72a759f3fe37ca9194277132a02488"),
+    ("asian_delta", "cholesky"): (1, "80b3ac63cd28abd50edf2ffab970808041529cb4122d3e7d8d166d1969a36b14", "f9978bfca80403701f8e0729cd7e1198aacee215a4b7f65297b4807a914e55c1", "52ebe3287f9dadc8b75abdedc2acb083c88a676ff335965c37c9a148888b516a"),
+    ("asian_gamma", "ot"): (1, "9f2172422e5b4c1a846005b070f9a7fbfe5ed3224d879fb9d6cc4036fac7a46d", "8945ce72d61c1052a38a3a4aa723e282f6022b5dd88ccdf4da9275d1c3c5dd11", "ff611a2599298368540ccf2ce12a32f49425c8c2415984067cef3ce3c801b625"),
+    ("asian_gamma", "cholesky"): (1, "0c4ee85e1e65694852fc3bbadf7c3b4cbd4b701c0d2082e4ba44126b4caa5d1b", "0765c64544eb17bd12f7c57ccf33422322bb797a54879df2c139b4da603b3364", "559523952bb4f3ead961ee97571608d67db526887cc03b0dab3a36c20c0dc107"),
+    ("asian_rho", "ot"): (1, "3c105c9e55c166415158bbc56fdc2f0399b75113562d3a1ab7617704c15e8b40", "a075cec8d3cefaad1ac64a94e1742c5b7d471e9d5de9ddb7d72e922bb5e3b443", "15316d9b68c33f05f6e8c2444d30de6316a4cb7f5a49fd627e6a06fb927a711a"),
+    ("asian_rho", "cholesky"): (1, "25e05cfbf5026162c947a6a49ea20153f110d7ffd1f451f009acf57667779760", "5eac113b197e4a8664bc317dcc0324c52e88ca3d290389ffe1f2c5602d8a2f66", "5114195c50fbd090bee91be8b6058d36f67cfdcc73d47d64c5978be525cd0039"),
+    ("asian_theta", "ot"): (1, "b94f12547ad24d9277abd354c1c3e586a3438f44474230635dcfb7282391c0d3", "aad0a2f3fcb88673821a100645a852cac84f955f7b3ae96e4f9ad4a52422f395", "dacc5c18fa4770490440bd8e74a59f2c532056072bad9acb6845fc9d78ba09ee"),
+    ("asian_theta", "cholesky"): (1, "211ce76889c1a893804f7808d0d9d401466ed2ceda987820aee2328c4aa49a7b", "ca58d09076e0e4fd5ab21964399f7e707ef119a74d8cff1582b604b75572b706", "67151dea377270ca8e2ffee2d2386debf4b32073cab7ca97f0c97c662e2c4bac"),
+    ("asian_vega", "ot"): (1, "be3f9666fda71c39fadcfb081d28d4f7c6bd9d9b485ac72808e3e9078ce4d57a", "2a05cca790a3e99e9a6672e2199ceae91909af213c543d08c93597699ce2ec1d", "42f66b4c15a92b0ad10b53609d30a8dc56c0363f3a9dbc7864134ae76e9a96f6"),
+    ("asian_vega", "cholesky"): (1, "1b9d3bb0b840da8c4727849f4314ecf1bbca882e0df568baceff3009644edb6d", "f52dc448ad453dcb9ec4111579d113be7d15e5991a8763f7e8837d0c57557a66", "276f44d66edd0888513b01ffd0c99a4f732734b3ec771de0cfa8fba18cad2217"),
+    ("geometric_indicator_payoff", "ot"): (0, "a48d0c89c08a40345b2feef7b4729bf5ce69bf06e07743ecdbbf5f87e8b480e4", "4a88a80a85754e4eec01d6b11c144790d4fa2e1d5cc56fa8f0d8b528bb995ce0", "acc3e2ad0207967596990623c6e1f2247afb0e36e5621baf1b2186cb5719bb72"),
+    ("geometric_indicator_payoff", "cholesky"): (0, "5ae225745b1268feb63a949b424dfcb1cf395eb144d6ac99cbe9958bdf13b66d", "4221a7ff6caf0ca1a93c6336b88162acac0b01c53d16ae2c5c17a5304b9c280c", "68047d5583438203446cac596514c0929c1ad01df007e6e08d2b9ec3d977f624"),
 }
+PRICE_FORMATS = ("json", "text")  # the order of GOLDEN_CLI's price digests
 
 
 # sha256 of report_to_json at n = 64..1024, R = 8, master seed 0.  A change
@@ -111,10 +112,10 @@ def cli_study(kind: str, factor: str) -> tuple[int, str]:
     return code, sha256(out)
 
 
-def cli_price(kind: str, factor: str) -> tuple[int, str]:
-    """Exit code and stdout sha256 of the ``GOLDEN_CLI`` price call."""
+def cli_price(kind: str, factor: str, fmt: str) -> tuple[int, str]:
+    """Exit code and stdout sha256 of a ``GOLDEN_CLI`` price call in ``fmt``."""
     code, out, _ = run_cli(
-        ["price", "--payoff", kind, "--factor", factor, "-n", "256", "-R", "8", "--format", "json"]
+        ["price", "--payoff", kind, "--factor", factor, "-n", "256", "-R", "8", "--format", fmt]
     )
     return code, sha256(out)
 
@@ -168,11 +169,12 @@ def compare(
 ) -> list[tuple[str, str, str]]:
     """``(name, frozen, current)`` for every entry of the three test tables."""
     rows = []
-    for (kind, factor), (code, study, price) in cli.items():
+    for (kind, factor), (code, study, *prices) in cli.items():
         rows.append((f"rate-study {kind} {factor}", f"exit {code} {study}",
                      "exit %d %s" % cli_study(kind, factor)))
-        rows.append((f"price {kind} {factor}", f"exit 0 {price}",
-                     "exit %d %s" % cli_price(kind, factor)))
+        for fmt, price in zip(PRICE_FORMATS, prices):
+            rows.append((f"price {kind} {factor} {fmt}", f"exit 0 {price}",
+                         "exit %d %s" % cli_price(kind, factor, fmt)))
     for (name, sampler), digest in reports.items():
         rows.append((f"report {name} {sampler}", digest, report_digest(name, sampler)))
     for k, digest in enumerate(long_form):

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, run in process."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goldens import GOLDEN_CLI, cli_price, cli_study
+from goldens import GOLDEN_CLI, PRICE_FORMATS, cli_price, cli_study
 
 import rqmc.cli
 import rqmc.experiment
@@ -484,13 +486,14 @@ def test_rate_study_geometric_payoff_oracle(tmp_path, capsys):
 
 def test_golden_cli_bytes():
     assert {kind for kind, _ in GOLDEN_CLI} == set(PAYOFF_KINDS)
-    for (kind, factor), (study_code, study_digest, price_digest) in GOLDEN_CLI.items():
+    for (kind, factor), (study_code, study_digest, *price_digests) in GOLDEN_CLI.items():
         code, digest = cli_study(kind, factor)
         assert code == study_code, (kind, factor)
         assert digest == study_digest, (kind, factor)
-        code, digest = cli_price(kind, factor)
-        assert code == 0
-        assert digest == price_digest, (kind, factor)
+        for fmt, price_digest in zip(PRICE_FORMATS, price_digests, strict=True):
+            code, digest = cli_price(kind, factor, fmt)
+            assert code == 0
+            assert digest == price_digest, (kind, factor, fmt)
 
 
 @pytest.mark.parametrize("spelling", ["short", "long"])
@@ -694,6 +697,30 @@ def test_sigma_whose_variance_overflows_is_refused(tmp_path, capsys, factor):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        # e^{-rT} overflowed: an OverflowError traceback
+        (("--payoff", "asian_call", "--r", "-720"), "r"),
+        (("--payoff", "geometric_indicator_payoff", "--r", "-720", "-K", "0"), "r"),
+        # the drift (r - sigma^2/2) T overflowed: a numpy warning, then a point
+        # was blamed
+        (("--payoff", "asian_call", "--r", "1e200", "-T", "1e200"), "maturity"),
+        # T/d underflowed to 0: a matrix that is not positive definite
+        (("--payoff", "asian_call", "-T", "5e-324"), "maturity"),
+        # asian_gamma's divisor s0^2 sigma^2 dt overflowed or underflowed to 0:
+        # an OverflowError traceback, or a numpy warning and a blamed point
+        (("--payoff", "asian_gamma", "--s0", "1e160"), "s0"),
+        (("--payoff", "asian_gamma", "--s0", "1e-200", "-K", "0"), "s0"),
+    ],
+)
+def test_model_constants_that_overflow_are_refused(capsys, flags, field):
+    code, out, err = run(capsys, "price", *flags, "-n", "512", "-R", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(rf"\b{field}=", err), err
+
+
 def test_tiny_sigma_prices_under_both_factors(capsys):
     # at sigma = 1e-165 the ot factor warned twice and failed to
     # reconstruct the covariance; the paths are the drift under either
@@ -725,6 +752,20 @@ def test_cli_import_skips_unused_modules():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.split() == ["True", "False", "False"]
+
+
+def test_cli_imports_no_private_rqmc_name():
+    # a rule the CLI needs belongs to a public name of the module that owns it
+    tree = ast.parse(Path(rqmc.cli.__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "rqmc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_cli_loads_scipy_special_only_for_a_payoff(tmp_path):
