@@ -19,7 +19,7 @@ from .digital_nets import generate_net, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
     DEFAULT_N_GRID,
-    DEFAULT_REPLICATIONS,
+    MAX_POINTS_LOG2,
     MODEL_KEYS,
     STANDARD_MODEL,
     StudyConfig,
@@ -30,12 +30,6 @@ from .experiment import (
 )
 from .finance import FACTOR_METHODS, PAYOFF_KINDS, GbmModel, PayoffSpec
 from .scrambling import ScrambleSeed, scramble
-
-_MAX_POINTS_M = 20
-# Caps on replicates and on points over all replicates (n_max * R) for
-# `price` and `rate-study`: 2^26 admits n_max = 2^20 at R = 64.
-_MAX_REPLICATIONS_LOG2 = 16
-_MAX_DRAWS_LOG2 = 26
 
 # The GbmModel fields in `price`'s flag order: (field, price flags, help,
 # cast).  Each flag's dest is its field; MODEL_KEYS gives its config key.
@@ -55,8 +49,8 @@ def _output(out: str | None):
 
 
 def _cmd_points(args) -> int:
-    if args.m < 0 or args.m > _MAX_POINTS_M:
-        raise CapacityError(f"m must be in 0..{_MAX_POINTS_M}")
+    if args.m < 0 or args.m > MAX_POINTS_LOG2:
+        raise CapacityError(f"m must be in 0..{MAX_POINTS_LOG2}")
     seed = ScrambleSeed(args.seed) if args.scramble else None  # before the net
     points = generate_net(args.m, args.d)
     if seed is not None:
@@ -140,24 +134,6 @@ def _take(kv: dict[str, tuple[str, str]], key: str, cast, default=None):
         ) from None
 
 
-def _check_capacity(n: int, replications: int) -> None:
-    """Cap points per replicate (as `points` does), replicates and their
-    product for `price` and `rate-study`, before anything is drawn."""
-    if n > 2**_MAX_POINTS_M:
-        raise CapacityError(
-            f"at most 2^{_MAX_POINTS_M} points per replicate, got {n}"
-        )
-    if replications > 2**_MAX_REPLICATIONS_LOG2:
-        raise CapacityError(
-            f"at most 2^{_MAX_REPLICATIONS_LOG2} replicates, got {replications}"
-        )
-    if n * replications > 2**_MAX_DRAWS_LOG2:
-        raise CapacityError(
-            f"at most 2^{_MAX_DRAWS_LOG2} points over all replicates, "
-            f"got n = {n} times R = {replications}"
-        )
-
-
 def _n_grid_from(kv: dict[str, tuple[str, str]]) -> tuple[int, ...]:
     n_min = _take(kv, "n_min", int, DEFAULT_N_GRID[0])
     n_max = _take(kv, "n_max", int, DEFAULT_N_GRID[-1])
@@ -199,11 +175,6 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             overrides[field] = value
     if seed_flag is not None:
         overrides["master_seed"] = seed_flag
-    _check_capacity(
-        overrides["n_grid"][-1],
-        overrides.get("replications", DEFAULT_REPLICATIONS),
-    )
-
     config = StudyConfig(integrand, **overrides)
 
     if kv:
@@ -231,7 +202,6 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_price(args) -> int:
-    _check_capacity(args.n, args.replications)
     model = GbmModel(**{field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
     config = StudyConfig(
         integrand=PayoffSpec(args.payoff, model, args.factor),

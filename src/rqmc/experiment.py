@@ -46,7 +46,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .digital_nets import generate_net, load_direction_numbers
-from .errors import ContractError, InfeasibleRegimeError, InsufficientDataError
+from .errors import (
+    CapacityError,
+    ContractError,
+    InfeasibleRegimeError,
+    InsufficientDataError,
+)
 from .finance import (
     GbmModel,
     PayoffSpec,
@@ -62,6 +67,12 @@ DEFAULT_N_GRID = tuple(2**k for k in range(6, 17))
 DEFAULT_REPLICATIONS = 32
 DEFAULT_SLOPE_SLACK = 0.12  # absorbs the theorem's poly-log factor at desk scale
 MIN_FIT_RECORDS = 4  # records a rate fit needs, and sizes a study's grid needs
+# Caps on a study's size, log2: points per replicate (`rqmc points` has this
+# cap too), replicates, and points over all replicates (n_max * R), which
+# admits n_max = 2^20 at R = 64.
+MAX_POINTS_LOG2 = 20
+_MAX_REPLICATIONS_LOG2 = 16
+_MAX_DRAWS_LOG2 = 26
 
 # Market constants shared by the shipped payoff studies.
 STANDARD_MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
@@ -111,6 +122,8 @@ class StudyConfig:
     makes axis-parallel; every other payoff has d_u = d.  The geometric
     payoff's reference is ``GEOMETRIC_ORACLE``; any other payoff needs an
     explicit ``reference_value`` before a study of it can run.
+
+    A size past the capacity caps is a `CapacityError`, before any work.
     """
 
     integrand: str | PayoffSpec
@@ -127,6 +140,31 @@ class StudyConfig:
         if self.sampler not in SAMPLERS:
             raise ContractError(f"unknown sampler {self.sampler!r}")
         ScrambleSeed(self.master_seed)  # a bad seed is refused before any work
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        if not self.n_grid:
+            raise ContractError("n_grid must be nonempty")
+        for n in self.n_grid:
+            if n < 1 or n & (n - 1):
+                raise ContractError(f"n_grid entry {n} is not a power of 2")
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ContractError("n_grid must be strictly increasing")
+        n, r = self.n_grid[-1], self.replications
+        if r < 8:
+            raise ContractError("need at least 8 replications")
+        # the caps, before _entry builds a path factor or loads scipy.special
+        if n > 2**MAX_POINTS_LOG2:
+            raise CapacityError(
+                f"at most 2^{MAX_POINTS_LOG2} points per replicate, got {n}"
+            )
+        if r > 2**_MAX_REPLICATIONS_LOG2:
+            raise CapacityError(
+                f"at most 2^{_MAX_REPLICATIONS_LOG2} replicates, got {r}"
+            )
+        if n * r > 2**_MAX_DRAWS_LOG2:
+            raise CapacityError(
+                f"at most 2^{_MAX_DRAWS_LOG2} points over all replicates, "
+                f"got n = {n} times R = {r}"
+            )
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
         # Every sampler has the direction table's dimension cap (plain MC is
@@ -146,16 +184,6 @@ class StudyConfig:
         object.__setattr__(self, "dimension", d)
         if self.reference_value is None:
             object.__setattr__(self, "reference_value", entry.reference)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if not self.n_grid:
-            raise ContractError("n_grid must be nonempty")
-        for n in self.n_grid:
-            if n < 1 or n & (n - 1):
-                raise ContractError(f"n_grid entry {n} is not a power of 2")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ContractError("n_grid must be strictly increasing")
-        if self.replications < 8:
-            raise ContractError("need at least 8 replications")
         if not (math.isfinite(self.slack) and self.slack >= 0):
             raise ContractError(f"slack must be finite and >= 0, got {self.slack}")
         if isinstance(self.reference_value, str):
@@ -204,6 +232,11 @@ class ErrorRecord:
     reference: float
     estimates: tuple[float, ...]
 
+    def __post_init__(self):
+        # refused here, so no later read of either warns or is not finite
+        _finite(f"mean absolute error at n={self.n}", lambda: self.mean_abs_error)
+        _finite(f"standard error at n={self.n}", lambda: self.std_error)
+
     @property
     def replications(self) -> int:
         return len(self.estimates)
@@ -223,6 +256,16 @@ class ErrorRecord:
 
 def _std_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / math.sqrt(len(x)))
+
+
+def _finite(quantity: str, compute: Callable[[], float]) -> float:
+    """``compute()``, a float that must be finite: one that overflows is a
+    `ContractError` naming ``quantity``, without numpy's RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not math.isfinite(value):
+        raise ContractError(f"the {quantity} is {value}, not a finite float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -281,7 +324,8 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     row chunks as fit, at least one: 32768 rows at d = 4, 2048 at d = 64.
     Cut on chunk boundaries, they get the values of one ``generate_path``
     call on all rows.  Each block's values, one finite float per point,
-    are written into the replicate's one buffer of n_max values.
+    are written into the replicate's one buffer of n_max values, and each
+    prefix mean must be finite too.
 
     Grids with n_max >= 2^16 run the replicates on ``min(R, usable CPUs)``
     threads and collect them in k order, so the estimates do not depend on
@@ -325,7 +369,9 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
                 )
             vals[start:stop] = out
             del rows, out  # freed before the next block is drawn
-        return [vals[:n].mean() for n in n_grid]
+        return [
+            _finite(f"mean of replicate {k} at n={n}", vals[:n].mean) for n in n_grid
+        ]
 
     workers = min(config.replications, _usable_cpus())
     if n_max < _PARALLEL_ROWS or workers < 2:
@@ -503,8 +549,8 @@ def price_report(config: StudyConfig, fmt: str) -> str:
         "factor": config.integrand.factor,
         "n": config.n_grid[0],
         "R": config.replications,
-        "estimate": float(estimates.mean()),
-        "std_error": _std_error(estimates),
+        "estimate": _finite("estimate", estimates.mean),
+        "std_error": _finite("standard error", lambda: _std_error(estimates)),
     }
     if config.reference_value is not None:
         result["oracle"] = resolve_reference(config)
@@ -516,7 +562,7 @@ def price_report(config: StudyConfig, fmt: str) -> str:
 
 
 def _json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -79,14 +79,15 @@ class GbmModel:
             raise ContractError("need at least one monitoring date")
         if self.strike < 0:
             raise ContractError("strike must be >= 0")
-        if not -self.r * self.maturity <= _LOG_FLOAT_MAX:
+        rt = self.r * self.maturity
+        if not (-rt <= _LOG_FLOAT_MAX and math.exp(-rt) > 0.0):
             raise ContractError(
-                "the discount factor e^(-rT) overflows at "
+                "the discount factor e^(-rT) overflows or underflows to 0 at "
                 f"r={self.r} and maturity={self.maturity}"
             )
-        if not math.isfinite((self.r - 0.5 * self.sigma**2) * self.maturity):
+        if not (self.r - 0.5 * self.sigma**2) * self.maturity <= _LOG_FLOAT_MAX:
             raise ContractError(
-                "the drift (r - sigma^2/2) T overflows at "
+                "the drift factor e^((r - sigma^2/2) T) overflows at "
                 f"r={self.r}, sigma={self.sigma} and maturity={self.maturity}"
             )
         try:

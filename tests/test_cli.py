@@ -446,8 +446,8 @@ def test_rate_study_replications_capped(tmp_path, capsys):
         assert err.startswith("error: at most " + cap), err
     # the largest sizes in use stay admitted: n_max = 2^18 at R = 32 and
     # the largest grid at the default R
-    rqmc.cli._check_capacity(2**18, 32)
-    rqmc.cli._check_capacity(2**20, 32)
+    StudyConfig("halfspace", n_grid=(2**18,), replications=32)
+    StudyConfig("halfspace", n_grid=(2**20,), replications=32)
 
 
 def test_rate_study_payoff_requires_reference(tmp_path, capsys):
@@ -712,6 +712,9 @@ def test_sigma_whose_variance_overflows_is_refused(tmp_path, capsys, factor):
         # an OverflowError traceback, or a numpy warning and a blamed point
         (("--payoff", "asian_gamma", "--s0", "1e160"), "s0"),
         (("--payoff", "asian_gamma", "--s0", "1e-200", "-K", "0"), "s0"),
+        # e^(-rT) underflowed to 0 while the path overflowed: two numpy
+        # warnings, then a point was blamed
+        (("--payoff", "asian_call", "--r", "800"), "r"),
     ],
 )
 def test_model_constants_that_overflow_are_refused(capsys, flags, field):
@@ -719,6 +722,42 @@ def test_model_constants_that_overflow_are_refused(capsys, flags, field):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert re.search(rf"\b{field}=", err), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the replicates' spread overflowed std's squares: a numpy warning,
+        # then `std_error inf`, or `Infinity` in the JSON, with exit 0
+        (("price", "--payoff", "asian_call", "--s0", "1e300"), "standard error is inf"),
+        (
+            ("price", "--payoff", "asian_call", "--s0", "1e300", "--format", "json"),
+            "standard error is inf",
+        ),
+        # a replicate's sum overflowed: numpy warnings, then `estimate inf`
+        # and `std_error nan` with exit 0
+        (
+            ("price", "--payoff", "asian_call", "--s0", "1e307"),
+            "mean of replicate 0 at n=512 is inf",
+        ),
+        # the same in a study: three numpy warnings, then `slope +nan`
+        (("rate-study", "--config"), "mean of replicate 0 at n=64 is inf"),
+    ],
+    ids=["s0_1e300", "s0_1e300_json", "s0_1e307", "study_s0_1e307"],
+)
+def test_results_that_overflow_are_refused(tmp_path, capsys, argv, message):
+    if argv[0] == "rate-study":
+        cfg = "integrand = asian_call\ns0 = 1e307\nreference = 1\nn_max = 1024\nR = 8\n"
+        argv += (write_config(tmp_path, cfg),)
+    else:
+        argv += ("-n", "512", "-R", "8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tiny_sigma_prices_under_both_factors(capsys):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -14,7 +16,12 @@ from goldens import GOLDEN_REPORTS, report_digest
 
 from rqmc import experiment as ex
 from rqmc.digital_nets import generate_net
-from rqmc.errors import ContractError, InfeasibleRegimeError, InsufficientDataError
+from rqmc.errors import (
+    CapacityError,
+    ContractError,
+    InfeasibleRegimeError,
+    InsufficientDataError,
+)
 from rqmc.experiment import (
     CATALOG,
     CATALOG_NAMES,
@@ -125,6 +132,26 @@ def test_config_validation():
         base_config(reference_value=math.nan)
 
 
+@pytest.mark.parametrize(
+    "n_grid, replications, cap",
+    [
+        ((64, 2**21), 8, "2^20 points per replicate"),
+        ((64, 128, 256, 512), 10**8, "2^16 replicates"),
+        ((2**20,), 128, "2^26 points over all replicates"),
+    ],
+)
+def test_config_capacity_caps(monkeypatch, n_grid, replications, cap):
+    # refused by the library before the entry builds a path factor, so
+    # every caller of StudyConfig has the caps `rqmc` has
+    def no_factor(*args):
+        raise AssertionError("the path factor was built")
+
+    monkeypatch.setattr(ex, "payoff_integrand", no_factor)
+    for integrand in ("halfspace", "geometric_ot"):
+        with pytest.raises(CapacityError, match=re.escape(f"at most {cap}")):
+            StudyConfig(integrand, n_grid=n_grid, replications=replications)
+
+
 def test_entry_name():
     assert base_config().entry.name == "halfspace"
     spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
@@ -139,6 +166,17 @@ def test_entry_name():
 
 
 # ---------------------------------------------------------------- records & estimates
+
+
+def test_error_record_refuses_statistics_that_overflow():
+    # finite estimates whose spread overflows the standard error's squares,
+    # or whose errors overflow the mean absolute error's sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="standard error at n=64 is inf"):
+            ErrorRecord(n=64, reference=0.0, estimates=(1e300, 0.0) * 4)
+        with pytest.raises(ContractError, match="mean absolute error at n=64 is inf"):
+            ErrorRecord(n=64, reference=0.0, estimates=(1.7e308,) * 8)
 
 
 def test_error_record_statistics():
