@@ -157,7 +157,9 @@ class PointSet:
     @property
     def coords(self) -> np.ndarray:
         """Coordinates as float64, correctly rounded from the digit string."""
-        return self.ints.astype(np.float64) * 2.0 ** -self.depth
+        coords = self.ints.astype(np.float64)
+        coords *= 2.0 ** -self.depth
+        return coords
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,17 @@ index, dimension, digit position, prefix digits).  This gives the exact
 nested-uniform law without storing the tree and makes replicates
 independent by construction.  ``permutation_for`` and ``_mix`` are the
 scalar reference for the tree; the array kernel ``_swap_mask`` realizes
-it bit for bit.  It hashes each tree node of the leading ``n.bit_length()``
-digits once, into a table the rows gather from, does the first xorshift
-of the finalizer once per column, and finishes each later digit's hash in
-uint32 arithmetic, in place, with 32 bytes of scratch a row and no
-allocation per digit (see ``_swap_mask`` for the identities).  A scramble
-runs on the calling thread and shares no state between calls, so callers
-on several threads at once each get the serial bits of their own seed.
+it bit for bit.  For a column of n rows it hashes each tree node of the
+leading ``n.bit_length() - 1`` digits once, into a table the rows gather
+from, does the first xorshift of the finalizer once per column, and
+finishes each later digit's hash in uint32 arithmetic, in place, with 32
+bytes of scratch a row and no allocation per digit (see ``_swap_mask`` for
+the identities).  ``scramble`` lifts each column straight into its result,
+XORs the mask there and looks for 0.0 and 1.0 images on the integers, so
+it holds nothing a row beyond the result and the kernel's scratch.  A
+scramble runs on the calling thread and shares no state between calls, so
+callers on several threads at once each get the serial bits of their own
+seed.
 
 The scramble has one law: at most ``PRECISION_DEPTH`` = 53 digits in, 64
 out.  Digits past the input's are fresh filler, redrawn where a coordinate
@@ -55,6 +59,10 @@ _U32 = np.uint32
 _M2_BIT = _U32((0x94D049BB133111EB * (2**31 + 1)) & 0xFFFFFFFF)
 # Bits of the double 1.0: OR-ed onto a 52-bit integer m they give 1 + m 2^-52.
 _ONE_BITS = _U64(0x3FF0000000000000)
+# The least 64-digit integer whose float image 2^-64 * float64(bits) is 1.0:
+# 2^64 - 2^10 lies halfway between the doubles 2^64 - 2^11 and 2^64 and
+# rounds to the even one, 2^64.  The image is 0.0 only for bits == 0.
+_ONE_IMAGE = _U64(2**64 - 2**10)
 
 
 def _mix(x: int) -> int:
@@ -157,20 +165,23 @@ def _node_table(keys: np.ndarray) -> np.ndarray:
     return table
 
 
-def _swap_mask(col: np.ndarray, hj: int, salt: int = 0) -> np.ndarray:
+def _swap_mask(digits: np.ndarray, depth: int, hj: int, salt: int = 0) -> np.ndarray:
     """XOR mask of the node swap bits of digits 1..64.
 
-    The swap bit of digit ``k`` is ``_mix(p ^ key_k) & 1``, where ``p`` is
-    the ``k-1`` leading digits of ``col`` and ``key_k`` a key for
-    (dimension, ``k``); a nonzero ``salt`` rekeys the draw, for the filler
-    redraw.  ``col`` must be contiguous.  The bits are exactly those
+    ``digits`` is a column of ``depth``-digit integers, ``depth <= 63``, of
+    any stride.  The swap bit of digit ``k`` is ``_mix(p ^ key_k) & 1``,
+    where ``p`` is the ``k-1`` leading digits of the column's entry and
+    ``key_k`` a key for (dimension, ``k``); a nonzero ``salt`` rekeys the
+    draw, for the filler redraw.  The bits are exactly those
     ``permutation_for`` describes; the kernel gets them with less work
     through four exact identities:
 
-    1. Digit ``k``'s bit depends only on its prefix, and a column of ``n``
-       rows has at most ``2^(t-1) <= n`` distinct prefixes before digit
-       ``t = n.bit_length()``.  So digits ``1..t`` are gathered from
-       ``_node_table``, at most ``2n`` hashes instead of ``t*n``.  The
+    1. Digit ``k``'s bit depends only on its prefix, and digits ``1..t``
+       have only ``2^t - 1`` distinct nodes.  So for ``t = n.bit_length() -
+       1`` (at least 1) they are gathered from ``_node_table``, at most
+       ``n`` hashes instead of ``t*n``.  Digit ``t + 1`` would add ``2^t >
+       n/2`` nodes to the table, at about three row passes' cost (2^16
+       rows), so it is hashed row by row like the digits after it.  The
        table depends only on the keys, so each row still depends on its
        own input row alone.
     2. Right shifts distribute over XOR, so the first xorshift of the
@@ -185,27 +196,28 @@ def _swap_mask(col: np.ndarray, hj: int, salt: int = 0) -> np.ndarray:
 
     The remaining digits are hashed digit by digit in place, with five
     uint64 and four uint32 passes each.  The kernel holds three
-    column-length uint64 arrays (``h``, the hash, its scratch buffer,
-    whose first half also holds the uint32 copy of ``c``) and two uint32
+    column-length uint64 arrays (``x``, which holds the column's lifted
+    digits and then each digit's hash, ``h`` and a scratch buffer, whose
+    first half also holds the uint32 copy of ``c``) and two uint32
     accumulators for the high and low words of the mask: 32 bytes a row.
     """
-    n = col.size
+    n = digits.size
     keys = _mix_vec(np.arange(1, 65, dtype=_U64) ^ _U64(hj))
     if salt:
         keys = _mix_vec(keys ^ _U64(salt * _GOLDEN & _MASK64))
     # The table's bits sit in the high word, so it covers at most 32 digits;
     # it is built before the column buffers, which keeps the peak at those.
-    t = min(n.bit_length(), 32)
+    t = min(max(n.bit_length() - 1, 1), 32)
     table = _node_table(keys[:t])
-    # The prefix of digit k is col >> (65 - k) = half >> (64 - k), and k = 1
-    # gets the empty prefix 0; a shift of 64 happens only on an empty column.
-    x = col >> _U64(1)
+    # x = half, the left-aligned digits >> 1: digit k's prefix is
+    # half >> (64 - k), and k = 1 gets the empty prefix 0.
+    x = np.left_shift(digits, _U64(63 - depth), dtype=_U64)
     hi = np.take(table, (x >> _U64(64 - t)).view(np.int64))
     del table
     lo = np.zeros(n, dtype=_U32)
     h = x >> _U64(30)
     h ^= x
-    tmp = np.empty_like(col)
+    tmp = np.empty_like(x)
     c = tmp.view(_U32)[:n]
     keys = keys[t:]
     keys ^= keys >> _U64(30)
@@ -228,6 +240,17 @@ def _swap_mask(col: np.ndarray, hj: int, salt: int = 0) -> np.ndarray:
     return x
 
 
+def _edge_images(bits: np.ndarray) -> np.ndarray:
+    """Indices of the 64-digit integers in ``bits`` whose float image
+    ``float64(bits) * 2**-64`` is 0.0 or 1.0: 0, and ``_ONE_IMAGE`` up.
+
+    Two reductions find the usual case of none without a temporary.
+    """
+    if bits.min(initial=1) != 0 and bits.max(initial=0) < _ONE_IMAGE:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero((bits == 0) | (bits >= _ONE_IMAGE))
+
+
 def scramble(points: PointSet, seed: ScrambleSeed) -> PointSet:
     """Nested uniform scramble of a base-2 point set.
 
@@ -242,11 +265,11 @@ def scramble(points: PointSet, seed: ScrambleSeed) -> PointSet:
     and the seed, so the first n points of a scrambled net are the scramble
     of the net's first n points.
 
-    Each coordinate is scrambled as one contiguous column by
-    ``_swap_mask``, which gives exactly the bits of the tree
-    ``permutation_for`` describes.  Each column is lifted to left-aligned
-    digits only while it is hashed and is written straight into the
-    result, so the call holds the result plus one column's 40 bytes a row.
+    Each coordinate is scrambled as one column by ``_swap_mask``, which
+    gives exactly the bits of the tree ``permutation_for`` describes.  Each
+    column is lifted to left-aligned digits straight into the result and
+    XOR-ed there with its mask, so the call holds the result plus the
+    kernel's 32 bytes a row.
     """
     in_depth = points.depth
     if in_depth > PRECISION_DEPTH:
@@ -254,24 +277,18 @@ def scramble(points: PointSet, seed: ScrambleSeed) -> PointSet:
     keep = _U64(_MASK64 ^ ((1 << (64 - in_depth)) - 1))
     out = np.empty_like(points.ints)
     for j in range(points.d):
-        # A contiguous copy of column j, lifted to left-aligned digits.
-        col = points.ints[:, j] << _U64(64 - in_depth)
+        digits, bits = points.ints[:, j], out[:, j]
+        np.left_shift(digits, _U64(64 - in_depth), out=bits)
         hj = _dim_key(seed, j)
-        bits = _swap_mask(col, hj)
-        bits ^= col
+        bits ^= _swap_mask(digits, in_depth, hj)
         # Exclude float images 0.0 and 1.0 by redrawing the filler digits
         # (positions in_depth+1 .. 64) with a salted key.  Equal input
         # values redraw identically, preserving nested consistency.
         salt = 0
-        while True:
-            vals = bits.astype(np.float64) * 2.0**-64
-            bad = (vals == 0.0) | (vals == 1.0)
-            if not bad.any():
-                break
+        while (bad := _edge_images(bits)).size:
             salt += 1
-            refill = _swap_mask(col[bad], hj, salt)
+            refill = _swap_mask(digits[bad], in_depth, hj, salt)
             bits[bad] = (bits[bad] & keep) | (refill & ~keep)
-        out[:, j] = bits
     return PointSet(out, 64)
 
 

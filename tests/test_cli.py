@@ -725,32 +725,47 @@ def test_model_constants_that_overflow_are_refused(capsys, flags, field):
 
 
 @pytest.mark.parametrize(
+    "s0, fmt",
+    [("1e300", "text"), ("1e300", "json"), ("1e306", "text"), ("1e307", "text")],
+    ids=["s0_1e300", "s0_1e300_json", "s0_1e306", "s0_1e307"],
+)
+def test_results_near_the_float_range_are_priced(capsys, s0, fmt):
+    # the replicates' spread overflowed std's squares at s0 = 1e300, and a
+    # replicate's sum overflowed from s0 = 1e306: both were refused as inf
+    # (and before that printed `std_error inf` or `estimate inf`, exit 0).
+    # Both are computed on values scaled by a power of two.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "price", "--payoff", "asian_call", "--s0", s0,
+            "-n", "512", "-R", "8", "--format", fmt,
+        )
+    assert (code, err) == (0, ""), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if fmt == "json":
+        result = json.loads(out)
+    else:
+        result = dict(line.split(" ", 1) for line in out.splitlines())
+    estimate, std_error = float(result["estimate"]), float(result["std_error"])
+    assert 0.9 < estimate / float(s0) < 1.1
+    assert 0.0 < std_error < 1e-3 * estimate
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
-        # the replicates' spread overflowed std's squares: a numpy warning,
-        # then `std_error inf`, or `Infinity` in the JSON, with exit 0
-        (("price", "--payoff", "asian_call", "--s0", "1e300"), "standard error is inf"),
-        (
-            ("price", "--payoff", "asian_call", "--s0", "1e300", "--format", "json"),
-            "standard error is inf",
-        ),
-        # a replicate's sum overflowed: numpy warnings, then `estimate inf`
-        # and `std_error nan` with exit 0
-        (
-            ("price", "--payoff", "asian_call", "--s0", "1e307"),
-            "mean of replicate 0 at n=512 is inf",
-        ),
-        # the same in a study: three numpy warnings, then `slope +nan`
-        (("rate-study", "--config"), "mean of replicate 0 at n=64 is inf"),
+        # a rate study's absolute errors near the float range: their
+        # spread overflows the standard error's squares (the replicate
+        # means themselves are scaled, and once overflowed as
+        # `mean of replicate 0 at n=64 is inf`, or three numpy warnings
+        # and `slope +nan`)
+        (("rate-study", "--config"), "standard error at n=64 is inf"),
     ],
-    ids=["s0_1e300", "s0_1e300_json", "s0_1e307", "study_s0_1e307"],
+    ids=["study_s0_1e307"],
 )
 def test_results_that_overflow_are_refused(tmp_path, capsys, argv, message):
-    if argv[0] == "rate-study":
-        cfg = "integrand = asian_call\ns0 = 1e307\nreference = 1\nn_max = 1024\nR = 8\n"
-        argv += (write_config(tmp_path, cfg),)
-    else:
-        argv += ("-n", "512", "-R", "8")
+    cfg = "integrand = asian_call\ns0 = 1e307\nreference = 1\nn_max = 1024\nR = 8\n"
+    argv += (write_config(tmp_path, cfg),)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)

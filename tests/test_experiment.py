@@ -179,6 +179,28 @@ def test_error_record_refuses_statistics_that_overflow():
             ErrorRecord(n=64, reference=0.0, estimates=(1.7e308,) * 8)
 
 
+@pytest.mark.parametrize("n", [8, 512, 2**16])
+def test_rescaled_statistics_match_plain_bits(n):
+    # on y = x * 2^k, a mean or standard error that overflows is computed on
+    # scaled values, and equals the plain statistic of x times 2^k bit for
+    # bit, as the plain one of y does where it is finite
+    rng = np.random.default_rng(n)
+    narrow = rng.uniform(0.5, 1.0, n)
+    wide = rng.lognormal(0.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    for x in (narrow, wide):
+        e = math.frexp(np.abs(x).max())[1]
+        for stat in (np.mean, ex._std_error):
+            expect = float(stat(x))
+            overflowed = 0
+            for k in (0, 300, 600, 1000 - e, 1023 - e):
+                y = x * 2.0**k
+                with np.errstate(over="ignore", invalid="ignore"):
+                    overflowed += not math.isfinite(stat(y))
+                    got = ex._rescaled(stat, y)
+                assert got == expect * 2.0**k, (stat, k)
+            assert overflowed or (stat is np.mean and x is wide)
+
+
 def test_error_record_statistics():
     rec = ErrorRecord(n=64, reference=1.0, estimates=(1.5, 0.75, 1.0, 1.25))
     assert rec.replications == 4
@@ -317,6 +339,22 @@ def test_plain_mc_replicate_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4.9 * 2**20, peak / 2**20
+
+
+def test_nets_replicate_peak_memory(monkeypatch):
+    # One inline nets replicate at n_max = 2^16, d = 2 holds the net, its
+    # scramble and the kernel's 32 bytes a row: 4.02 MiB.  A lifted copy of
+    # each column, float and bool temporaries for the 0.0/1.0 check and a
+    # full-depth node table peaked at 5.58 MiB.
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
+    cfg = StudyConfig("halfspace", n_grid=(2**14, 2**16), replications=8)
+    tracemalloc.start()
+    try:
+        replicate_estimates(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak / 2**20
 
 
 def test_unknown_integrand_rejected():

@@ -350,24 +350,41 @@ def test_filler_redraw_bits_match_scalar_oracle():
         assert int(scramble(pts, seed).ints[0, 0]) == expect, master
 
 
+def test_edge_images_match_float_images():
+    # the integer check finds exactly the values whose float image is 0.0
+    # or 1.0; 2^64 - 2^10 is the tie that rounds up to 2^64
+    values = [0, 1, 2**63, 2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
+    bits = np.array(values, dtype=np.uint64)
+    images = bits.astype(np.float64) * 2.0**-64
+    assert images.tolist() == [0.0, 2.0**-64, 0.5, 1.0 - 2.0**-53, 1.0, 1.0]
+    edge = (images == 0.0) | (images == 1.0)
+    assert scrambling._edge_images(bits).tolist() == np.flatnonzero(edge).tolist()
+    for v, e in zip(bits, edge):
+        assert scrambling._edge_images(np.array([v])).tolist() == ([0] if e else [])
+    assert scrambling._edge_images(bits[:0]).size == 0
+
+
 def test_swap_mask_matches_scalar_formula():
     # all 64 digits, salted (the filler redraw's keys) and unsalted, on
-    # random odd columns of 1, 3 and 300 rows, whose leading digits come
-    # from node tables of 1, 2 and 9 levels
+    # strided columns of random 63-digit integers: 1, 3, 255, 256, 257 and
+    # 300 rows, whose leading digits come from node tables of 1, 1, 7, 8,
+    # 8 and 8 levels
     rng = np.random.default_rng(11)
-    col = rng.integers(0, 2**63, 300, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    cols = rng.integers(0, 2**63, (300, 2), dtype=np.uint64)
     hj = _dim_key(SEED, 2)
     for salt in (0, 1, 5):
         keys = [_mix(k ^ hj) for k in range(1, 65)]
         if salt:
             keys = [_mix(key ^ salt * _GOLDEN) for key in keys]
-        for rows in (1, 3, 300):
-            mask = scrambling._swap_mask(col[:rows], hj, salt).tolist()
-            for x, got in zip(col.tolist(), mask):
-                expect = 0
-                for k, key in enumerate(keys, start=1):
-                    expect |= (_mix(key ^ (x >> (65 - k))) & 1) << (64 - k)
-                assert got == expect, (salt, rows, x)
+        expect = []
+        for digits in cols[:, 1].tolist():
+            x, mask = digits << 1, 0
+            for k, key in enumerate(keys, start=1):
+                mask |= (_mix(key ^ (x >> (65 - k))) & 1) << (64 - k)
+            expect.append(mask)
+        for rows in (1, 3, 255, 256, 257, 300):
+            got = scrambling._swap_mask(cols[:rows, 1], 63, hj, salt).tolist()
+            assert got == expect[:rows], (salt, rows)
 
 
 def test_scramble_depth_contract():
