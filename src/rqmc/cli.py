@@ -15,7 +15,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .digital_nets import generate_net, verify_net
+from .digital_nets import generate_net, load_direction_numbers, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
     DEFAULT_N_GRID,
@@ -155,7 +155,7 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
     integrand = name
     if name in PAYOFF_KINDS:
         # read before the study keys: a payoff's d is its model's
-        model = GbmModel(**{
+        model = _model({
             field: _take(kv, MODEL_KEYS[field], cast, getattr(STANDARD_MODEL, field))
             for field, _, _, cast in _MODEL_FIELDS
         })
@@ -201,8 +201,14 @@ def _cmd_rate_study(args) -> int:
     return 0 if report.consistent else 1
 
 
+def _model(values: dict) -> GbmModel:
+    # a study refuses a d past the direction table before the model's domain
+    load_direction_numbers().direction_integers(max(values["d"], 1))
+    return GbmModel(**values)
+
+
 def _cmd_price(args) -> int:
-    model = GbmModel(**{field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
+    model = _model({field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
     config = StudyConfig(
         integrand=PayoffSpec(args.payoff, model, args.factor),
         n_grid=(args.n,),

@@ -258,22 +258,6 @@ def _std_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
-def _rescaled(stat: Callable[[np.ndarray], float], x: np.ndarray) -> float:
-    """``stat(x)`` for a statistic that scales with ``x``, a mean or a
-    standard error.  Where it overflows, it is ``stat(x * 2^-s) * 2^s``.
-    Scaling by a power of two is exact, so that is the plain formula's
-    result with an unbounded exponent, bit for bit, unless a scaled value
-    is subnormal.  ``s`` puts ``|x|`` below ``2^(511 - b)``, ``b`` the bit
-    length of ``len(x)``, so no square of a deviation, nor their sum,
-    overflows.
-    """
-    value = float(stat(x))
-    if math.isfinite(value):
-        return value
-    s = math.frexp(float(np.abs(x).max(initial=0.0)))[1] - 511 + len(x).bit_length()
-    return float(stat(x * 2.0**-s)) * 2.0**s
-
-
 def _finite(quantity: str, compute: Callable[[], float]) -> float:
     """``compute()``, a float that must be finite: one that overflows is a
     `ContractError` naming ``quantity``, without numpy's RuntimeWarning."""
@@ -386,10 +370,7 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
             vals[start:stop] = out
             del rows, out  # freed before the next block is drawn
         return [
-            _finite(
-                f"mean of replicate {k} at n={n}", lambda: _rescaled(np.mean, vals[:n])
-            )
-            for n in n_grid
+            _finite(f"mean of replicate {k} at n={n}", vals[:n].mean) for n in n_grid
         ]
 
     workers = min(config.replications, _usable_cpus())
@@ -568,10 +549,8 @@ def price_report(config: StudyConfig, fmt: str) -> str:
         "factor": config.integrand.factor,
         "n": config.n_grid[0],
         "R": config.replications,
-        "estimate": _finite("estimate", lambda: _rescaled(np.mean, estimates)),
-        "std_error": _finite(
-            "standard error", lambda: _rescaled(_std_error, estimates)
-        ),
+        "estimate": _finite("estimate", estimates.mean),
+        "std_error": _finite("standard error", lambda: _std_error(estimates)),
     }
     if config.reference_value is not None:
         result["oracle"] = resolve_reference(config)

@@ -26,8 +26,7 @@ that prices nothing never loads it.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,12 +44,33 @@ PAYOFF_KINDS = (
 FACTOR_METHODS = ("cholesky", "ot")
 
 _FACTOR_RTOL = 1e-12
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp(x) is finite iff x <= it
+_Z = 9.09  # bounds |Phi^{-1}(u)| on [2^-64, 1 - 2^-53], where samplers emit u
+_LOG_BOUND = 320.0  # L, the bound on a model's log scale (see GbmModel)
 
 
 @dataclass(frozen=True)
 class GbmModel:
-    """Market constants: initial price, rate, volatility, maturity, dates, strike."""
+    """Market constants: initial price, rate, volatility, maturity, dates, strike.
+
+    The model's domain is one bound, lam <= L = 320, on its log scale
+
+        lam = max(|log s0|, log+ K) + |r - sigma^2/2| T + Z sigma sqrt(d T)
+              + |rT| + |log T| + log d.
+
+    Scrambled coordinates lie in [2^-64, 1 - 2^-53] and plain-uniform ones
+    in [2^-53, 1 - 2^-53], so |z_j| = |Phi^{-1}(u_j)| <= 9.0802 < Z; any
+    factor row has |a_i|_2^2 = t_i, so |sigma (A z)_i| <= Z sigma sqrt(d t_i).
+    With M the first three terms, every S_i lies in [e^-M, e^M] and K below
+    e^M, the discount factor within e^(+-|rT|), and every date within
+    e^(+-(|log T| + log d)).  A payoff value is e^(M + |rT|) times at most
+    1 (call, delta, geometric), 2 T (rho), 2 lam / T (theta: |r| and
+    |r - sigma^2/2| are at most lam / T), 3 lam / sigma (vega) or
+    3 lam / (s0^2 sigma^2 dt) (gamma: their numerator is at most 3 lam, as
+    sigma^2 T / 2 <= |rT| + |r - sigma^2/2| T).  ``PayoffSpec`` adds the log
+    of vega's or gamma's own factor to lam under the same bound.  So a value
+    is below 3 L e^L < 2^472, a sum of 2^26 values below 2^498, and the
+    squared deviations of 2^16 estimates below 2^962.
+    """
 
     s0: float
     r: float
@@ -70,35 +90,11 @@ class GbmModel:
             raise ContractError("volatility must be >= 0")
         if self.maturity <= 0:
             raise ContractError("maturity must be > 0")
-        if not math.isfinite(self.sigma * self.sigma * self.maturity):
-            raise ContractError(
-                f"sigma={self.sigma} is too large: the variance sigma^2 T "
-                "of log S_T must be finite"
-            )
         if self.d < 1:
             raise ContractError("need at least one monitoring date")
         if self.strike < 0:
             raise ContractError("strike must be >= 0")
-        rt = self.r * self.maturity
-        if not (-rt <= _LOG_FLOAT_MAX and math.exp(-rt) > 0.0):
-            raise ContractError(
-                "the discount factor e^(-rT) overflows or underflows to 0 at "
-                f"r={self.r} and maturity={self.maturity}"
-            )
-        if not (self.r - 0.5 * self.sigma**2) * self.maturity <= _LOG_FLOAT_MAX:
-            raise ContractError(
-                "the drift factor e^((r - sigma^2/2) T) overflows at "
-                f"r={self.r}, sigma={self.sigma} and maturity={self.maturity}"
-            )
-        try:
-            dt = self.dt
-        except OverflowError:  # d is beyond the float range
-            dt = 0.0
-        if not dt > 0.0:
-            raise ContractError(
-                "the date spacing T/d must be a float > 0, "
-                f"got maturity={self.maturity} and d={self.d}"
-            )
+        _check_domain(self, "the model")
 
     @property
     def dt(self) -> float:
@@ -107,6 +103,25 @@ class GbmModel:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(1, self.d + 1)
+
+
+def _check_domain(m: GbmModel, what: str, log_factor: float = 0.0) -> None:
+    """Raise unless the model's log scale plus ``log_factor`` is at most L."""
+    scale = (
+        max(abs(math.log(m.s0)), math.log(max(m.strike, 1.0)))
+        + abs(m.r - 0.5 * m.sigma * m.sigma) * m.maturity
+        # a d past 2^1000, which may not convert to a float, is out on log d
+        + _Z * m.sigma * math.sqrt(min(m.d, 2**1000)) * math.sqrt(m.maturity)
+        + abs(m.r * m.maturity)
+        + abs(math.log(m.maturity))
+        + math.log(m.d)
+        + log_factor
+    )
+    if not scale <= _LOG_BOUND:  # NaN too
+        values = ", ".join(f"{f.name}={getattr(m, f.name)}" for f in fields(m))
+        raise ContractError(
+            f"{what}'s log scale {scale:.4g} exceeds {_LOG_BOUND:g} at {values}"
+        )
 
 
 def covariance(model: GbmModel) -> np.ndarray:
@@ -282,18 +297,21 @@ class PayoffSpec:
         if self.factor not in FACTOR_METHODS:
             raise ContractError(f"unknown factor method {self.factor!r}")
         m = self.model
-        if self.kind in ("asian_gamma", "asian_vega") and m.sigma == 0.0:
-            raise ContractError(f"{self.kind} divides by sigma; sigma must be > 0")
-        if self.kind == "asian_gamma":
-            try:
-                divisor = _gamma_divisor(m)
-            except OverflowError:  # s0^2 overflowed
-                divisor = math.inf
-            if not 0.0 < divisor < math.inf:
+        if self.kind in ("asian_gamma", "asian_vega"):
+            # Both divide log(S/S0) - (r + sigma^2/2) t by sigma.  At maturity it
+            # is about sigma sqrt(T), with an error of 2^-53 max(1, |r| T), so it
+            # keeps half its 53 bits only while sigma sqrt(T) >= 2^-27 max(1, |r| T).
+            floor = 2.0**-27 * max(1.0, abs(m.r) * m.maturity) / math.sqrt(m.maturity)
+            if not m.sigma >= floor:
                 raise ContractError(
-                    f"asian_gamma's divisor s0^2 sigma^2 dt = {divisor} must be finite "
-                    f"and > 0; got s0={m.s0}, sigma={m.sigma} and dt={m.dt}"
+                    f"{self.kind} divides by sigma, which must be >= {floor:.4g} "
+                    f"at r={m.r} and maturity={m.maturity}; got sigma={m.sigma}"
                 )
+            # the factor each adds to a value: 1/sigma, or 1/(s0^2 sigma^2 dt)
+            log_factor = -math.log(m.sigma)
+            if self.kind == "asian_gamma":
+                log_factor = 2.0 * (log_factor - math.log(m.s0)) - math.log(m.dt)
+            _check_domain(m, self.kind, log_factor)
 
 
 def payoff_eval(spec: PayoffSpec, s):
@@ -308,7 +326,12 @@ def payoff_eval(spec: PayoffSpec, s):
     Each Greek is the derivative of the discounted price V with respect
     to its parameter; theta is dV/dT, the change per unit of maturity.
     """
-    return _payoff(spec, np.array(s, dtype=np.float64))
+    s = np.array(s, dtype=np.float64)
+    if s.shape[-1:] != (spec.model.d,):
+        raise ContractError(f"paths must have {spec.model.d} dates")
+    if not np.all(s > 0.0):
+        raise ContractError("prices must be positive")
+    return _payoff(spec, s)
 
 
 def _payoff(spec: PayoffSpec, s: np.ndarray):
@@ -319,11 +342,6 @@ def _payoff(spec: PayoffSpec, s: np.ndarray):
     the formula in its comment, so every value has that formula's bits.
     """
     m = spec.model
-    if s.shape[-1:] != (m.d,):
-        raise ContractError(f"paths must have {m.d} dates")
-    if not np.all(s > 0.0):
-        raise ContractError("prices must be positive")
-
     disc = math.exp(-m.r * m.maturity)
     kind = spec.kind
     if kind == "geometric_indicator_payoff":
@@ -341,7 +359,7 @@ def _payoff(spec: PayoffSpec, s: np.ndarray):
         val = (
             sa
             * (np.log(s[..., 0] / m.s0) - (m.r + 0.5 * m.sigma**2) * m.dt)
-            / _gamma_divisor(m)
+            / (m.s0**2 * m.sigma**2 * m.dt)
         )
     elif kind == "asian_rho":
         dsa_dr = (m.maturity / m.d**2) * (s @ j)
@@ -366,10 +384,6 @@ def _payoff(spec: PayoffSpec, s: np.ndarray):
     else:  # pragma: no cover
         raise ContractError(f"unknown payoff kind {kind!r}")
     return disc * val * live
-
-
-def _gamma_divisor(m: GbmModel) -> float:
-    return m.s0**2 * m.sigma**2 * m.dt
 
 
 def _row_mean(x: np.ndarray):
@@ -397,7 +411,7 @@ def payoff_integrand(spec: PayoffSpec):
     """
     a = path_factor(spec.model, spec.factor)
     _special()
-    # generate_path's result is fresh, so the payoff may overwrite it
+    # fresh paths, positive in the model's domain: _payoff overwrites them unchecked
     return lambda u: _payoff(spec, generate_path(u, spec.model, a))
 
 

@@ -179,28 +179,6 @@ def test_error_record_refuses_statistics_that_overflow():
             ErrorRecord(n=64, reference=0.0, estimates=(1.7e308,) * 8)
 
 
-@pytest.mark.parametrize("n", [8, 512, 2**16])
-def test_rescaled_statistics_match_plain_bits(n):
-    # on y = x * 2^k, a mean or standard error that overflows is computed on
-    # scaled values, and equals the plain statistic of x times 2^k bit for
-    # bit, as the plain one of y does where it is finite
-    rng = np.random.default_rng(n)
-    narrow = rng.uniform(0.5, 1.0, n)
-    wide = rng.lognormal(0.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
-    for x in (narrow, wide):
-        e = math.frexp(np.abs(x).max())[1]
-        for stat in (np.mean, ex._std_error):
-            expect = float(stat(x))
-            overflowed = 0
-            for k in (0, 300, 600, 1000 - e, 1023 - e):
-                y = x * 2.0**k
-                with np.errstate(over="ignore", invalid="ignore"):
-                    overflowed += not math.isfinite(stat(y))
-                    got = ex._rescaled(stat, y)
-                assert got == expect * 2.0**k, (stat, k)
-            assert overflowed or (stat is np.mean and x is wide)
-
-
 def test_error_record_statistics():
     rec = ErrorRecord(n=64, reference=1.0, estimates=(1.5, 0.75, 1.0, 1.25))
     assert rec.replications == 4

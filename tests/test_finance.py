@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqmc import finance
-from rqmc.digital_nets import generate_points
+from rqmc import finance, scrambling
+from rqmc.digital_nets import PointSet, generate_points
 from rqmc.errors import ContractError, NotPositiveDefiniteError
 from rqmc.finance import (
     FACTOR_METHODS,
@@ -37,7 +38,7 @@ from rqmc.finance import (
     payoff_integrand,
     reconstructs,
 )
-from rqmc.finance import _row_mean
+from rqmc.finance import _Z, _row_mean
 from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
 
 MODEL = GbmModel(s0=1.0, r=0.05, sigma=0.2, maturity=1.0, d=4, strike=1.0)
@@ -70,11 +71,118 @@ def test_model_validation():
 
 
 def test_model_refuses_sigma_whose_variance_overflows():
-    # sigma^2 T is the variance of log S_T; generate_path squares sigma
-    GbmModel(1.0, 0.05, 1e154, 1.0, 4, 1.0)
-    for sigma, maturity in ((2e154, 1.0), (1e155, 1e-300), (1e154, 1e10)):
-        with pytest.raises(ContractError, match="sigma=.* is too large"):
+    # sigma^2 T is the variance of log S_T; generate_path squares sigma.
+    # sigma = 1e154 priced until the model's domain bounded log S_T.
+    GbmModel(1.0, 0.05, 12.0, 1.0, 4, 1.0)
+    for sigma, maturity in ((1e154, 1.0), (2e154, 1.0), (1e155, 1e-300), (1e154, 1e10)):
+        with pytest.raises(ContractError, match=re.escape(f"sigma={sigma},")):
             GbmModel(1.0, 0.05, sigma, maturity, 4, 1.0)
+
+
+def _float_key(x: float) -> int:
+    """An integer with the order of the floats."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def _key_float(key: int) -> float:
+    return math.copysign(float(np.int64(abs(key)).view(np.float64)), key)
+
+
+def _domain_edge(valid, inside: float, outside: float) -> tuple[float, float]:
+    """The last float from ``inside`` toward ``outside`` that ``valid`` takes,
+    and the next one, which it refuses: bisection in the floats' order."""
+    lo, hi = _float_key(inside), _float_key(outside)
+    assert valid(_key_float(lo)) and not valid(_key_float(hi))
+    while abs(hi - lo) > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (mid, hi) if valid(_key_float(mid)) else (lo, mid)
+    return _key_float(lo), _key_float(hi)
+
+
+_DIVIDE_BY_SIGMA = ("asian_gamma", "asian_vega")
+# each field of the model, and a value past each edge of the domain
+_EDGES = [
+    ("s0", 1.7e308),
+    ("s0", 5e-324),
+    ("r", 1.7e308),
+    ("r", -1.7e308),
+    ("sigma", 1.7e308),
+    ("sigma", 0.0),  # the floor of the kinds that divide by sigma only
+    ("maturity", 1.7e308),
+    ("maturity", 5e-324),
+    ("strike", 1.7e308),
+]
+
+
+@pytest.mark.parametrize("factor", FACTOR_METHODS)
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_payoffs_are_finite_to_the_edge_of_the_domain(kind, factor):
+    # every coordinate 2^-64, every one 1 - 2^-53, and both mixed: the
+    # extreme quantiles, where the prices and values are largest
+    lo, hi = 2.0**-64, 1.0 - 2.0**-53
+
+    def spec(model, **changes):
+        return PayoffSpec(kind, dataclasses.replace(model, **changes), factor)
+
+    def valid(model, **changes) -> bool:
+        try:
+            spec(model, **changes)
+        except ContractError:
+            return False
+        return True
+
+    specs = []
+    # from MODEL, whose paths end below the strike as often as above, and
+    # from a zero strike, where every path pays
+    for base in (MODEL, dataclasses.replace(MODEL, strike=0.0)):
+        for field, outside in _EDGES:
+            if field == "sigma" and outside == 0.0 and kind not in _DIVIDE_BY_SIGMA:
+                continue
+            edge, past = _domain_edge(
+                lambda x: valid(base, **{field: x}), getattr(base, field), outside
+            )
+            with pytest.raises(ContractError, match=re.escape(f"{field}={past}")):
+                spec(base, **{field: past})
+            specs.append(spec(base, **{field: edge}))
+    # d = 64, the direction table's cap, at sigma's upper edge: one more
+    # date is past it
+    wide = dataclasses.replace(MODEL, d=64)
+    sigma, _ = _domain_edge(lambda x: valid(wide, sigma=x), 0.2, 1.7e308)
+    with pytest.raises(ContractError, match="d=65"):
+        spec(wide, d=65, sigma=sigma)
+    specs.append(spec(wide, sigma=sigma))
+
+    for edge in specs:
+        u = np.full((4, edge.model.d), lo)
+        u[1] = hi
+        u[2, ::2] = hi
+        u[3, 1::2] = hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = payoff_integrand(edge)(u)
+        assert np.all(np.abs(vals) < 2.0**472), (edge.model, vals)
+
+
+def test_quantile_bound_covers_every_point_a_sampler_emits(monkeypatch):
+    # the extreme images a scramble lets through: 64-digit integers 1 and
+    # 2^64 - 2^10 - 1; 0 and 2^64 - 2^10 would be 0.0 and 1.0
+    bits = np.array([1, 2**64 - 2**10 - 1], dtype=np.uint64)
+    assert scrambling._edge_images(bits).size == 0
+    edge = np.array([0, 2**64 - 2**10], dtype=np.uint64)
+    assert scrambling._edge_images(edge).tolist() == [0, 1]
+    scrambled = PointSet(bits[:, None], 64).coords[:, 0]
+    assert scrambled.tolist() == [2.0**-64, 1.0 - 2.0**-53]
+
+    def extreme_hashes(h, tmp):  # the plain-uniform points of hashes 0, 2^64 - 1
+        h[:] = [0, 2**64 - 1]
+
+    monkeypatch.setattr(scrambling, "_mix_into", extreme_hashes)
+    plain = uniform_points(ScrambleSeed(0), 2, 1)[:, 0]
+    assert plain.tolist() == [2.0**-53, 1.0 - 2.0**-53]
+    z = inv_norm_cdf(np.concatenate([scrambled, plain]))
+    assert z.min() >= -_Z and z.max() <= _Z
+    assert z.min() < -9.08 and z.max() > 8.2
 
 
 def test_model_grid():
