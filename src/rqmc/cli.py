@@ -71,10 +71,10 @@ def _cmd_verify(args) -> int:
         raise ContractError(f"cannot parse point file: {exc}") from exc
     if not coords.size:
         raise ContractError(f"point file {args.file} holds no points")
-    result = verify_net(coords, args.t, args.m, d=args.d, b=args.b)
+    result = verify_net(coords, args.t, args.b)
     if result.passed:
         print(
-            f"PASS: ({args.t},{args.m},{coords.shape[1]})-net in base {args.b}; "
+            f"PASS: ({args.t},{result.m},{coords.shape[1]})-net in base {args.b}; "
             f"{result.shapes_checked} interval shapes checked"
         )
         return 0
@@ -242,10 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("verify-net", help="exhaustively verify the net property")
-    p.add_argument("file", help="text file, one point per line")
+    p.add_argument("file", help="text file of b^m points, one per line")
     p.add_argument("-t", type=int, required=True, help="net quality parameter")
-    p.add_argument("-m", type=int, required=True, help="log_b of the point count")
-    p.add_argument("-d", type=int, default=None, help="dimension (default: infer)")
     p.add_argument("-b", type=int, default=2, help="base (default 2)")
     p.set_defaults(func=_cmd_verify)
 

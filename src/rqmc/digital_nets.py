@@ -315,20 +315,21 @@ class VerifyResult:
     expected_count: int
     observed_count: int | None
     shapes_checked: int
+    m: int  # log_b of the point count
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def verify_net(
-    points, t: int, m: int, d: int | None = None, b: int = 2
-) -> VerifyResult:
-    """Exhaustively test the quality-``t`` net property of ``b^m`` points.
+def verify_net(points, t: int, b: int = 2) -> VerifyResult:
+    """Exhaustively test that ``points`` are a ``(t, m, d)``-net in base ``b``.
 
-    Enumerates every shape ``(k_1..k_d)`` with ``sum k_i = m - t`` and
-    counts the points in each of its ``b^(m-t)`` cells; each must hold
-    exactly ``b^t`` points.  On failure the first violating interval in
-    lexicographic shape/cell order is reported.
+    The dimension ``d`` is the points' and ``m`` the log_b of their count,
+    which must be a power of ``b``.  Enumerates every shape ``(k_1..k_d)``
+    with ``sum k_i = m - t`` and counts the points in each of its
+    ``b^(m-t)`` cells; each must hold exactly ``b^t`` points.  On failure
+    the first violating interval in lexicographic shape/cell order is
+    reported.
 
     This is a test oracle, exponential in ``m - t``: an input needing more
     than ``_VERIFY_BUDGET`` (10^8) point-in-cell tests is a `CapacityError`
@@ -337,37 +338,33 @@ def verify_net(
     Parameters
     ----------
     points : PointSet or (n, d) float array
-        Exactly ``b^m`` points in ``[0,1)^d``.
-    t, m : int
-        Net quality and size parameters, ``0 <= t <= m``.
-    d : int, optional
-        Dimension; inferred from ``points`` when omitted.
+        ``b^m`` points in ``[0,1)^d``; a 1-d float array is one column.
+    t : int
+        Net quality parameter, ``0 <= t <= m``.
     b : int
         Base, ``b >= 2``.
     """
     if b < 2:
         raise ContractError("base must be >= 2")
     if isinstance(points, PointSet):
-        n, pd = points.n, points.d
+        n, d = points.n, points.d
     else:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
-        n, pd = points.shape
+        n, d = points.shape
         # written so that NaN, which fails every comparison, is rejected too
         if not np.all((points >= 0.0) & (points < 1.0)):
             raise ContractError("coordinates must lie in [0,1)")
-    d = pd if d is None else d
-    if d != pd:
-        raise ContractError(f"points have dimension {pd}, expected {d}")
-    if t < 0 or m < 0 or t > m:
-        raise ContractError(f"need 0 <= t <= m, got t={t}, m={m}")
-    if m > max(n, 1).bit_length():  # then b^m > 2n for every b >= 2: not built
-        raise ContractError(f"m={m} is too large for {n} points: b^m > {n}")
-    if m >= 1 and b > n:  # b is not formatted: it may have thousands of digits
-        raise ContractError(f"base is too large for {n} points at m={m}: b^m > {n}")
-    if n != b**m:
-        raise ContractError(f"expected {b**m} points for m={m}, got {n}")
+    if d < 1:
+        raise ContractError("points need at least one coordinate")
+    m, size = 0, 1
+    while size < n:
+        m, size = m + 1, size * b
+    if size != n:  # b is not formatted: it may have thousands of digits
+        raise ContractError(f"{n} points are not b^m points for any m")
+    if not 0 <= t <= m:
+        raise ContractError(f"need 0 <= t <= m, got t={t} for m={m} ({n} points)")
 
     q = m - t
     n_shapes = math.comb(q + d - 1, d - 1)
@@ -378,15 +375,13 @@ def verify_net(
         )
 
     expected = b**t
-    shapes_checked = 0
-    for shape in _compositions(q, d):
+    for shapes_checked, shape in enumerate(_compositions(q, d), start=1):
         # mixed-radix cell index; np.ravel_multi_index caps axes below d = 64
         cols = _cell_columns(points, shape, b)
         flat = np.zeros(n, dtype=np.int64)
         for k, col in zip(shape, cols):
             flat = flat * b**k + col
         counts = np.bincount(flat, minlength=b**q)
-        shapes_checked += 1
         if not np.all(counts == expected):
             bad = int(np.argmin(counts == expected))
             cells = []
@@ -395,20 +390,11 @@ def verify_net(
                 rem, c = divmod(rem, b**k)
                 cells.append(c)
             cells.reverse()
+            violation = ElementaryInterval(shape, tuple(cells), b)
             return VerifyResult(
-                passed=False,
-                violation=ElementaryInterval(shape, tuple(cells), b),
-                expected_count=expected,
-                observed_count=int(counts[bad]),
-                shapes_checked=shapes_checked,
+                False, violation, expected, int(counts[bad]), shapes_checked, m
             )
-    return VerifyResult(
-        passed=True,
-        violation=None,
-        expected_count=expected,
-        observed_count=None,
-        shapes_checked=shapes_checked,
-    )
+    return VerifyResult(True, None, expected, None, n_shapes, m)
 
 
 def certify_t(d: int, m_max: int) -> int:
@@ -420,12 +406,7 @@ def certify_t(d: int, m_max: int) -> int:
     """
     full = generate_net(m_max, d)
     for t in range(m_max + 1):
-        ok = True
-        for m in range(t, m_max + 1):
-            prefix = PointSet(full.ints[: 2**m], full.depth)
-            if not verify_net(prefix, t, m, d):
-                ok = False
-                break
-        if ok:
+        prefixes = (full.ints[: 2**m] for m in range(t, m_max + 1))
+        if all(verify_net(PointSet(p, full.depth), t) for p in prefixes):
             return t
     raise RuntimeError(f"no t <= {m_max} certified for dimension {d}")

@@ -65,11 +65,12 @@ class GbmModel:
     e^(+-(|log T| + log d)).  A payoff value is e^(M + |rT|) times at most
     1 (call, delta, geometric), 2 T (rho), 2 lam / T (theta: |r| and
     |r - sigma^2/2| are at most lam / T), 3 lam / sigma (vega) or
-    3 lam / (s0^2 sigma^2 dt) (gamma: their numerator is at most 3 lam, as
-    sigma^2 T / 2 <= |rT| + |r - sigma^2/2| T).  ``PayoffSpec`` adds the log
-    of vega's or gamma's own factor to lam under the same bound.  So a value
-    is below 3 L e^L < 2^472, a sum of 2^26 values below 2^498, and the
-    squared deviations of 2^16 estimates below 2^962.
+    3 lam / (max(s0, 1)^2 sigma^2 dt) (gamma: their numerator is at most
+    3 lam, as sigma^2 T / 2 <= |rT| + |r - sigma^2/2| T, and gamma's S_A / s0^2
+    is at most e^M / max(s0, 1)^2, as S_A / s0 <= e^(M - |log s0|)).
+    ``PayoffSpec`` adds the log of vega's or gamma's own factor to lam under
+    the same bound.  So a value is below 3 L e^L < 2^472, a sum of 2^26 values
+    below 2^498, and the squared deviations of 2^16 estimates below 2^962.
     """
 
     s0: float
@@ -297,20 +298,23 @@ class PayoffSpec:
         if self.factor not in FACTOR_METHODS:
             raise ContractError(f"unknown factor method {self.factor!r}")
         m = self.model
-        if self.kind in ("asian_gamma", "asian_vega"):
-            # Both divide log(S/S0) - (r + sigma^2/2) t by sigma.  At maturity it
-            # is about sigma sqrt(T), with an error of 2^-53 max(1, |r| T), so it
-            # keeps half its 53 bits only while sigma sqrt(T) >= 2^-27 max(1, |r| T).
+        if self.kind in ("asian_gamma", "asian_theta", "asian_vega"):
+            # Gamma and vega divide log(S/S0) - (r + sigma^2/2) t by sigma, theta
+            # log(S/S0) by 2T.  At maturity it is about sigma sqrt(T), with an
+            # error of 2^-53 max(1, |r| T), so it keeps half its 53 bits only
+            # while sigma sqrt(T) >= 2^-27 max(1, |r| T).
             floor = 2.0**-27 * max(1.0, abs(m.r) * m.maturity) / math.sqrt(m.maturity)
             if not m.sigma >= floor:
                 raise ContractError(
-                    f"{self.kind} divides by sigma, which must be >= {floor:.4g} "
-                    f"at r={m.r} and maturity={m.maturity}; got sigma={m.sigma}"
+                    f"{self.kind} needs sigma >= {floor:.4g} at r={m.r} and "
+                    f"maturity={m.maturity}; got sigma={m.sigma}"
                 )
-            # the factor each adds to a value: 1/sigma, or 1/(s0^2 sigma^2 dt)
+        if self.kind in ("asian_gamma", "asian_vega"):
+            # the factor each adds to a value: 1/sigma, or 1/(max(s0, 1)^2 sigma^2 dt)
             log_factor = -math.log(m.sigma)
             if self.kind == "asian_gamma":
-                log_factor = 2.0 * (log_factor - math.log(m.s0)) - math.log(m.dt)
+                log_s0 = max(math.log(m.s0), 0.0)
+                log_factor = 2.0 * (log_factor - log_s0) - math.log(m.dt)
             _check_domain(m, self.kind, log_factor)
 
 

@@ -51,7 +51,8 @@ def test_01_net_correctness():
     # certify_t verifies every m in [t, 12]; re-check the largest net explicitly.
     for d, t in measured.items():
         net = generate_net(12, d)
-        assert verify_net(net, t=t, m=12, d=d).passed
+        res = verify_net(net, t=t)
+        assert res.passed and res.m == 12
     elapsed = time.monotonic() - t0
     ok = measured == CERTIFIED_T_M12 and elapsed < 60.0
     _report(1, "net correctness", ok, f"t by dimension {measured}, all m <= 12 verified in {elapsed:.1f}s")
@@ -70,8 +71,8 @@ def test_02_scrambling_preserves_nets():
             # scramble of the 2^m-point prefix, so one scramble covers all m.
             for m in range(t, 11):
                 sub = PointSet(scrambled.ints[: 2**m], scrambled.depth)
-                res = verify_net(sub, t=t, m=m, d=d)
-                assert res.passed, (d, t, m, s, res.violation)
+                res = verify_net(sub, t=t)
+                assert res.passed and res.m == m, (d, t, m, s, res.violation)
                 checked += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 120.0

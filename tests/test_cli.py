@@ -108,23 +108,40 @@ def test_points_capacity_limits(capsys):
 def test_verify_roundtrip_passes(tmp_path, capsys):
     f = tmp_path / "net.txt"
     run(capsys, "points", "-m", "4", "-d", "2", "--out", str(f))
-    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0", "-m", "4")
+    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0")
     assert code == 0
-    assert out.startswith("PASS")
+    assert out == "PASS: (0,4,2)-net in base 2; 5 interval shapes checked\n"
 
 
 def test_verify_scrambled_net_passes(tmp_path, capsys):
     f = tmp_path / "net.txt"
     run(capsys, "points", "-m", "6", "-d", "3", "--scramble", "--seed", "3", "--out", str(f))
-    code, out, _ = run(capsys, "verify-net", str(f), "-t", "1", "-m", "6")
+    code, out, _ = run(capsys, "verify-net", str(f), "-t", "1")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_readme_example(tmp_path, monkeypatch, capsys):
+    # the README's `rqmc verify-net` session, run in a fresh directory
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "points", "-m", "8", "-d", "3", "--out", "net.txt")[0] == 0
+    code, out, err = run(capsys, "verify-net", "net.txt", "-t", "1")
+    assert (code, out, err) == (
+        0, "PASS: (1,8,3)-net in base 2; 36 interval shapes checked\n", ""
+    )
+    code, out, err = run(capsys, "verify-net", "net.txt", "-t", "0")
+    assert (code, out, err) == (
+        1,
+        "FAIL: interval with digit counts (0, 1, 7) and cell (0, 0, 0) "
+        "(lower corner [0.0, 0.0, 0.0]) holds 2 points, expected 1\n",
+        "",
+    )
 
 
 def test_verify_identical_points_fail(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("0.3 0.4\n" * 4)
-    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2")
+    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0")
     assert code == 1
     assert out.startswith("FAIL")
     assert "digit counts" in out
@@ -132,36 +149,33 @@ def test_verify_identical_points_fail(tmp_path, capsys):
 
 
 def test_verify_wrong_row_count(tmp_path, capsys):
-    f = tmp_path / "short.txt"
-    f.write_text("0.1 0.2\n0.3 0.4\n0.5 0.6\n")
-    code, _, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2")
-    assert code == 2
-    assert "expected 4 points" in err
-    # a negative m is named as such, not turned into a fractional row count
-    code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "-1")
-    assert code == 2
-    assert out == ""
-    assert "m=-1" in err and "0.5" not in err
+    # a count that is no power of the base is one error line
+    for rows in (3, 6):
+        f = tmp_path / "short.txt"
+        f.write_text("0.1 0.2\n" * rows)
+        code, out, err = run(capsys, "verify-net", str(f), "-t", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {rows} points are not b^m points for any m\n"
 
 
-def test_verify_huge_m_names_m_and_n(tmp_path, capsys):
+def test_verify_t_above_m_names_m_and_n(tmp_path, capsys):
     f = tmp_path / "net.txt"
     run(capsys, "points", "-m", "2", "-d", "2", "--out", str(f))
-    code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "20000")
-    assert code == 2
-    assert out == ""
-    assert err == "error: m=20000 is too large for 4 points: b^m > 4\n"
+    for t in ("3", "20000", "-1"):
+        code, out, err = run(capsys, "verify-net", str(f), "-t", t)
+        assert (code, out) == (2, "")
+        assert err == f"error: need 0 <= t <= m, got t={t} for m=2 (4 points)\n"
 
 
 def test_verify_huge_base_names_m_and_n(tmp_path, capsys):
+    # argparse takes a 4001-digit base; neither it nor a power of it is
+    # formatted, as that string would exceed Python's conversion limit
     f = tmp_path / "net.txt"
     run(capsys, "points", "-m", "2", "-d", "2", "--out", str(f))
-    code, out, err = run(
-        capsys, "verify-net", str(f), "-t", "0", "-m", "2", "-b", "1" + "0" * 4000
-    )
+    code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-b", "1" + "0" * 4000)
     assert code == 2
     assert out == ""
-    assert err == "error: base is too large for 4 points at m=2: b^m > 4\n"
+    assert err == "error: 4 points are not b^m points for any m\n"
 
 
 def test_verify_rejects_nan_coordinates(tmp_path, capsys):
@@ -170,7 +184,7 @@ def test_verify_rejects_nan_coordinates(tmp_path, capsys):
         f.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "1")
+            code, out, err = run(capsys, "verify-net", str(f), "-t", "0")
         assert code == 2, text
         assert out == ""
         assert "coordinates must lie in [0,1)" in err
@@ -183,7 +197,7 @@ def test_verify_empty_file_is_one_error_line(tmp_path):
     f.write_text("")
     src = str(Path(rqmc.cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "rqmc.cli", "verify-net", str(f), "-t", "0", "-m", "2"],
+        [sys.executable, "-m", "rqmc.cli", "verify-net", str(f), "-t", "0"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
@@ -194,9 +208,9 @@ def test_verify_empty_file_is_one_error_line(tmp_path):
 def test_verify_garbage_and_missing_files(tmp_path, capsys):
     f = tmp_path / "junk.txt"
     f.write_text("not a number\n")
-    code, _, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "0")
+    code, _, err = run(capsys, "verify-net", str(f), "-t", "0")
     assert code == 2
-    code, _, err = run(capsys, "verify-net", str(tmp_path / "absent.txt"), "-t", "0", "-m", "0")
+    code, _, err = run(capsys, "verify-net", str(tmp_path / "absent.txt"), "-t", "0")
     assert code == 2
 
 
@@ -204,23 +218,42 @@ def test_verify_base3(tmp_path, capsys):
     f = tmp_path / "b3.txt"
     rows = [f"{i / 9} {radical_inverse(i, 3)}" for i in range(9)]
     f.write_text("\n".join(rows) + "\n")
-    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2", "-b", "3")
+    code, out, _ = run(capsys, "verify-net", str(f), "-t", "0", "-b", "3")
     assert code == 0
-    assert "base 3" in out
+    assert out == "PASS: (0,2,2)-net in base 3; 3 interval shapes checked\n"
     one = tmp_path / "one.txt"
     one.write_text("0.5 0.5\n")
-    for base in ("1", "0"):  # b^m = 1 matches the row count, but no base < 2 is valid
-        code, out, err = run(capsys, "verify-net", str(one), "-t", "0", "-m", "0", "-b", base)
+    for base in ("2", "3", "1" + "0" * 4000):  # one point is b^0 points in any base
+        code, out, err = run(capsys, "verify-net", str(one), "-t", "0", "-b", base)
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS: (0,0,2)-net in base ")
+    for base in ("1", "0"):  # b^0 = 1 matches the row count, but no base < 2 is valid
+        code, out, err = run(capsys, "verify-net", str(one), "-t", "0", "-b", base)
         assert code == 2
         assert out == ""
         assert "base must be >= 2" in err
 
 
-def test_verify_dimension_flag_mismatch(tmp_path, capsys):
+def test_verify_takes_no_m_or_d_flag(tmp_path, capsys, monkeypatch):
+    # m and d are read from the points, so neither can be stated
     f = tmp_path / "net.txt"
     run(capsys, "points", "-m", "2", "-d", "2", "--out", str(f))
-    code, _, err = run(capsys, "verify-net", str(f), "-t", "0", "-m", "2", "-d", "3")
-    assert code == 2
+    for flag in ("-m", "-d"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-net", str(f), "-t", "0", flag, "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 2" in captured.err
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-net", "--help"])
+    assert exc.value.code == 0
+    options = [
+        line.split()[0] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  ")
+    ]
+    assert options == ["file", "-h,", "-t", "-b"]
 
 
 # ---------------------------------------------------------------- rate-study
@@ -750,6 +783,36 @@ def test_sigma_below_the_floor_of_vega_and_gamma_is_refused(capsys, kind):
         assert f"sigma={float(sigma)}" in err, err
 
 
+def test_theta_below_the_floor_of_its_maturity_is_refused(capsys):
+    # theta divides log(S/S0) by 2T: theta * sqrt(T) read 0.0273176 at
+    # T = 1e-10, but 0.8% low at 1e-28 and 60% low at 1e-30, all with exit 0
+    argv = ("price", "--payoff", "asian_theta", "-n", "1024", "-R", "8", "-T")
+    code, out, err = run(capsys, *argv, "1e-10")
+    assert (code, err) == (0, ""), err
+    estimate = float(dict(l.split(" ", 1) for l in out.strip().split("\n"))["estimate"])
+    assert estimate * 1e-5 == pytest.approx(0.0273176, abs=1e-7)
+    for maturity in ("1e-20", "1e-24", "1e-28", "1e-30"):
+        code, out, err = run(capsys, *argv, maturity)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"maturity={float(maturity)};" in err and "sigma=0.2" in err, err
+
+
+def test_gamma_prices_a_small_s0(capsys):
+    # refused as `asian_gamma's log scale 424.2 exceeds 320`, though its
+    # values lie near 1e58
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "price", "--payoff", "asian_gamma", "--s0", "1e-60", "-K", "0",
+            "-n", "512", "-R", "8",
+        )
+    assert (code, err) == (0, ""), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    estimate = float(dict(l.split(" ", 1) for l in out.strip().split("\n"))["estimate"])
+    assert 1e56 < estimate < 1e58
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -831,7 +894,7 @@ def test_cli_loads_scipy_special_only_for_a_payoff(tmp_path):
         def run(*argv):
             assert main(list(argv)) == 0, argv
         run("points", "-m", "4", "-d", "2", "--out", "pts.txt")
-        run("verify-net", "pts.txt", "-t", "0", "-m", "4")
+        run("verify-net", "pts.txt", "-t", "0")
         run("rate-study", "--config", "study.cfg", "--out", "study.csv")
         print("scipy.special" in sys.modules)
         run("price", "--payoff", "geometric_indicator_payoff", "-n", "64", "-R", "8",

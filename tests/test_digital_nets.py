@@ -296,16 +296,20 @@ def test_cell_columns_match_locate_cell(b, net):
 def test_verify_van_der_corput_prefixes():
     for m in (0, 1, 4, 8):
         pts = generate_points(np.arange(2**m), 1)
-        assert verify_net(pts, 0, m).passed
+        res = verify_net(pts, 0)
+        assert res.passed and res.m == m
 
 
 def test_verify_single_point_m0():
-    assert verify_net(np.array([[0.3, 0.9]]), 0, 0).passed
+    # one point is b^0 points in any base
+    for b in (2, 3, 10**4000):
+        res = verify_net(np.array([[0.3, 0.9]]), 0, b=b)
+        assert res.passed and res.m == 0 and res.shapes_checked == 1
 
 
 def test_verify_identical_points_fails_lexicographically_first():
     pts = np.tile([[0.3, 0.4]], (16, 1))
-    res = verify_net(pts, 0, 4)
+    res = verify_net(pts, 0)
     assert not res.passed
     # first shape in lexicographic order is (0, 4); its first empty cell is
     # cell 0 of the second coordinate (0.4 lands in cell 6)
@@ -317,22 +321,22 @@ def test_verify_identical_points_fails_lexicographically_first():
 
 def test_verify_reports_counts_and_shapes():
     net = generate_net(4, 2)
-    res = verify_net(net, 0, 4)
-    assert res.passed and res.violation is None
+    res = verify_net(net, 0)
+    assert res.passed and res.violation is None and res.m == 4
     assert res.shapes_checked == 5  # shapes (0,4),(1,3),(2,2),(3,1),(4,0)
 
 
 def test_verify_full_table_dimension():
     # d = 64 is above numpy's axis cap for ravel_multi_index: the flat cell
     # index is built without it, so every dimension the table gives verifies
-    assert verify_net(generate_net(1, 64), 0, 1).passed
-    assert verify_net(generate_net(2, 64), 1, 2).passed
+    assert verify_net(generate_net(1, 64), 0).passed
+    assert verify_net(generate_net(2, 64), 1).passed
     # base 3, three points: axis 40 puts two points in its middle third and
     # none in the last, so that shape fails first, at the middle cell
     pts = np.tile([[0.1], [0.4], [0.7]], (1, 64))
-    assert verify_net(pts, 0, 1, b=3).passed
+    assert verify_net(pts, 0, b=3).passed
     pts[2, 40] = 0.5
-    res = verify_net(pts, 0, 1, b=3)
+    res = verify_net(pts, 0, b=3)
     assert not res.passed
     assert res.violation.digit_counts == tuple(int(j == 40) for j in range(64))
     assert res.violation.cells == tuple(int(j == 40) for j in range(64))
@@ -341,65 +345,68 @@ def test_verify_full_table_dimension():
 
 
 def test_verify_wrong_count_is_contract_error_not_fail():
-    with pytest.raises(ContractError):
-        verify_net(np.zeros((5, 2)), 0, 2)
+    for n in (0, 5, 6, 17):
+        with pytest.raises(ContractError, match=f"^{n} points are not b"):
+            verify_net(np.zeros((n, 2)), 0)
+    with pytest.raises(ContractError, match="^8 points are not b"):
+        verify_net(np.zeros((8, 2)), 0, b=3)
 
 
-def test_verify_huge_m_is_rejected_before_any_power():
-    # b^m is never built: at m = 20000 its decimal string alone would
-    # exceed Python's integer-to-string limit
-    with pytest.raises(ContractError, match="m=20000 is too large for 16 points"):
-        verify_net(np.zeros((16, 2)), 0, 20000)
-    # up to the count's bit length, m still gets the count check
-    with pytest.raises(ContractError, match="expected 32 points for m=5, got 17"):
-        verify_net(np.zeros((17, 2)), 0, 5)
-    with pytest.raises(ContractError, match="m=6 is too large for 17 points"):
-        verify_net(np.zeros((17, 2)), 0, 6)
+def test_verify_reads_m_and_d_from_the_points():
+    # m is log_b n, and t must lie in 0..m
+    assert verify_net(np.array([[i / 9] for i in range(9)]), 0, b=3).m == 2
+    for points in (np.zeros((4, 0)), PointSet(np.zeros((1, 0), dtype=np.uint64), 53)):
+        with pytest.raises(ContractError, match="at least one coordinate"):
+            verify_net(points, 0)
+    for t in (5, 20000, -1):
+        with pytest.raises(ContractError, match=rf"got t={t} for m=4 \(16 points\)"):
+            verify_net(generate_net(4, 2), t)
+    assert verify_net(generate_net(4, 2), 4).passed  # t = m: one cell
 
 
 def test_verify_huge_base_is_rejected_before_any_power():
     # a base above the count makes b^m > n at any m >= 1; neither b nor b^m
     # is formatted, as a 4001-digit b^2 would exceed the same limit
     b = 10**4000
-    with pytest.raises(ContractError, match="base is too large for 4 points at m=2") as exc:
-        verify_net(np.zeros((4, 2)), 0, 2, b=b)
+    with pytest.raises(ContractError, match="4 points are not b") as exc:
+        verify_net(np.zeros((4, 2)), 0, b=b)
     assert len(str(exc.value)) < 100
     # at m = 0 any base gives one point
-    assert verify_net(np.zeros((1, 2)), 0, 0, b=b).passed
+    assert verify_net(np.zeros((1, 2)), 0, b=b).passed
 
 
 def test_verify_rejects_out_of_range_coords():
     with pytest.raises(ContractError):
-        verify_net(np.array([[0.5], [1.0]]), 0, 1)
+        verify_net(np.array([[0.5], [1.0]]), 0)
 
 
 def test_verify_work_budget():
     # 2^14 points in 8 dimensions: C(21, 7) shapes times 2^14 points
     # is about 1.9e9 point-cell tests, above the 10^8 budget
     with pytest.raises(CapacityError, match="budget"):
-        verify_net(np.zeros((2**14, 8)), 0, 14)
+        verify_net(np.zeros((2**14, 8)), 0)
 
 
 def test_float_and_exact_paths_agree():
     net = generate_net(6, 3)
-    exact = verify_net(net, 1, 6)
-    floats = verify_net(net.coords, 1, 6)
+    exact = verify_net(net, 1)
+    floats = verify_net(net.coords, 1)
     assert exact.passed and floats.passed
     bad = net.coords.copy()
     bad[0] = bad[1]
-    exact_b = verify_net(PointSet(net.ints.copy(), net.depth), 1, 6)
+    exact_b = verify_net(PointSet(net.ints.copy(), net.depth), 1)
     assert exact_b.passed  # untouched copy still passes
-    res_f = verify_net(bad, 1, 6)
+    res_f = verify_net(bad, 1)
     assert not res_f.passed
 
 
 def test_verify_base3_hammersley_net():
     # (i/9, digit-reversed i) is a (0,2,2)-net in base 3
     u = np.array([[i / 9, radical_inverse(i, 3)] for i in range(9)])
-    assert verify_net(u, 0, 2, b=3).passed
+    assert verify_net(u, 0, b=3).passed
     v = u.copy()
     v[0] = v[1]
-    assert not verify_net(v, 0, 2, b=3).passed
+    assert not verify_net(v, 0, b=3).passed
 
 
 def test_certified_quality_of_bundled_table():
@@ -416,7 +423,7 @@ def test_sequence_blocks_are_nets():
         for k in (1, 2, 5, 117):
             idx = np.arange(k * 2**m, (k + 1) * 2**m, dtype=np.uint64)
             pts = generate_points(idx, d)
-            assert verify_net(pts, t, m).passed, (d, k)
+            assert verify_net(pts, t).passed, (d, k)
 
 
 def test_generate_net_validation():
@@ -464,6 +471,6 @@ def test_locate_cell_rejects_one_and_nan():
 
 
 def test_verify_takes_a_one_dimensional_float_array_as_one_column():
-    res = verify_net(np.array([0.0, 0.5, 0.25, 0.75]), 0, 2)
+    res = verify_net(np.array([0.0, 0.5, 0.25, 0.75]), 0)
     assert res.passed and res.shapes_checked == 1
-    assert not verify_net(np.array([0.0, 0.5, 0.25, 0.3]), 0, 2).passed
+    assert not verify_net(np.array([0.0, 0.5, 0.25, 0.3]), 0).passed

@@ -100,7 +100,8 @@ def _domain_edge(valid, inside: float, outside: float) -> tuple[float, float]:
     return _key_float(lo), _key_float(hi)
 
 
-_DIVIDE_BY_SIGMA = ("asian_gamma", "asian_vega")
+# the kinds with a floor on sigma sqrt(T): they divide log(S/S0) by sigma or 2T
+_SIGMA_FLOOR = ("asian_gamma", "asian_theta", "asian_vega")
 # each field of the model, and a value past each edge of the domain
 _EDGES = [
     ("s0", 1.7e308),
@@ -108,7 +109,7 @@ _EDGES = [
     ("r", 1.7e308),
     ("r", -1.7e308),
     ("sigma", 1.7e308),
-    ("sigma", 0.0),  # the floor of the kinds that divide by sigma only
+    ("sigma", 0.0),  # the floor of the _SIGMA_FLOOR kinds only
     ("maturity", 1.7e308),
     ("maturity", 5e-324),
     ("strike", 1.7e308),
@@ -137,7 +138,7 @@ def test_payoffs_are_finite_to_the_edge_of_the_domain(kind, factor):
     # from a zero strike, where every path pays
     for base in (MODEL, dataclasses.replace(MODEL, strike=0.0)):
         for field, outside in _EDGES:
-            if field == "sigma" and outside == 0.0 and kind not in _DIVIDE_BY_SIGMA:
+            if field == "sigma" and outside == 0.0 and kind not in _SIGMA_FLOOR:
                 continue
             edge, past = _domain_edge(
                 lambda x: valid(base, **{field: x}), getattr(base, field), outside
@@ -162,6 +163,37 @@ def test_payoffs_are_finite_to_the_edge_of_the_domain(kind, factor):
             warnings.simplefilter("error")
             vals = payoff_integrand(edge)(u)
         assert np.all(np.abs(vals) < 2.0**472), (edge.model, vals)
+
+
+def test_gamma_domain_counts_a_small_s0_once():
+    # gamma's values scale as 1/s0, so a small s0 enters its log scale once:
+    # its edge is the model's, moved by gamma's factor 1/(sigma^2 dt) alone.
+    # s0 = 1e-60 was refused as a log scale of 424.2, 3 |log s0| and more
+    model = dataclasses.replace(MODEL, strike=0.0)
+
+    def valid(s0, kind="asian_call") -> bool:  # asian_call adds no factor
+        try:
+            PayoffSpec(kind, dataclasses.replace(model, s0=s0))
+        except ContractError:
+            return False
+        return True
+
+    model_edge, _ = _domain_edge(valid, 1.0, 5e-324)
+    edge, past = _domain_edge(lambda s0: valid(s0, "asian_gamma"), 1e-60, 5e-324)
+    log_factor = -2.0 * math.log(MODEL.sigma) - math.log(MODEL.dt)
+    assert math.log(edge) == pytest.approx(math.log(model_edge) + log_factor, abs=1e-9)
+    with pytest.raises(ContractError, match=re.escape(f"s0={past},")):
+        PayoffSpec("asian_gamma", dataclasses.replace(model, s0=past))
+    u = np.full((4, MODEL.d), 2.0**-64)
+    u[1] = u[2, ::2] = u[3, 1::2] = 1.0 - 2.0**-53
+    unit = payoff_integrand(PayoffSpec("asian_gamma", model))(u)
+    for s0 in (1e-60, edge):
+        spec = PayoffSpec("asian_gamma", dataclasses.replace(model, s0=s0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = payoff_integrand(spec)(u)
+        # s0 * gamma is the gamma of the same model at s0 = 1, to rounding
+        np.testing.assert_allclose(vals * s0, unit, rtol=1e-9)
 
 
 def test_quantile_bound_covers_every_point_a_sampler_emits(monkeypatch):

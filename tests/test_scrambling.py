@@ -235,13 +235,13 @@ def test_scramble_preserves_net_property(master, rep):
     net = generate_net(6, 2)
     s = scramble(net, ScrambleSeed(master, rep))
     assert s.depth == 64
-    assert verify_net(s, 0, 6).passed
+    assert verify_net(s, 0).passed
 
 
 def test_scramble_preserves_higher_dim_net():
     net = generate_net(7, 4)
     s = scramble(net, ScrambleSeed(2024))
-    assert verify_net(s, 3, 7).passed
+    assert verify_net(s, 3).passed
 
 
 def test_scramble_keeps_points_distinct():
