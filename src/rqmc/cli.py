@@ -209,13 +209,8 @@ def _model(values: dict) -> GbmModel:
 
 def _cmd_price(args) -> int:
     model = _model({field: getattr(args, field) for field, *_ in _MODEL_FIELDS})
-    config = StudyConfig(
-        integrand=PayoffSpec(args.payoff, model, args.factor),
-        n_grid=(args.n,),
-        replications=args.replications,
-        master_seed=args.seed,
-    )
-    text = price_report(config, args.format)
+    spec = PayoffSpec(args.payoff, model, args.factor)
+    text = price_report(spec, args.n, args.replications, args.seed, args.format)
     with _output(args.out) as fh:
         fh.write(text)
     return 0

@@ -540,13 +540,26 @@ def report_to_json(report: StudyReport) -> str:
     return _json(obj)
 
 
-def price_report(config: StudyConfig, fmt: str) -> str:
-    """``rqmc price``'s ``"json"`` or ``"text"`` report of a payoff at its one n:
-    the replicate mean, its standard error and any oracle price."""
+def price_report(
+    spec: PayoffSpec, n: int, replications: int, master_seed: int, fmt: str
+) -> str:
+    """``rqmc price``'s ``"json"`` or ``"text"`` report of a payoff at one n:
+    the mean of R scrambled-net replicates, their standard error and, for the
+    geometric payoff, its closed-form oracle price.  It is the study of
+    ``spec`` at ``n_grid=(n,)``, whose refusals come before any work; a
+    non-payoff ``spec`` or an unknown ``fmt`` is refused before that study.
+    """
+    if not isinstance(spec, PayoffSpec):
+        raise ContractError(f"a price needs a PayoffSpec, got {spec!r}")
+    if fmt not in ("json", "text"):
+        raise ContractError(f"unknown price format {fmt!r}: use 'json' or 'text'")
+    config = StudyConfig(
+        spec, n_grid=(n,), replications=replications, master_seed=master_seed
+    )
     (estimates,) = replicate_estimates(config)
     result: dict = {
-        "payoff": config.integrand.kind,
-        "factor": config.integrand.factor,
+        "payoff": spec.kind,
+        "factor": spec.factor,
         "n": config.n_grid[0],
         "R": config.replications,
         "estimate": _finite("estimate", estimates.mean),

@@ -300,14 +300,19 @@ class PayoffSpec:
         m = self.model
         if self.kind in ("asian_gamma", "asian_theta", "asian_vega"):
             # Gamma and vega divide log(S/S0) - (r + sigma^2/2) t by sigma, theta
-            # log(S/S0) by 2T.  At maturity it is about sigma sqrt(T), with an
-            # error of 2^-53 max(1, |r| T), so it keeps half its 53 bits only
-            # while sigma sqrt(T) >= 2^-27 max(1, |r| T).
-            floor = 2.0**-27 * max(1.0, abs(m.r) * m.maturity) / math.sqrt(m.maturity)
-            if not m.sigma >= floor:
+            # log(S/S0) by 2T.  At maturity the first is about sigma sqrt(T), the
+            # second about sigma sqrt(T) + |r - sigma^2/2| T, each with an error
+            # of 2^-53 max(1, |r| T), so it keeps half its 53 bits only while
+            # its size is at least 2^-27 max(1, |r| T).
+            size, what = m.sigma * math.sqrt(m.maturity), "sigma sqrt(T)"
+            if self.kind == "asian_theta":
+                size += abs(m.r - 0.5 * m.sigma**2) * m.maturity
+                what += " + |r - sigma^2/2| T"
+            floor = 2.0**-27 * max(1.0, abs(m.r) * m.maturity)
+            if not size >= floor:
                 raise ContractError(
-                    f"{self.kind} needs sigma >= {floor:.4g} at r={m.r} and "
-                    f"maturity={m.maturity}; got sigma={m.sigma}"
+                    f"{self.kind} needs {what} >= {floor:.4g} at r={m.r} and "
+                    f"maturity={m.maturity}; got {size:.4g} at sigma={m.sigma}"
                 )
         if self.kind in ("asian_gamma", "asian_vega"):
             # the factor each adds to a value: 1/sigma, or 1/(max(s0, 1)^2 sigma^2 dt)

@@ -539,7 +539,9 @@ def test_price_flags_and_study_keys_build_one_model(tmp_path, capsys, monkeypatc
         models.append(integrand.model)
         raise ContractError("model captured")
 
+    # rate-study builds its StudyConfig in the CLI, price in price_report
     monkeypatch.setattr(rqmc.cli, "StudyConfig", capture)
+    monkeypatch.setattr(rqmc.experiment, "StudyConfig", capture)
     values = {"s0": "1.5", "r": "0.03", "sigma": "0.3", "T": "2.0", "d": "3", "K": "1.25"}
     flags = {"s0": "--s0", "r": "--r", "sigma": "--sigma", "d": "-d"}
     flags.update(
@@ -796,6 +798,28 @@ def test_theta_below_the_floor_of_its_maturity_is_refused(capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"maturity={float(maturity)};" in err and "sigma=0.2" in err, err
+
+
+def test_theta_prices_a_drift_only_model(capsys):
+    # theta's floor is on the size of log(S/S0), sigma sqrt(T) + |r - sigma^2/2| T,
+    # so sigma = 0 prices the drift's closed form; sigma = r = 0 has no size
+    argv = ("price", "--payoff", "asian_theta", "-n", "1024", "-R", "8", "--sigma")
+    m = STANDARD_MODEL
+    s = [m.s0 * math.exp(m.r * i * m.maturity / m.d) for i in range(1, m.d + 1)]
+    exact = math.exp(-m.r * m.maturity) * (
+        sum(s_i * m.r * i / m.d for i, s_i in enumerate(s, start=1)) / m.d
+        - m.r * (sum(s) / m.d - m.strike)
+    )
+    for sigma in ("0", "1e-12"):
+        code, out, err = run(capsys, *argv, sigma)
+        assert (code, err) == (0, ""), err
+        result = dict(l.split(" ", 1) for l in out.strip().split("\n"))
+        assert float(result["estimate"]) == pytest.approx(exact, rel=1e-12)
+        assert (result["std_error"] == "0") == (sigma == "0")
+    code, out, err = run(capsys, *argv, "0", "--r", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "r=0.0 and maturity=1.0;" in err and "sigma=0.0" in err, err
 
 
 def test_gamma_prices_a_small_s0(capsys):

@@ -15,6 +15,7 @@ import pytest
 from goldens import GOLDEN_REPORTS, report_digest
 
 from rqmc import experiment as ex
+from rqmc import finance
 from rqmc.digital_nets import generate_net
 from rqmc.errors import (
     CapacityError,
@@ -34,6 +35,7 @@ from rqmc.experiment import (
     StudyConfig,
     expected_abs_error,
     fit_rate,
+    price_report,
     replicate_estimates,
     report_to_csv,
     report_to_json,
@@ -41,6 +43,7 @@ from rqmc.experiment import (
     theoretical_exponent,
 )
 from rqmc.finance import (
+    FACTOR_METHODS,
     PAYOFF_KINDS,
     GbmModel,
     PayoffSpec,
@@ -852,6 +855,43 @@ def test_oracle_reference_requires_geometric_payoff():
         )
     with pytest.raises(ContractError, match="a number or 'oracle:geometric_asian'"):
         expected_abs_error(base_config(reference_value="oracle:unknown"))
+
+
+@pytest.mark.parametrize("factor", FACTOR_METHODS)
+def test_price_equals_its_study_bit_for_bit(factor):
+    # a price is the study of its payoff at one n: the same replicates,
+    # their mean and the standard error of the mean
+    spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL, factor)
+    price = json.loads(price_report(spec, 2**10, 8, 3, "json"))
+    config = StudyConfig(
+        spec, n_grid=(2**7, 2**8, 2**9, 2**10), replications=8, master_seed=3
+    )
+    record = expected_abs_error(config)[-1]
+    x = np.array(record.estimates)
+    assert record.n == price["n"] == 2**10 and price["R"] == 8
+    assert price["estimate"] == x.mean()
+    assert price["std_error"] == x.std(ddof=1) / math.sqrt(8)
+    assert price["oracle"] == record.reference == geometric_asian_price(STANDARD_MODEL)
+
+
+def test_price_refuses_a_non_payoff_or_unknown_format_before_any_work(monkeypatch):
+    # before the study is configured, the path factor built, scipy.special
+    # loaded or any replicate drawn
+    def work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+
+    for module, name in (
+        (ex, "StudyConfig"),
+        (ex, "replicate_estimates"),
+        (finance, "path_factor"),
+        (finance, "_special"),
+    ):
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(ContractError, match="needs a PayoffSpec, got 'halfspace'"):
+        price_report("halfspace", 64, 8, 0, "json")
+    spec = PayoffSpec("asian_call", STANDARD_MODEL)
+    with pytest.raises(ContractError, match="unknown price format 'xml'"):
+        price_report(spec, 64, 8, 0, "xml")
 
 
 def test_string_reference_other_than_tag_is_refused(add_entry):

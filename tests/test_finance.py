@@ -100,8 +100,10 @@ def _domain_edge(valid, inside: float, outside: float) -> tuple[float, float]:
     return _key_float(lo), _key_float(hi)
 
 
-# the kinds with a floor on sigma sqrt(T): they divide log(S/S0) by sigma or 2T
-_SIGMA_FLOOR = ("asian_gamma", "asian_theta", "asian_vega")
+# the kinds with a floor on sigma sqrt(T): they divide log(S/S0) - (r + sigma^2/2) t
+# by sigma.  Theta divides log(S/S0) by 2T, so its floor also counts the drift
+# |r - sigma^2/2| T, and sigma = 0 is inside it at MODEL.
+_SIGMA_FLOOR = ("asian_gamma", "asian_vega")
 # each field of the model, and a value past each edge of the domain
 _EDGES = [
     ("s0", 1.7e308),
@@ -139,6 +141,7 @@ def test_payoffs_are_finite_to_the_edge_of_the_domain(kind, factor):
     for base in (MODEL, dataclasses.replace(MODEL, strike=0.0)):
         for field, outside in _EDGES:
             if field == "sigma" and outside == 0.0 and kind not in _SIGMA_FLOOR:
+                specs.append(spec(base, sigma=0.0))  # the paths are the drift
                 continue
             edge, past = _domain_edge(
                 lambda x: valid(base, **{field: x}), getattr(base, field), outside

@@ -21,6 +21,7 @@ from rqmc.digital_nets import (
     verify_net,
 )
 from rqmc.errors import ContractError
+from rqmc.experiment import MAX_POINTS_LOG2
 from rqmc.scrambling import (
     _GOLDEN,
     ScrambleSeed,
@@ -180,6 +181,14 @@ def test_long_columns_match_digitwise_permutations():
     # same tree on a longer column too, on every digit, filler included
     net = generate_net(12, 3)
     assert_digitwise(net, scramble(net, SEED), (0, 1, 777, 2048, 4095))
+
+
+def test_columns_at_the_study_cap_match_digitwise_permutations():
+    # a study's n_max reaches 2^MAX_POINTS_LOG2 = 2^20 rows, so the node
+    # table reaches t = 20: the first, middle and last rows on every digit
+    net = generate_net(MAX_POINTS_LOG2, 2)
+    rows = (0, 1, 2**19 - 1, 2**19, 777777, 2**20 - 1)
+    assert_digitwise(net, scramble(net, SEED), rows)
 
 
 def test_long_form_golden_bits():
