@@ -37,7 +37,7 @@ def main() -> None:
 
     overrides = {"master_seed": args.seed}
     if args.quick:
-        overrides["n_grid"] = tuple(2**k for k in range(6, 13))
+        overrides["n_max"] = 2**12
         overrides["replications"] = 16
 
     out_dir = pathlib.Path(args.out_dir) if args.out_dir else None

@@ -18,7 +18,6 @@ import numpy as np
 from .digital_nets import generate_net, load_direction_numbers, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
-    DEFAULT_N_GRID,
     MAX_POINTS_LOG2,
     MODEL_KEYS,
     STANDARD_MODEL,
@@ -134,18 +133,6 @@ def _take(kv: dict[str, tuple[str, str]], key: str, cast, default=None):
         ) from None
 
 
-def _n_grid_from(kv: dict[str, tuple[str, str]]) -> tuple[int, ...]:
-    n_min = _take(kv, "n_min", int, DEFAULT_N_GRID[0])
-    n_max = _take(kv, "n_max", int, DEFAULT_N_GRID[-1])
-    for n in (n_min, n_max):
-        if n < 1 or n & (n - 1):
-            raise ContractError(f"n_min/n_max must be powers of 2, got {n}")
-    if n_max < n_min:
-        raise ContractError("n_max must be >= n_min")
-    lo, hi = n_min.bit_length() - 1, n_max.bit_length() - 1
-    return tuple(2**k for k in range(lo, hi + 1))
-
-
 def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
     # Every key read is popped, so the keys left over are the unused ones.
     kv = _parse_kv_file(path)
@@ -161,8 +148,10 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
         })
         integrand = PayoffSpec(name, model, _take(kv, "factor", str, PayoffSpec.factor))
 
-    overrides: dict = {"n_grid": _n_grid_from(kv)}
+    overrides: dict = {}
     for key, field, cast in (
+        ("n_min", "n_min", int),
+        ("n_max", "n_max", int),
         ("R", "replications", int),
         ("sampler", "sampler", str),
         ("slack", "slack", float),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer contract."""
+
+import operator
 
 
 class CapacityError(ValueError):
@@ -7,6 +9,18 @@ class CapacityError(ValueError):
 
 class ContractError(ValueError):
     """A caller violated a precondition (distinct from a checked failure)."""
+
+
+def index_fields(obj, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to the int that
+    ``operator.index`` gives its value (numpy integers included); a value it
+    refuses, such as a float, is a `ContractError` naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ContractError(f"{name} must be an integer, got {value!r}") from None
 
 
 class NotPositiveDefiniteError(ValueError):

@@ -51,6 +51,7 @@ from .errors import (
     ContractError,
     InfeasibleRegimeError,
     InsufficientDataError,
+    index_fields,
 )
 from .finance import (
     GbmModel,
@@ -63,7 +64,6 @@ from .scrambling import ScrambleSeed, scramble, uniform_points
 
 SAMPLERS = ("scrambled_net", "plain_mc")
 
-DEFAULT_N_GRID = tuple(2**k for k in range(6, 17))
 DEFAULT_REPLICATIONS = 32
 DEFAULT_SLOPE_SLACK = 0.12  # absorbs the theorem's poly-log factor at desk scale
 MIN_FIT_RECORDS = 4  # records a rate fit needs, and sizes a study's grid needs
@@ -123,13 +123,19 @@ class StudyConfig:
     payoff's reference is ``GEOMETRIC_ORACLE``; any other payoff needs an
     explicit ``reference_value`` before a study of it can run.
 
-    A size past the capacity caps is a `CapacityError`, before any work.
+    The sample sizes, ``n_grid``, are every power of two from ``n_min`` to
+    ``n_max``: both powers of two, ``n_min <= n_max``.  ``n_min``, ``n_max``,
+    ``replications``, ``master_seed`` and ``dimension`` are integers (numpy's
+    too); a value ``operator.index`` refuses is a `ContractError` naming its
+    field.  These refusals and the capacity caps (`CapacityError`) come
+    before any net, path factor or ``scipy.special`` load.
     """
 
     integrand: str | PayoffSpec
     dimension: int | None = None
     reference_value: float | str | None = None
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID
+    n_min: int = 2**6
+    n_max: int = 2**16
     replications: int = DEFAULT_REPLICATIONS
     master_seed: int = 0
     sampler: str = "scrambled_net"
@@ -139,16 +145,15 @@ class StudyConfig:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise ContractError(f"unknown sampler {self.sampler!r}")
-        ScrambleSeed(self.master_seed)  # a bad seed is refused before any work
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if not self.n_grid:
-            raise ContractError("n_grid must be nonempty")
-        for n in self.n_grid:
+        seed = ScrambleSeed(self.master_seed)  # a bad seed is refused before any work
+        object.__setattr__(self, "master_seed", seed.master_seed)
+        index_fields(self, "n_min", "n_max", "replications")
+        for n in (self.n_min, self.n_max):
             if n < 1 or n & (n - 1):
-                raise ContractError(f"n_grid entry {n} is not a power of 2")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ContractError("n_grid must be strictly increasing")
-        n, r = self.n_grid[-1], self.replications
+                raise ContractError(f"sample sizes must be powers of 2, got {n}")
+        if self.n_max < self.n_min:
+            raise ContractError("n_max must be >= n_min")
+        n, r = self.n_max, self.replications
         if r < 8:
             raise ContractError("need at least 8 replications")
         # the caps, before _entry builds a path factor or loads scipy.special
@@ -165,6 +170,8 @@ class StudyConfig:
                 f"at most 2^{_MAX_DRAWS_LOG2} points over all replicates, "
                 f"got n = {n} times R = {r}"
             )
+        if self.dimension is not None:
+            index_fields(self, "dimension")
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
         # Every sampler has the direction table's dimension cap (plain MC is
@@ -198,6 +205,12 @@ class StudyConfig:
             self.reference_value
         ):
             raise ContractError("reference_value must be finite")
+
+    @property
+    def n_grid(self) -> tuple[int, ...]:
+        """The sample sizes: every power of two from ``n_min`` to ``n_max``."""
+        lo, hi = self.n_min.bit_length() - 1, self.n_max.bit_length() - 1
+        return tuple(2**k for k in range(lo, hi + 1))
 
 
 def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
@@ -334,7 +347,7 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     """
     f = config.entry.f
     n_grid = config.n_grid
-    n_max = n_grid[-1]
+    n_max = config.n_max
     d = config.dimension
     chunk = chunk_rows(d)
     block = chunk * max(1, _BLOCK_COORDS // (chunk * d))
@@ -546,7 +559,7 @@ def price_report(
     """``rqmc price``'s ``"json"`` or ``"text"`` report of a payoff at one n:
     the mean of R scrambled-net replicates, their standard error and, for the
     geometric payoff, its closed-form oracle price.  It is the study of
-    ``spec`` at ``n_grid=(n,)``, whose refusals come before any work; a
+    ``spec`` at ``n_min = n_max = n``, whose refusals come before any work; a
     non-payoff ``spec`` or an unknown ``fmt`` is refused before that study.
     """
     if not isinstance(spec, PayoffSpec):
@@ -554,13 +567,13 @@ def price_report(
     if fmt not in ("json", "text"):
         raise ContractError(f"unknown price format {fmt!r}: use 'json' or 'text'")
     config = StudyConfig(
-        spec, n_grid=(n,), replications=replications, master_seed=master_seed
+        spec, n_min=n, n_max=n, replications=replications, master_seed=master_seed
     )
     (estimates,) = replicate_estimates(config)
     result: dict = {
         "payoff": spec.kind,
         "factor": spec.factor,
-        "n": config.n_grid[0],
+        "n": config.n_max,
         "R": config.replications,
         "estimate": _finite("estimate", estimates.mean),
         "std_error": _finite("standard error", lambda: _std_error(estimates)),

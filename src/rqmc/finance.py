@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError, NotPositiveDefiniteError
+from .errors import ContractError, NotPositiveDefiniteError, index_fields
 
 PAYOFF_KINDS = (
     "asian_call",
@@ -91,6 +91,7 @@ class GbmModel:
             raise ContractError("volatility must be >= 0")
         if self.maturity <= 0:
             raise ContractError("maturity must be > 0")
+        index_fields(self, "d")
         if self.d < 1:
             raise ContractError("need at least one monitoring date")
         if self.strike < 0:

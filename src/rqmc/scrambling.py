@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .digital_nets import PRECISION_DEPTH, PointSet
-from .errors import ContractError
+from .errors import ContractError, index_fields
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -105,6 +105,7 @@ class ScrambleSeed:
     replicate_index: int = 0
 
     def __post_init__(self):
+        index_fields(self, "master_seed", "replicate_index")
         if not 0 <= self.master_seed <= _MASK64:
             raise ContractError("master_seed must fit in 64 bits")
         if self.replicate_index < 0:

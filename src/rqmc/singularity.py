@@ -295,7 +295,6 @@ class GrowthCheckResult:
     worst_sample: np.ndarray | None
     worst_subset: tuple[int, ...] | None
     samples_tested: int
-    samples_skipped: int
 
     @property
     def consistent(self) -> bool:
@@ -331,7 +330,6 @@ def check_growth(
     f: Callable[[np.ndarray], float],
     spec: GrowthSpec,
     sample_count: int = 128,
-    fd_step: float | None = None,
 ) -> GrowthCheckResult:
     """Probe whether a black-box function obeys a growth specification.
 
@@ -342,29 +340,20 @@ def check_growth(
     tested resolution; ratios growing along the ladder expose an exponent
     mismatch.
 
-    ``fd_step`` fixes an absolute step (samples whose stencil would leave
-    the domain are skipped and counted); by default the step adapts to
-    min(u_i, 1-u_i)/8 per coordinate so stencils stay inside near the
-    boundary.
+    The step adapts to min(u_i, 1-u_i)/8 per coordinate, so stencils stay
+    inside the cube near the boundary.
     """
     d = spec.d
     if d > 4:
         raise CapacityError("mixed finite differences supported for d <= 4 only")
     samples = _ladder_samples(d, sample_count)
 
-    best = GrowthCheckResult(-math.inf, None, None, 0, 0)
+    best = GrowthCheckResult(-math.inf, None, None, 0)
     subsets = [
         v for r in range(d + 1) for v in itertools.combinations(range(d), r)
     ]
     for u in samples:
-        dist = np.minimum(u, 1.0 - u)
-        if fd_step is None:
-            h = dist / 8.0
-        else:
-            h = np.full(d, fd_step)
-            if np.any(h >= dist):
-                best.samples_skipped += 1
-                continue
+        h = np.minimum(u, 1.0 - u) / 8.0
         best.samples_tested += 1
         for v in subsets:
             est = _mixed_central_difference(f, u, v, h)

@@ -122,7 +122,7 @@ def cli_price(kind: str, factor: str, fmt: str) -> tuple[int, str]:
 
 def report_digest(name: str, sampler: str) -> str:
     """sha256 of the ``GOLDEN_REPORTS`` report of one catalog entry."""
-    cfg = StudyConfig(name, n_grid=(64, 128, 256, 512, 1024), replications=8, sampler=sampler)
+    cfg = StudyConfig(name, n_min=64, n_max=1024, replications=8, sampler=sampler)
     return sha256(report_to_json(run_study(cfg)))
 
 

@@ -188,16 +188,16 @@ def test_09_finance_end_to_end():
 
     oracle = geometric_asian_price(model)
     (rec,) = expected_abs_error(StudyConfig(
-        "geometric_ot", n_grid=(2**16,), replications=16, master_seed=7))
+        "geometric_ot", n_min=2**16, n_max=2**16, replications=16, master_seed=7))
     estimates = np.asarray(rec.estimates)
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
     price_dev = abs(estimates.mean() - oracle)
 
     se_ot = np.asarray(expected_abs_error(
-        StudyConfig("geometric_ot", n_grid=(2**14,), replications=16, master_seed=7)
+        StudyConfig("geometric_ot", n_min=2**14, n_max=2**14, replications=16, master_seed=7)
     )[0].estimates).std(ddof=1)
     se_chol = np.asarray(expected_abs_error(
-        StudyConfig("geometric_cholesky", n_grid=(2**14,), replications=16, master_seed=7)
+        StudyConfig("geometric_cholesky", n_min=2**14, n_max=2**14, replications=16, master_seed=7)
     )[0].estimates).std(ddof=1)
     elapsed = time.monotonic() - t0
     ok = exact_agreement and price_dev <= 3.0 * se and se_ot < se_chol and elapsed < 180.0
@@ -209,7 +209,7 @@ def test_09_finance_end_to_end():
 def test_10_estimator_soundness():
     worst_dev = 0.0
     for name in CATALOG_NAMES:
-        cfg = StudyConfig(name, n_grid=(256,), replications=64, master_seed=13)
+        cfg = StudyConfig(name, n_min=256, n_max=256, replications=64, master_seed=13)
         (rec,) = expected_abs_error(cfg)
         estimates = np.asarray(rec.estimates)
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -217,9 +217,9 @@ def test_10_estimator_soundness():
         assert dev <= 4.0, (name, dev)
         worst_dev = max(worst_dev, dev)
 
-    cfg = StudyConfig("halfspace", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
+    cfg = StudyConfig("halfspace", n_min=64, n_max=512, replications=8, master_seed=3)
     first, rerun = run_study(cfg), run_study(cfg)
-    gcfg = StudyConfig("geometric_ot", n_grid=(64, 128, 256, 512), replications=8, master_seed=3)
+    gcfg = StudyConfig("geometric_ot", n_min=64, n_max=512, replications=8, master_seed=3)
     identical = (report_to_json(first) == report_to_json(rerun)
                  and report_to_csv(first) == report_to_csv(rerun)
                  and report_to_json(run_study(gcfg)) == report_to_json(run_study(gcfg)))

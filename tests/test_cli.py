@@ -479,8 +479,8 @@ def test_rate_study_replications_capped(tmp_path, capsys):
         assert err.startswith("error: at most " + cap), err
     # the largest sizes in use stay admitted: n_max = 2^18 at R = 32 and
     # the largest grid at the default R
-    StudyConfig("halfspace", n_grid=(2**18,), replications=32)
-    StudyConfig("halfspace", n_grid=(2**20,), replications=32)
+    StudyConfig("halfspace", n_min=2**18, n_max=2**18, replications=32)
+    StudyConfig("halfspace", n_min=2**20, n_max=2**20, replications=32)
 
 
 def test_rate_study_payoff_requires_reference(tmp_path, capsys):
@@ -996,6 +996,8 @@ def test_price_replications_capped(capsys):
         ("integrand = halfspace\nR =\n", "{cfg}:2: expected `key = value`"),
         # an empty grid would otherwise reach the capacity check
         ("integrand = halfspace\nn_min = 1024\nn_max = 64\n", "n_max must be >= n_min"),
+        ("integrand = halfspace\nn_min = 100\n", "sample sizes must be powers of 2, got 100"),
+        ("integrand = halfspace\nn_max = 0\n", "sample sizes must be powers of 2, got 0"),
     ],
 )
 def test_rate_study_config_contract_errors(tmp_path, capsys, text, message):
@@ -1004,6 +1006,14 @@ def test_rate_study_config_contract_errors(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert err == "error: " + message.format(cfg=cfg) + "\n"
+
+
+def test_price_n_meets_the_study_size_rule(capsys):
+    # the message names the value, not a field `price` has no flag for
+    code, out, err = run(capsys, "price", "--payoff", "asian_call", "-n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sample sizes must be powers of 2, got 3\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

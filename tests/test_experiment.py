@@ -26,7 +26,6 @@ from rqmc.errors import (
 from rqmc.experiment import (
     CATALOG,
     CATALOG_NAMES,
-    DEFAULT_N_GRID,
     MIN_FIT_RECORDS,
     SAMPLERS,
     STANDARD_MODEL,
@@ -106,7 +105,8 @@ def base_config(**overrides) -> StudyConfig:
         integrand="halfspace",
         dimension=2,
         reference_value=0.5,
-        n_grid=SMALL_GRID,
+        n_min=64,
+        n_max=1024,
         replications=8,
     )
     kw.update(overrides)
@@ -115,11 +115,9 @@ def base_config(**overrides) -> StudyConfig:
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        base_config(n_grid=(64, 100))
+        base_config(n_min=64, n_max=100)
     with pytest.raises(ContractError):
-        base_config(n_grid=(256, 128))
-    with pytest.raises(ContractError):
-        base_config(n_grid=())
+        base_config(n_min=256, n_max=128)
     with pytest.raises(ContractError):
         base_config(replications=4)
     with pytest.raises(ContractError):
@@ -152,7 +150,92 @@ def test_config_capacity_caps(monkeypatch, n_grid, replications, cap):
     monkeypatch.setattr(ex, "payoff_integrand", no_factor)
     for integrand in ("halfspace", "geometric_ot"):
         with pytest.raises(CapacityError, match=re.escape(f"at most {cap}")):
-            StudyConfig(integrand, n_grid=n_grid, replications=replications)
+            StudyConfig(
+                integrand,
+                n_min=n_grid[0],
+                n_max=n_grid[-1],
+                replications=replications,
+            )
+
+
+def test_sizes_are_every_power_of_two_from_n_min_to_n_max():
+    cfg = StudyConfig("halfspace", n_min=64, n_max=1024, replications=8)
+    assert cfg.n_grid == (64, 128, 256, 512, 1024)
+    assert replace(cfg, n_min=256, n_max=256).n_grid == (256,)
+    # one message for either end, which reads right for `rqmc price -n` too
+    for n_min, n_max, bad in ((100, 1024, 100), (64, 0, 0), (64, 3, 3), (-64, 64, -64)):
+        with pytest.raises(
+            ContractError, match=f"^sample sizes must be powers of 2, got {bad}$"
+        ):
+            StudyConfig("halfspace", n_min=n_min, n_max=n_max, replications=8)
+    with pytest.raises(ContractError, match="^n_max must be >= n_min$"):
+        StudyConfig("halfspace", n_min=1024, n_max=64, replications=8)
+
+
+def test_refusals_come_seed_then_sizes_then_caps(monkeypatch):
+    def no_factor(*args):
+        raise AssertionError("the path factor was built")
+
+    monkeypatch.setattr(ex, "payoff_integrand", no_factor)
+    with pytest.raises(ContractError, match="master_seed must fit in 64 bits"):
+        StudyConfig("geometric_ot", master_seed=-1, n_min=100)
+    with pytest.raises(ContractError, match="sample sizes must be powers of 2"):
+        StudyConfig("geometric_ot", n_min=100, n_max=2**21, replications=10**8)
+    with pytest.raises(ContractError, match="n_max must be >= n_min"):
+        StudyConfig("geometric_ot", n_min=2**22, n_max=2**21)
+
+
+def test_integer_fields_refuse_non_integers_before_any_work(monkeypatch):
+    # A float size used to be truncated (a price at n = 64.5 printed n 64), and
+    # a float R, seed or d passed every check and raised a TypeError after the
+    # path factor was built.
+    def work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+
+    for module, name in (
+        (ex, "payoff_integrand"),
+        (ex, "generate_net"),
+        (finance, "path_factor"),
+        (finance, "_special"),
+    ):
+        monkeypatch.setattr(module, name, work)
+    spec = PayoffSpec("asian_call", STANDARD_MODEL)
+    for n, r, seed, field, bad in (
+        (64.5, 8, 0, "n_min", "64.5"),
+        ("64", 8, 0, "n_min", "'64'"),
+        (64, 8.5, 0, "replications", "8.5"),
+        (64, 8, 1.5, "master_seed", "1.5"),
+    ):
+        with pytest.raises(ContractError, match=f"^{field} must be an integer, got {bad}$"):
+            price_report(spec, n, r, seed, "text")
+    for overrides, field in (
+        (dict(dimension=2.5), "dimension"),
+        (dict(n_max=1024.0), "n_max"),
+        (dict(replications=None), "replications"),
+    ):
+        with pytest.raises(ContractError, match=f"^{field} must be an integer"):
+            StudyConfig("smooth_product", **overrides)
+
+
+def test_numpy_integer_fields_are_taken_as_ints():
+    spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
+    i64 = np.int64
+    assert price_report(spec, i64(64), i64(8), np.uint64(3), "json") == price_report(
+        spec, 64, 8, 3, "json"
+    )
+    cfg = StudyConfig(
+        "smooth_product",
+        dimension=np.int32(3),
+        n_min=i64(64),
+        n_max=i64(512),
+        replications=i64(8),
+        master_seed=i64(1),
+    )
+    assert cfg == StudyConfig(
+        "smooth_product", dimension=3, n_min=64, n_max=512, replications=8, master_seed=1
+    )
+    for name in ("dimension", "n_min", "n_max", "replications", "master_seed"):
+        assert type(getattr(cfg, name)) is int, name
 
 
 def test_entry_name():
@@ -162,7 +245,8 @@ def test_entry_name():
         integrand=spec,
         dimension=4,
         reference_value="oracle:geometric_asian",
-        n_grid=SMALL_GRID,
+        n_min=64,
+        n_max=1024,
         replications=8,
     )
     assert cfg.entry.name == "geometric_indicator_payoff[ot]"
@@ -192,15 +276,15 @@ def test_error_record_statistics():
 
 
 def test_replicates_deterministic_and_worker_invariant():
-    cfg = base_config(master_seed=3, n_grid=(256,))
+    cfg = base_config(master_seed=3, n_min=256, n_max=256)
     a = replicate_estimates(cfg)
     b = replicate_estimates(cfg)
     assert np.array_equal(a, b)
 
 
 def test_replicates_change_with_seed_and_n():
-    a = replicate_estimates(base_config(master_seed=0, n_grid=(256,)))
-    b = replicate_estimates(base_config(master_seed=1, n_grid=(256,)))
+    a = replicate_estimates(base_config(master_seed=0, n_min=256, n_max=256))
+    b = replicate_estimates(base_config(master_seed=1, n_min=256, n_max=256))
     assert not np.array_equal(a, b)
 
 
@@ -237,14 +321,17 @@ def test_linear_integrand_qmc_beats_mc(add_entry):
         )
     )
     (qmc,) = expected_abs_error(
-        base_config(integrand="linear_first", reference_value=0.5, n_grid=(1024,))
+        base_config(
+            integrand="linear_first", reference_value=0.5, n_min=1024, n_max=1024
+        )
     )
     (mc,) = expected_abs_error(
         base_config(
             integrand="linear_first",
             reference_value=0.5,
             sampler="plain_mc",
-            n_grid=(1024,),
+            n_min=1024,
+            n_max=1024,
         )
     )
     assert qmc.mean_abs_error < 1e-3
@@ -255,7 +342,9 @@ def test_linear_integrand_qmc_beats_mc(add_entry):
 def test_plain_mc_error_matches_half_normal_law():
     # indicator with variance 1/4: E|err| = 0.5 sqrt(2/(pi n))
     n = 1024
-    cfg = base_config(sampler="plain_mc", replications=32, master_seed=5, n_grid=(n,))
+    cfg = base_config(
+        sampler="plain_mc", replications=32, master_seed=5, n_min=n, n_max=n
+    )
     (rec,) = expected_abs_error(cfg)
     expect = 0.5 * math.sqrt(2.0 / (math.pi * n))
     assert expect / 2 < rec.mean_abs_error < expect * 2
@@ -272,7 +361,7 @@ def test_nonfinite_integrand_reported(add_entry):
             f=lambda u: np.full(len(u), np.inf),
         )
     )
-    cfg = base_config(integrand="blows_up", reference_value=0.0, n_grid=(64,))
+    cfg = base_config(integrand="blows_up", reference_value=0.0, n_min=64, n_max=64)
     with pytest.raises(ContractError, match="non-finite"):
         replicate_estimates(cfg)
 
@@ -296,7 +385,7 @@ def test_integrand_must_give_one_value_per_point(add_entry, sampler):
                 f=f,
             )
         )
-        cfg = base_config(integrand=name, n_grid=(512,), sampler=sampler)
+        cfg = base_config(integrand=name, n_min=512, n_max=512, sampler=sampler)
         with pytest.raises(ContractError, match=f"integrand '{name}' returned"):
             replicate_estimates(cfg)
 
@@ -309,7 +398,8 @@ def test_plain_mc_replicate_peak_memory(monkeypatch):
     monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
     cfg = StudyConfig(
         "geometric_cholesky",
-        n_grid=(2**16, 2**18),
+        n_min=2**16,
+        n_max=2**18,
         replications=8,
         sampler="plain_mc",
     )
@@ -328,7 +418,7 @@ def test_nets_replicate_peak_memory(monkeypatch):
     # each column, float and bool temporaries for the 0.0/1.0 check and a
     # full-depth node table peaked at 5.58 MiB.
     monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
-    cfg = StudyConfig("halfspace", n_grid=(2**14, 2**16), replications=8)
+    cfg = StudyConfig("halfspace", n_min=2**14, n_max=2**16, replications=8)
     tracemalloc.start()
     try:
         replicate_estimates(cfg)
@@ -340,11 +430,11 @@ def test_nets_replicate_peak_memory(monkeypatch):
 
 def test_unknown_integrand_rejected():
     with pytest.raises(ContractError):
-        replicate_estimates(base_config(integrand="mystery", n_grid=(64,)))
+        replicate_estimates(base_config(integrand="mystery", n_min=64, n_max=64))
 
 
 def test_estimator_is_unbiased_mini():
-    cfg = base_config(replications=64, master_seed=11, n_grid=(64,))
+    cfg = base_config(replications=64, master_seed=11, n_min=64, n_max=64)
     (rec,) = expected_abs_error(cfg)
     est = np.array(rec.estimates)
     se_mean = est.std(ddof=1) / math.sqrt(len(est))
@@ -431,7 +521,7 @@ def test_run_study_refuses_short_grid_before_any_draw(add_entry):
         return u[:, 0].copy()
 
     add_entry(replace(CATALOG["halfspace"], name="counted", f=f))
-    cfg = base_config(integrand="counted", n_grid=SMALL_GRID[:MIN_FIT_RECORDS - 1])
+    cfg = base_config(integrand="counted", n_max=SMALL_GRID[MIN_FIT_RECORDS - 2])
     with pytest.raises(InsufficientDataError, match="n_grid has 3 sizes"):
         run_study(cfg)
     assert calls == []
@@ -466,7 +556,7 @@ def test_report_json_schema_and_roundtrip():
 
 
 def test_payoff_study_json_echoes_model():
-    cfg = StudyConfig("geometric_ot", n_grid=SMALL_GRID, replications=8)
+    cfg = StudyConfig("geometric_ot", n_min=64, n_max=1024, replications=8)
     report = run_study(cfg)
     obj = json.loads(report_to_json(report))
     assert obj["config"]["integrand"] == "geometric_indicator_payoff[ot]"
@@ -479,9 +569,9 @@ def test_payoff_study_json_echoes_model():
 @pytest.mark.parametrize(
     "cfg",
     [
-        StudyConfig("axis_singular", n_grid=SMALL_GRID, replications=8, master_seed=2),
-        StudyConfig("halfspace", n_grid=SMALL_GRID, replications=8, sampler="plain_mc"),
-        StudyConfig("geometric_ot", n_grid=SMALL_GRID, replications=8, master_seed=5),
+        StudyConfig("axis_singular", n_min=64, n_max=1024, replications=8, master_seed=2),
+        StudyConfig("halfspace", n_min=64, n_max=1024, replications=8, sampler="plain_mc"),
+        StudyConfig("geometric_ot", n_min=64, n_max=1024, replications=8, master_seed=5),
     ],
     ids=["axis_singular", "plain_mc", "geometric_ot"],
 )
@@ -491,7 +581,8 @@ def test_study_estimates_equal_separate_runs_at_each_n(cfg):
     report = run_study(cfg)
     for n, rec in zip(cfg.n_grid, report.records):
         assert rec.n == n
-        assert rec.estimates == tuple(replicate_estimates(replace(cfg, n_grid=(n,)))[0])
+        at_n = replace(cfg, n_min=n, n_max=n)
+        assert rec.estimates == tuple(replicate_estimates(at_n)[0])
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -505,7 +596,9 @@ def test_row_blocks_match_whole_array(kind, factor, d):
     assert grid[-1] > chunk_rows(d)
     model = replace(STANDARD_MODEL, d=d)
     spec = PayoffSpec(kind, model, factor)
-    cfg = StudyConfig(spec, n_grid=grid, replications=8, sampler="plain_mc")
+    cfg = StudyConfig(
+        spec, n_min=grid[0], n_max=grid[-1], replications=8, sampler="plain_mc"
+    )
     pf = path_factor(model, factor)
     whole = []
     for k in range(8):
@@ -519,7 +612,7 @@ def chunk_block_estimates(cfg: StudyConfig) -> np.ndarray:
     # The reference engine: f on blocks of max(1, 2**17 // d**2) rows, one
     # dgemm chunk of the path transform each: the cut that the frozen report
     # bytes were made with.
-    d, n_max = cfg.dimension, cfg.n_grid[-1]
+    d, n_max = cfg.dimension, cfg.n_max
     chunk = max(1, 2**17 // d**2)
     means = []
     for k in range(cfg.replications):
@@ -547,7 +640,8 @@ def test_blocks_match_dgemm_chunk_blocks(sampler, d):
     cfg = StudyConfig(
         "smooth_product",
         dimension=d,
-        n_grid=(n_max // 4, n_max),
+        n_min=n_max // 4,
+        n_max=n_max,
         replications=8,
         master_seed=3,
         sampler=sampler,
@@ -563,7 +657,7 @@ def test_payoff_blocks_match_dgemm_chunk_blocks(kind, factor):
     # product sees the rows it sees on chunk-sized blocks.
     spec = PayoffSpec(kind, replace(STANDARD_MODEL, d=3), factor)
     cfg = StudyConfig(
-        spec, n_grid=(2**12, 2**14, 2**16), replications=8, sampler="plain_mc"
+        spec, n_min=2**12, n_max=2**16, replications=8, sampler="plain_mc"
     )
     assert replicate_estimates(cfg).tobytes() == chunk_block_estimates(cfg).tobytes()
 
@@ -581,7 +675,8 @@ def test_plain_mc_draws_long_blocks_at_d64(monkeypatch):
     cfg = StudyConfig(
         "smooth_product",
         dimension=64,
-        n_grid=(2**14, 2**16),
+        n_min=2**14,
+        n_max=2**16,
         replications=8,
         sampler="plain_mc",
     )
@@ -609,7 +704,8 @@ def test_block_is_whole_chunks_of_at_most_2_17_coordinates(monkeypatch):
         cfg = StudyConfig(
             "smooth_product",
             dimension=d,
-            n_grid=(n_max // 2, n_max),
+            n_min=n_max // 2,
+            n_max=n_max,
             replications=8,
             sampler="plain_mc",
         )
@@ -641,7 +737,8 @@ def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, thresho
     cfg = StudyConfig(
         "smooth_product",
         dimension=3,
-        n_grid=(n_max // 4, n_max),
+        n_min=n_max // 4,
+        n_max=n_max,
         replications=8,
         master_seed=9,
         sampler=sampler,
@@ -671,12 +768,12 @@ def test_pool_runs_replicates_off_the_calling_thread(monkeypatch, add_entry):
     )
     monkeypatch.setattr(ex, "_PARALLEL_ROWS", 1024)
     here = threading.current_thread()
-    cfg = base_config(integrand="thread_probe", n_grid=(1024,))
+    cfg = base_config(integrand="thread_probe", n_min=1024, n_max=1024)
     # one block per replicate, so one integrand call each
     for cpus, n_max, pooled in ((2, 512, False), (1, 1024, False), (2, 1024, True)):
         monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
         callers.clear()
-        replicate_estimates(replace(cfg, n_grid=(n_max,)))
+        replicate_estimates(replace(cfg, n_min=n_max, n_max=n_max))
         assert len(callers) == cfg.replications
         assert (here in callers) != pooled and len(set(callers)) <= cpus, (cpus, n_max)
 
@@ -709,7 +806,7 @@ def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sam
         )
     )
     cfg = base_config(
-        integrand="nan_in_5", n_grid=(2**m,), replications=reps, sampler=sampler
+        integrand="nan_in_5", n_min=2**m, n_max=2**m, replications=reps, sampler=sampler
     )
     monkeypatch.setattr(ex, "_PARALLEL_ROWS", 2**m)
     errors = {}
@@ -736,8 +833,9 @@ def test_golden_report_bytes():
 
 def test_error_shrinks_with_n():
     for name in ("smooth_product", "halfspace"):
-        cfg = StudyConfig(name, n_grid=(64, 4096), replications=16, master_seed=6)
-        small, large = expected_abs_error(cfg)
+        cfg = StudyConfig(name, n_min=64, n_max=4096, replications=16, master_seed=6)
+        records = expected_abs_error(cfg)
+        small, large = records[0], records[-1]
         assert large.mean_abs_error < small.mean_abs_error, name
 
 
@@ -762,7 +860,8 @@ def test_named_study_defaults():
     assert cfg.dimension == 2
     assert cfg.entry.irregular_dimension == 1
     assert cfg.entry.max_growth == 0.1
-    assert cfg.n_grid == DEFAULT_N_GRID
+    assert (cfg.n_min, cfg.n_max) == (64, 2**16)
+    assert cfg.n_grid == tuple(2**k for k in range(6, 17))
 
     ot = StudyConfig("geometric_ot")
     assert isinstance(ot.integrand, PayoffSpec)
@@ -788,7 +887,8 @@ def test_study_config_works_out_implied_fields():
     assert ot.reference_value == "oracle:geometric_asian"
     chol = StudyConfig(
         PayoffSpec("asian_call", model, "cholesky"),
-        n_grid=SMALL_GRID,
+        n_min=64,
+        n_max=1024,
         replications=8,
     )
     assert chol.entry.irregular_dimension == 6
@@ -850,7 +950,8 @@ def test_oracle_reference_requires_geometric_payoff():
             integrand=PayoffSpec("asian_call", STANDARD_MODEL),
             dimension=4,
             reference_value="oracle:geometric_asian",
-            n_grid=SMALL_GRID,
+            n_min=64,
+            n_max=1024,
             replications=8,
         )
     with pytest.raises(ContractError, match="a number or 'oracle:geometric_asian'"):
@@ -864,7 +965,7 @@ def test_price_equals_its_study_bit_for_bit(factor):
     spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL, factor)
     price = json.loads(price_report(spec, 2**10, 8, 3, "json"))
     config = StudyConfig(
-        spec, n_grid=(2**7, 2**8, 2**9, 2**10), replications=8, master_seed=3
+        spec, n_min=2**7, n_max=2**10, replications=8, master_seed=3
     )
     record = expected_abs_error(config)[-1]
     x = np.array(record.estimates)

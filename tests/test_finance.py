@@ -62,6 +62,10 @@ def test_model_validation():
         GbmModel(1.0, 0.05, 0.2, 1.0, 0, 1.0)
     with pytest.raises(ContractError):
         GbmModel(1.0, 0.05, 0.2, 1.0, 4, -1.0)
+    # a float d used to construct, and pricing it raised a TypeError
+    with pytest.raises(ContractError, match="^d must be an integer, got 4.5$"):
+        GbmModel(1.0, 0.05, 0.2, 1.0, 4.5, 1.0)
+    assert type(GbmModel(1.0, 0.05, 0.2, 1.0, np.int64(4), 1.0).d) is int
     fields = ("s0", "r", "sigma", "maturity", "d", "strike")
     good = dict(zip(fields, (1.0, 0.05, 0.2, 1.0, 4, 1.0)))
     for field in ("s0", "r", "sigma", "maturity", "strike"):

@@ -59,6 +59,13 @@ def test_seed_validation():
         ScrambleSeed(2**64)
     with pytest.raises(ContractError):
         ScrambleSeed(0, replicate_index=-1)
+    # a float used to construct, and a scramble under it raised a TypeError
+    for args, field in (((1.5,), "master_seed"), ((0, 1.5), "replicate_index")):
+        with pytest.raises(ContractError, match=f"^{field} must be an integer, got 1.5$"):
+            ScrambleSeed(*args)
+    seed = ScrambleSeed(np.uint64(2**64 - 1), np.int64(3))
+    assert seed == ScrambleSeed(2**64 - 1, 3)
+    assert type(seed.master_seed) is int and type(seed.replicate_index) is int
 
 
 # ---------------------------------------------------------------- permutations
