@@ -24,14 +24,14 @@ verdict allows a configurable slack and treats steeper-than-predicted
 slopes as consistent.
 
 A small catalog of integrands with exact or closed-form reference values
-covers the regimes of interest: smooth, discontinuous, discontinuous
-with boundary singularities (axis-parallel and not), and option payoffs
-driven by the finance module under both path factorizations.  Every
-integrand, a catalog name or a ``PayoffSpec``, resolves once per study to
-one ``CatalogEntry`` of values: its name, d, d_u, maxA, exact mean and
-the function ``f(u)``, which reads d from ``u``.  A reference is a number
-or the one oracle tag ``GEOMETRIC_ORACLE``, the closed-form price of the
-geometric payoff, whose jump is axis-parallel under the ``ot`` factor.
+covers the regimes of interest: smooth, discontinuous, discontinuous with
+boundary singularities (axis-parallel and not), and option payoffs driven by
+the finance module under both path factorizations.  Every integrand, a catalog
+name or a ``PayoffSpec``, resolves once per study to one ``CatalogEntry`` of
+values: its name, d, d_u, maxA, exact mean and the function ``f(u)``, which
+reads d from ``u``.  A reference is a number or ``GEOMETRIC_ORACLE``, the price
+of the geometric payoff (S_G - K)^+, which is continuous with a kink on
+S_G = K; ``ot`` makes its indicator factor 1{S_G > K} axis-parallel.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .errors import (
     InfeasibleRegimeError,
     InsufficientDataError,
     index_fields,
+    real_fields,
 )
 from .finance import (
     GbmModel,
@@ -116,19 +117,19 @@ class StudyConfig:
 
     ``dimension`` and ``reference_value`` left as ``None`` are the entry's
     (d = 2 when the entry takes any d).  ``reference_value`` is the exact
-    integral: a number, or ``GEOMETRIC_ORACLE`` for the geometric payoff.
-    A payoff's entry has ``dimension = model.d``, maxA = 0, and d_u = 1
-    only for the geometric payoff under ``ot``, whose jump that factor
-    makes axis-parallel; every other payoff has d_u = d.  The geometric
-    payoff's reference is ``GEOMETRIC_ORACLE``; any other payoff needs an
-    explicit ``reference_value`` before a study of it can run.
+    integral: a number, or ``GEOMETRIC_ORACLE`` for the geometric payoff
+    (S_G - K)^+, continuous with a kink on S_G = K; any other payoff needs a
+    number before a study of it can run.  A payoff's entry has
+    ``dimension = model.d``, maxA = 0, and d_u = 1 only for the geometric
+    payoff under ``ot``, which makes its indicator factor 1{S_G > K}
+    axis-parallel; every other payoff has d_u = d.
 
     The sample sizes, ``n_grid``, are every power of two from ``n_min`` to
     ``n_max``: both powers of two, ``n_min <= n_max``.  ``n_min``, ``n_max``,
-    ``replications``, ``master_seed`` and ``dimension`` are integers (numpy's
-    too); a value ``operator.index`` refuses is a `ContractError` naming its
-    field.  These refusals and the capacity caps (`CapacityError`) come
-    before any net, path factor or ``scipy.special`` load.
+    ``replications``, ``master_seed`` and ``dimension`` take integers, and
+    ``slack`` and a numeric ``reference_value`` finite reals (numpy's too,
+    not bools); others are a `ContractError` naming the field.  These and the
+    caps (`CapacityError`) come before any net, path factor or ``scipy.special`` load.
     """
 
     integrand: str | PayoffSpec
@@ -172,6 +173,11 @@ class StudyConfig:
             )
         if self.dimension is not None:
             index_fields(self, "dimension")
+        real_fields(self, "slack")
+        if self.slack < 0:
+            raise ContractError(f"slack must be >= 0, got {self.slack}")
+        if not isinstance(self.reference_value, (str, type(None))):
+            real_fields(self, "reference_value")
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
         # Every sampler has the direction table's dimension cap (plain MC is
@@ -191,8 +197,6 @@ class StudyConfig:
         object.__setattr__(self, "dimension", d)
         if self.reference_value is None:
             object.__setattr__(self, "reference_value", entry.reference)
-        if not (math.isfinite(self.slack) and self.slack >= 0):
-            raise ContractError(f"slack must be finite and >= 0, got {self.slack}")
         if isinstance(self.reference_value, str):
             # the tag is valid only as the entry's own reference, which
             # dataclasses.replace passes back in for a geometric study
@@ -201,10 +205,6 @@ class StudyConfig:
                     f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
                     "which applies only to the geometric indicator payoff"
                 )
-        elif self.reference_value is not None and not math.isfinite(
-            self.reference_value
-        ):
-            raise ContractError("reference_value must be finite")
 
     @property
     def n_grid(self) -> tuple[int, ...]:

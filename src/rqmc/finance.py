@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError, NotPositiveDefiniteError, index_fields
+from .errors import ContractError, NotPositiveDefiniteError, index_fields, real_fields
 
 PAYOFF_KINDS = (
     "asian_call",
@@ -81,10 +81,7 @@ class GbmModel:
     strike: float
 
     def __post_init__(self):
-        for name in ("s0", "r", "sigma", "maturity", "strike"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ContractError(f"{name} must be finite, got {value}")
+        real_fields(self, "s0", "r", "sigma", "maturity", "strike")
         if self.s0 <= 0:
             raise ContractError("initial price must be > 0")
         if self.sigma < 0:
@@ -285,8 +282,8 @@ class PayoffSpec:
     """One of the discounted payoff/Greek estimators, bound to a model.
 
     ``factor`` names the path factor, one of ``FACTOR_METHODS``, that maps
-    points to paths.  It decides whether the payoff's jump is axis-parallel,
-    so it is part of the integrand.
+    points to paths.  It decides whether the payoff's jump, or the geometric
+    payoff's kink, is axis-parallel, so it is part of the integrand.
     """
 
     kind: str

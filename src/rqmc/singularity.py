@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import CapacityError, ContractError, QuadratureToleranceError
+from .errors import CapacityError, ContractError, QuadratureToleranceError, real
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,11 @@ class GrowthSpec:
     constant: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(float(a) for a in self.exponents))
-        if not self.exponents or any(a <= 0 for a in self.exponents):
+        exponents = tuple(real("exponents", a) for a in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
+        if not exponents or any(a <= 0 for a in exponents):
             raise ContractError("growth exponents must all be > 0")
+        object.__setattr__(self, "constant", real("constant", self.constant))
         if self.constant <= 0:
             raise ContractError("growth constant must be > 0")
 
@@ -118,8 +120,9 @@ class ProductSingularFunction:
     exponents: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(float(a) for a in self.exponents))
-        if any(not 0.0 < a < 1.0 for a in self.exponents):
+        exponents = tuple(real("exponents", a) for a in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
+        if any(not 0.0 < a < 1.0 for a in exponents):
             raise ContractError("exponents must lie in (0,1)")
 
     @property

@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -185,10 +186,10 @@ def test_refusals_come_seed_then_sizes_then_caps(monkeypatch):
         StudyConfig("geometric_ot", n_min=2**22, n_max=2**21)
 
 
-def test_integer_fields_refuse_non_integers_before_any_work(monkeypatch):
-    # A float size used to be truncated (a price at n = 64.5 printed n 64), and
-    # a float R, seed or d passed every check and raised a TypeError after the
-    # path factor was built.
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any net, path factor or ``scipy.special`` load fail the test."""
+
     def work(*args, **kwargs):
         raise AssertionError("work before the refusal")
 
@@ -199,12 +200,21 @@ def test_integer_fields_refuse_non_integers_before_any_work(monkeypatch):
         (finance, "_special"),
     ):
         monkeypatch.setattr(module, name, work)
+
+
+def test_integer_fields_refuse_non_integers_before_any_work(no_work):
+    # A float size used to be truncated (a price at n = 64.5 printed n 64), and
+    # a float R, seed or d passed every check and raised a TypeError after the
+    # path factor was built.  A bool used to be taken as 0 or 1: n_min = True
+    # ran a grid from n = 1, and d = True built a one-date model.
     spec = PayoffSpec("asian_call", STANDARD_MODEL)
     for n, r, seed, field, bad in (
         (64.5, 8, 0, "n_min", "64.5"),
         ("64", 8, 0, "n_min", "'64'"),
         (64, 8.5, 0, "replications", "8.5"),
         (64, 8, 1.5, "master_seed", "1.5"),
+        (True, 8, 0, "n_min", "True"),
+        (64, 8, True, "master_seed", "True"),
     ):
         with pytest.raises(ContractError, match=f"^{field} must be an integer, got {bad}$"):
             price_report(spec, n, r, seed, "text")
@@ -212,9 +222,55 @@ def test_integer_fields_refuse_non_integers_before_any_work(monkeypatch):
         (dict(dimension=2.5), "dimension"),
         (dict(n_max=1024.0), "n_max"),
         (dict(replications=None), "replications"),
+        (dict(n_min=True), "n_min"),
+        (dict(dimension=True), "dimension"),
     ):
         with pytest.raises(ContractError, match=f"^{field} must be an integer"):
             StudyConfig("smooth_product", **overrides)
+    with pytest.raises(ContractError, match="^d must be an integer, got True$"):
+        replace(STANDARD_MODEL, d=True)
+
+
+def test_real_fields_refuse_non_reals_before_any_work(no_work):
+    # A str or list slack or reference used to escape as a TypeError from
+    # math.isfinite, after the path factor was built; a bool slack was echoed
+    # as `"slack": true`; an int too large for a float was an OverflowError.
+    bads = ([0.5], True, 0.5j, Decimal("0.5"), math.nan, -math.inf)
+    for field in ("slack", "reference_value"):
+        for bad in bads + (("0.1",) if field == "slack" else ()):
+            with pytest.raises(
+                ContractError,
+                match=f"^{field} must be finite and real, got {re.escape(repr(bad))}$",
+            ):
+                StudyConfig("geometric_ot", **{field: bad})
+        # not shown: the digits of an int past 10^4300 fail str() itself
+        for huge in (10**400, -(10**5000)):
+            with pytest.raises(
+                ContractError, match=f"^{field} must be finite, got a number too large"
+            ):
+                StudyConfig("geometric_ot", **{field: huge})
+    with pytest.raises(ContractError, match="^slack must be >= 0, got -0.1$"):
+        StudyConfig("geometric_ot", slack=-0.1)
+    for bad in bads + ("1", 10**400):
+        with pytest.raises(ContractError, match="^s0 must be finite"):
+            PayoffSpec("asian_call", replace(STANDARD_MODEL, s0=bad))
+
+
+def test_numpy_float_fields_write_the_bytes_of_their_floats():
+    # A float32 model or reference used to draw every replicate and then fail
+    # in report_to_json: "Object of type float32 is not JSON serializable".
+    def study(integrand, **kwargs):
+        config = StudyConfig(integrand, n_min=64, n_max=512, replications=8, **kwargs)
+        return report_to_json(run_study(config))
+
+    kind = "geometric_indicator_payoff"
+    spec = PayoffSpec(kind, STANDARD_MODEL)
+    spec32 = PayoffSpec(kind, replace(STANDARD_MODEL, s0=np.float32(1.0)))
+    assert study(spec32) == study(spec)
+    assert price_report(spec32, 64, 8, 0, "json") == price_report(spec, 64, 8, 0, "json")
+    half = study("halfspace", reference_value=0.5)
+    assert study("halfspace", reference_value=np.float32(0.5)) == half
+    assert study("halfspace", slack=np.float32(0.125)) == study("halfspace", slack=0.125)
 
 
 def test_numpy_integer_fields_are_taken_as_ints():

@@ -69,9 +69,16 @@ def test_model_validation():
     fields = ("s0", "r", "sigma", "maturity", "d", "strike")
     good = dict(zip(fields, (1.0, 0.05, 0.2, 1.0, 4, 1.0)))
     for field in ("s0", "r", "sigma", "maturity", "strike"):
-        for bad in (math.nan, math.inf, -math.inf):
+        # a str, bool or list used to escape as a TypeError or be taken as
+        # a number, and an int too large for a float as an OverflowError
+        for bad in (math.nan, math.inf, -math.inf, "1", True, [1.0], 10**400):
             with pytest.raises(ContractError, match=f"{field} must be finite"):
                 GbmModel(**{**good, field: bad})
+    with pytest.raises(ContractError, match="^d must be an integer, got True$"):
+        GbmModel(**{**good, "d": True})
+    model = GbmModel(np.float32(1.0), 0, np.float64(0.2), 1, 4, np.int64(1))
+    assert model == GbmModel(1.0, 0.0, 0.2, 1.0, 4, 1.0)
+    assert all(type(getattr(model, f)) is float for f in fields if f != "d")
 
 
 def test_model_refuses_sigma_whose_variance_overflows():

@@ -33,6 +33,27 @@ def test_growth_spec_validation():
         GrowthSpec((0.5, 0.0))
     with pytest.raises(ContractError):
         GrowthSpec((0.5,), constant=0.0)
+    # a non-finite spec used to be taken, and check_growth then answered
+    # "consistent" (max_ratio -inf under a NaN, 0.0 under an infinity); a
+    # string used to be taken as its float
+    for exponents, constant, field, bad in (
+        ((math.nan,), 1.0, "exponents", "nan"),
+        ((math.inf,), 1.0, "exponents", "inf"),
+        (("0.5",), 1.0, "exponents", "'0.5'"),
+        ((True,), 1.0, "exponents", "True"),
+        ((0.5,), math.inf, "constant", "inf"),
+        ((0.5,), math.nan, "constant", "nan"),
+        ((0.5,), "2", "constant", "'2'"),
+    ):
+        with pytest.raises(
+            ContractError, match=f"^{field} must be finite and real, got {bad}$"
+        ):
+            GrowthSpec(exponents, constant)
+    with pytest.raises(ContractError, match="^exponents must be finite, got a number too"):
+        GrowthSpec((0.5, 10**400))
+    spec = GrowthSpec((np.float32(0.5), 1), np.int64(2))
+    assert spec == GrowthSpec((0.5, 1.0), 2.0)
+    assert all(type(x) is float for x in (*spec.exponents, spec.constant))
 
 
 def test_growth_spec_regimes():
@@ -116,6 +137,11 @@ def test_product_function_validation():
         ProductSingularFunction((0.5, 1.0))
     with pytest.raises(ContractError):
         ProductSingularFunction((0.0,))
+    for bad, shown in ((math.nan, "nan"), ("0.5", "'0.5'"), (0.5j, "0.5j")):
+        with pytest.raises(
+            ContractError, match=f"^exponents must be finite and real, got {shown}$"
+        ):
+            ProductSingularFunction((0.5, bad))
 
 
 def test_mixed_partial_closed_form_vs_finite_difference():
