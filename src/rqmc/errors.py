@@ -60,19 +60,6 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-class QuadratureToleranceError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-    def __init__(self, achieved: float, requested: float, estimate: float):
-        self.achieved = achieved
-        self.requested = requested
-        self.estimate = estimate
-        super().__init__(
-            f"quadrature reached abs error {achieved:.3g} > requested "
-            f"{requested:.3g} (estimate {estimate!r})"
-        )
-
-
 class InfeasibleRegimeError(ValueError):
     """Growth exponents outside the regime where the rate theory applies."""
 

@@ -83,6 +83,10 @@ MODEL_KEYS = dict(s0="s0", r="r", sigma="sigma", maturity="T", d="d", strike="K"
 
 # The one oracle: the geometric payoff's closed-form lognormal price.
 GEOMETRIC_ORACLE = "oracle:geometric_asian"
+_TAG_ONLY = (
+    f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
+    "which applies only to the geometric indicator payoff"
+)
 
 
 def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
@@ -128,8 +132,9 @@ class StudyConfig:
     ``n_max``: both powers of two, ``n_min <= n_max``.  ``n_min``, ``n_max``,
     ``replications``, ``master_seed`` and ``dimension`` take integers, and
     ``slack`` and a numeric ``reference_value`` finite reals (numpy's too,
-    not bools); others are a `ContractError` naming the field.  These and the
-    caps (`CapacityError`) come before any net, path factor or ``scipy.special`` load.
+    not bools); others are a `ContractError` naming the field.  These, a
+    string ``reference_value`` other than the tag, and the caps
+    (`CapacityError`) come before any net, path factor or ``scipy.special`` load.
     """
 
     integrand: str | PayoffSpec
@@ -176,7 +181,10 @@ class StudyConfig:
         real_fields(self, "slack")
         if self.slack < 0:
             raise ContractError(f"slack must be >= 0, got {self.slack}")
-        if not isinstance(self.reference_value, (str, type(None))):
+        if isinstance(self.reference_value, str):
+            if self.reference_value != GEOMETRIC_ORACLE:
+                raise ContractError(_TAG_ONLY)
+        elif self.reference_value is not None:
             real_fields(self, "reference_value")
         integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
         object.__setattr__(self, "integrand", integrand)
@@ -197,14 +205,11 @@ class StudyConfig:
         object.__setattr__(self, "dimension", d)
         if self.reference_value is None:
             object.__setattr__(self, "reference_value", entry.reference)
-        if isinstance(self.reference_value, str):
-            # the tag is valid only as the entry's own reference, which
-            # dataclasses.replace passes back in for a geometric study
-            if not self.reference_value == entry.reference == GEOMETRIC_ORACLE:
-                raise ContractError(
-                    f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
-                    "which applies only to the geometric indicator payoff"
-                )
+        # the tag is valid only as the entry's own reference, which
+        # dataclasses.replace passes back in for a geometric study
+        tagged = isinstance(self.reference_value, str)
+        if tagged and entry.reference != GEOMETRIC_ORACLE:
+            raise ContractError(_TAG_ONLY)
 
     @property
     def n_grid(self) -> tuple[int, ...]:

@@ -879,18 +879,24 @@ def test_tiny_sigma_prices_under_both_factors(capsys):
 
 
 def test_cli_import_skips_unused_modules():
-    # the package re-exports nothing, so a command loads only what it uses
+    # the package re-exports nothing, so a command loads only what it uses,
+    # and the growth check needs no scipy module at all
     src = str(Path(rqmc.cli.__file__).resolve().parents[1])
-    code = (
-        "import sys, rqmc.cli; "
-        "print('rqmc.experiment' in sys.modules, 'rqmc.singularity' in sys.modules, "
-        "'scipy.special' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.split() == ["True", "False", "False"]
+    for module, probe, want in (
+        (
+            "rqmc.cli",
+            "'rqmc.experiment' in sys.modules, 'rqmc.singularity' in sys.modules, "
+            "'scipy.special' in sys.modules",
+            ["True", "False", "False"],
+        ),
+        ("rqmc.singularity", "[m for m in sys.modules if m.split('.')[0] == 'scipy']", ["[]"]),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print({probe})"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.split() == want, module
 
 
 def test_cli_imports_no_private_rqmc_name():

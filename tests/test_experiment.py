@@ -1051,7 +1051,7 @@ def test_price_refuses_a_non_payoff_or_unknown_format_before_any_work(monkeypatc
         price_report(spec, 64, 8, 0, "xml")
 
 
-def test_string_reference_other_than_tag_is_refused(add_entry):
+def test_string_reference_other_than_tag_is_refused(add_entry, no_work):
     # an entry's own string reference is no licence: only the tag is a string
     add_entry(
         CatalogEntry(
@@ -1066,6 +1066,12 @@ def test_string_reference_other_than_tag_is_refused(add_entry):
     for ref in (None, "oracle:unknown"):
         with pytest.raises(ContractError, match="a number or 'oracle:geometric"):
             base_config(integrand="tagged_other", reference_value=ref)
+    # a non-tag string used to be refused only after _entry had built the
+    # payoff's path factor and loaded scipy.special
+    spec = PayoffSpec("asian_call", STANDARD_MODEL)
+    for ref in ("0.5", "oracle:unknown", ""):
+        with pytest.raises(ContractError, match="^reference_value must be a number or"):
+            StudyConfig(spec, reference_value=ref, n_min=64, n_max=1024, replications=8)
 
 
 def test_catalog_reference_values_against_quadrature():

@@ -1,27 +1,33 @@
-"""Growth condition, avoidance region, and low-variation extension laws."""
+"""Growth condition, its check on the catalog, and the 1-d extension laws."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from rqmc.errors import CapacityError, ContractError, QuadratureToleranceError
+from rqmc.errors import CapacityError, ContractError
+from rqmc.experiment import CATALOG
 from rqmc.singularity import (
-    ANCHOR,
-    AvoidanceRegion,
     GrowthSpec,
-    ProductSingularFunction,
+    _ladder_samples,
     _mixed_central_difference,
     approx_error_1d,
     check_growth,
     extension_1d,
-    extension_nd_oracle,
-    k_epsilon_contains,
     sup_extension_1d,
 )
+
+
+def product_partial(exponents, v, u):
+    """d^v of g(u) = prod_i u_i^(-A_i), in closed form: each differentiated
+    factor picks up -A_i u_i^(-A_i-1), so v = () is g itself."""
+    return math.prod(
+        -a * x ** (-a - 1.0) if i in v else x**-a
+        for i, (a, x) in enumerate(zip(exponents, u))
+    )
 
 # ---------------------------------------------------------------- growth spec
 
@@ -51,6 +57,9 @@ def test_growth_spec_validation():
             GrowthSpec(exponents, constant)
     with pytest.raises(ContractError, match="^exponents must be finite, got a number too"):
         GrowthSpec((0.5, 10**400))
+    # a bare number used to escape as "TypeError: 'float' object is not iterable"
+    with pytest.raises(ContractError, match="^exponents must be a sequence of reals, got 0.5$"):
+        GrowthSpec(0.5)
     spec = GrowthSpec((np.float32(0.5), 1), np.int64(2))
     assert spec == GrowthSpec((0.5, 1.0), 2.0)
     assert all(type(x) is float for x in (*spec.exponents, spec.constant))
@@ -76,81 +85,16 @@ def test_growth_bound_values():
     assert spec.bound(np.array([0.75]), ()) == pytest.approx(2.0)
 
 
-# ---------------------------------------------------------------- region
-
-
-def test_region_validation():
-    AvoidanceRegion(0.25, 2)
-    with pytest.raises(ContractError):
-        AvoidanceRegion(0.26, 2)  # anchor product is 2^-d
-    with pytest.raises(ContractError):
-        AvoidanceRegion(0.0, 2)
-    with pytest.raises(ContractError):
-        AvoidanceRegion(0.1, 0)
-
-
-def test_region_membership_examples():
-    region = AvoidanceRegion(0.08, 2)
-    assert k_epsilon_contains((0.2, 0.4), region)
-    assert not k_epsilon_contains((0.05, 0.4), region)
-    assert not k_epsilon_contains((0.2, 0.0), region)
-    anchor = AvoidanceRegion(2.0**-3, 3)
-    assert k_epsilon_contains((0.5, 0.5, 0.5), anchor)
-
-
-def test_region_membership_batch():
-    region = AvoidanceRegion(0.1, 2)
-    pts = np.array([[0.5, 0.5], [0.05, 0.5], [0.9, 0.6]])
-    got = k_epsilon_contains(pts, region)
-    assert got.tolist() == [True, False, False]
-
-
-def test_region_membership_dimension_mismatch():
-    with pytest.raises(ContractError):
-        k_epsilon_contains((0.5, 0.5), AvoidanceRegion(0.1, 3))
-
-
-@given(
-    st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2),
-    st.floats(0.001, 0.125),
-    st.floats(0.001, 0.125),
-)
-def test_region_shrinks_as_epsilon_grows(u, e1, e2):
-    lo, hi = sorted((e1, e2))
-    if k_epsilon_contains(u, AvoidanceRegion(hi, 2)):
-        assert k_epsilon_contains(u, AvoidanceRegion(lo, 2))
-
-
 # ---------------------------------------------------------------- product family
 
 
-def test_product_function_values():
-    g = ProductSingularFunction((0.5, 0.5))
-    assert g((0.25, 0.25)) == pytest.approx(4.0)
-    assert g((1.0, 1.0)) == pytest.approx(1.0)
-    batch = g(np.array([[0.25, 1.0], [1.0, 0.25]]))
-    assert batch == pytest.approx([2.0, 2.0])
-
-
-def test_product_function_validation():
-    with pytest.raises(ContractError):
-        ProductSingularFunction((0.5, 1.0))
-    with pytest.raises(ContractError):
-        ProductSingularFunction((0.0,))
-    for bad, shown in ((math.nan, "nan"), ("0.5", "'0.5'"), (0.5j, "0.5j")):
-        with pytest.raises(
-            ContractError, match=f"^exponents must be finite and real, got {shown}$"
-        ):
-            ProductSingularFunction((0.5, bad))
-
-
 def test_mixed_partial_closed_form_vs_finite_difference():
-    g = ProductSingularFunction((0.3, 0.6))
+    a = (0.3, 0.6)
     u = np.array([0.4, 0.7])
     h = np.array([1e-5, 1e-5])
     for v in [(), (0,), (1,), (0, 1)]:
-        fd = _mixed_central_difference(lambda z: g(z), u, v, h)
-        assert g.mixed_partial(v, u) == pytest.approx(fd, rel=1e-6)
+        fd = _mixed_central_difference(lambda z: product_partial(a, (), z), u, v, h)
+        assert product_partial(a, v, u) == pytest.approx(fd, rel=1e-6)
 
 
 @given(
@@ -160,11 +104,11 @@ def test_mixed_partial_closed_form_vs_finite_difference():
     st.floats(0.05, 0.95),
 )
 def test_product_function_obeys_its_own_growth_spec(a1, a2, u1, u2):
-    g = ProductSingularFunction((a1, a2))
-    spec = g.growth_spec
+    spec = GrowthSpec((a1, a2), 1.0)
     u = np.array([u1, u2])
     for v in [(), (0,), (1,), (0, 1)]:
-        assert abs(g.mixed_partial(v, u)) <= spec.bound(u, v) * (1.0 + 1e-12)
+        bound = spec.bound(u, v) * (1.0 + 1e-12)
+        assert abs(product_partial((a1, a2), v, u)) <= bound
 
 
 # ---------------------------------------------------------------- 1-d extension
@@ -175,7 +119,7 @@ def test_extension_1d_clamps():
     assert extension_1d(0.5, 0.05, 0.1) == pytest.approx(math.sqrt(10.0))
     assert extension_1d(0.5, 0.0, 0.1) == pytest.approx(0.1**-0.5)
     assert extension_1d(0.5, 0.98, 0.1) == pytest.approx(0.9**-0.5)
-    assert extension_1d(0.5, ANCHOR, 0.1) == pytest.approx(math.sqrt(2.0))
+    assert extension_1d(0.5, 0.5, 0.1) == pytest.approx(math.sqrt(2.0))
 
 
 def test_extension_1d_matches_g_on_region():
@@ -233,61 +177,6 @@ def test_approx_error_scaling_law():
     assert errs == sorted(errs, reverse=True)
 
 
-# ---------------------------------------------------------------- n-d oracle
-
-
-def test_oracle_matches_closed_form_in_1d():
-    g = ProductSingularFunction((0.4,))
-    eps = 0.05
-    for u in (0.3, 0.9, 0.02, eps):  # inside region, above, below, boundary
-        got = extension_nd_oracle(g, (u,), eps, quad_tol=1e-8)
-        assert got == pytest.approx(extension_1d(0.4, u, eps), abs=1e-6), u
-
-
-def test_oracle_at_anchor_is_g_of_anchor():
-    g = ProductSingularFunction((0.5, 0.5))
-    got = extension_nd_oracle(g, (ANCHOR, ANCHOR), 0.01)
-    assert got == pytest.approx(2.0, abs=1e-9)
-
-
-def test_oracle_equals_g_inside_region_2d():
-    g = ProductSingularFunction((0.3, 0.5))
-    eps = 0.02
-    region = AvoidanceRegion(eps, 2)
-    rng = np.random.default_rng(7)
-    tested = 0
-    while tested < 12:
-        u = rng.uniform(0.05, 0.95, size=2)
-        if not k_epsilon_contains(u, region):
-            continue
-        got = extension_nd_oracle(g, u, eps, quad_tol=1e-7)
-        assert got == pytest.approx(g(u), abs=5e-6), u
-        tested += 1
-
-
-def test_oracle_differs_from_g_outside_region():
-    g = ProductSingularFunction((0.3, 0.5))
-    eps = 0.02
-    u = (0.001, 0.5)  # product of mins is 0.0005 < eps
-    got = extension_nd_oracle(g, u, eps, quad_tol=1e-7)
-    assert math.isfinite(got)
-    assert abs(got - g(u)) > 1e-3
-
-
-def test_oracle_capacity_and_contract():
-    with pytest.raises(CapacityError):
-        extension_nd_oracle(ProductSingularFunction((0.1,) * 4), (0.5,) * 4, 0.01)
-    with pytest.raises(ContractError):
-        extension_nd_oracle(ProductSingularFunction((0.1, 0.1)), (0.5,), 0.01)
-
-
-def test_oracle_reports_unreachable_tolerance():
-    g = ProductSingularFunction((0.45, 0.45))
-    with pytest.raises(QuadratureToleranceError) as exc:
-        extension_nd_oracle(g, (0.004, 0.6), 0.003, quad_tol=1e-14)
-    assert exc.value.achieved > exc.value.requested
-
-
 # ---------------------------------------------------------------- growth check
 
 
@@ -327,6 +216,46 @@ def test_growth_check_flags_understated_exponent():
 def test_growth_check_dimension_cap():
     with pytest.raises(CapacityError):
         check_growth(lambda u: 1.0, GrowthSpec((0.5,) * 5))
+
+
+# Each catalog entry with maxA > 0 is g(u) = (u1 u2)^-maxA times an indicator;
+# the indicators as README's catalog table gives them.
+SINGULAR_INDICATORS = {
+    "axis_box": lambda u: (u[:, 0] < 0.5) & (u[:, 1] < 0.75),
+    "axis_singular": lambda u: u[:, 0] > 1.0 / 3.0,
+    "corner_singular": lambda u: u[:, 0] + u[:, 1] < 1.5,
+}
+
+
+def test_every_singular_catalog_entry_has_its_indicator_here():
+    singular = [name for name, e in CATALOG.items() if e.max_growth > 0]
+    assert singular == list(SINGULAR_INDICATORS)
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_INDICATORS))
+def test_catalog_entry_obeys_its_declared_growth(name):
+    entry = CATALOG[name]
+    a = entry.max_growth
+
+    def g(u):
+        return (u[..., 0] * u[..., 1]) ** -a
+
+    # g meets its bound with equality wherever both u_i <= 1/2 (the point
+    # (1/2, 1/2) included), so at B = 1 max_ratio is 1 + 2^-52 on numpy 2.4:
+    # one rounding decides "consistent".  B = 1 + 1e-9 leaves millions of ulps
+    # for that rounding and still tests B = 1 itself: the understated
+    # exponents below give ratios of 3.36 (axis entries) and 128
+    # (corner_singular).
+    b = 1.0 + 1e-9
+    accept = check_growth(g, GrowthSpec((a, a), b))
+    assert accept.consistent
+    assert accept.max_ratio == pytest.approx(1.0 / b, abs=1e-12)
+    assert not check_growth(g, GrowthSpec((a / 2, a / 2), b)).consistent
+    # and f is g times the indicator, on check_growth's own sample points
+    u = np.array(_ladder_samples(2, 128))
+    inside = SINGULAR_INDICATORS[name](u)
+    assert 0 < inside.sum() < len(u)
+    np.testing.assert_allclose(entry.f(u), g(u) * inside, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize(
