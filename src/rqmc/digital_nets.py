@@ -176,23 +176,10 @@ class ElementaryInterval:
                 raise ContractError("cell index out of range for digit count")
 
     @property
-    def volume(self) -> float:
-        return float(self.b) ** -sum(self.digit_counts)
-
-    @property
     def lower(self) -> np.ndarray:
         return np.array(
             [c / self.b**k for k, c in zip(self.digit_counts, self.cells)]
         )
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array(
-            [(c + 1) / self.b**k for k, c in zip(self.digit_counts, self.cells)]
-        )
-
-    def contains(self, u: Sequence[float]) -> bool:
-        return bool(np.all(self.lower <= u) and np.all(u < self.upper))
 
 
 def radical_inverse(i: int, b: int) -> float:
@@ -317,9 +304,6 @@ class VerifyResult:
     shapes_checked: int
     m: int  # log_b of the point count
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def verify_net(points, t: int, b: int = 2) -> VerifyResult:
     """Exhaustively test that ``points`` are a ``(t, m, d)``-net in base ``b``.
@@ -402,11 +386,12 @@ def certify_t(d: int, m_max: int) -> int:
     for every ``m`` in ``t..m_max``.
 
     The generator's quality parameter is a property of its direction
-    numbers; it is measured here rather than assumed.
+    numbers; it is measured here rather than assumed.  The loop always
+    returns: at ``t = m_max`` each prefix's one shape has no digits, and its
+    one cell holds all ``2^m = b^t`` points.
     """
     full = generate_net(m_max, d)
     for t in range(m_max + 1):
         prefixes = (full.ints[: 2**m] for m in range(t, m_max + 1))
-        if all(verify_net(PointSet(p, full.depth), t) for p in prefixes):
+        if all(verify_net(PointSet(p, full.depth), t).passed for p in prefixes):
             return t
-    raise RuntimeError(f"no t <= {m_max} certified for dimension {d}")

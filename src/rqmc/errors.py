@@ -13,18 +13,22 @@ class ContractError(ValueError):
     """A caller violated a precondition (distinct from a checked failure)."""
 
 
+def index(name: str, value) -> int:
+    """The int that ``operator.index`` gives ``value`` (numpy integers
+    included); a bool, or a value it refuses, such as a float, is a
+    `ContractError` naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError  # operator.index takes it as 0 or 1
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+
+
 def index_fields(obj, *names: str) -> None:
-    """Set each named field of the frozen dataclass ``obj`` to the int that
-    ``operator.index`` gives its value (numpy integers included); a bool, or a
-    value it refuses, such as a float, is a `ContractError` naming the field."""
+    """Set each named field of the frozen dataclass ``obj`` to its ``index``."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            if isinstance(value, bool):
-                raise TypeError  # operator.index takes it as 0 or 1
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise ContractError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, index(name, getattr(obj, name)))
 
 
 def real(name: str, value) -> float:
@@ -46,23 +50,3 @@ def real_fields(obj, *names: str) -> None:
     """Set each named field of the frozen dataclass ``obj`` to its ``real``."""
     for name in names:
         object.__setattr__(obj, name, real(name, getattr(obj, name)))
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky factorization hit a non-positive pivot."""
-
-    def __init__(self, pivot_index: int, pivot_value: float):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        super().__init__(
-            f"matrix is not positive definite: pivot {pivot_index} "
-            f"has value {pivot_value:.6g}"
-        )
-
-
-class InfeasibleRegimeError(ValueError):
-    """Growth exponents outside the regime where the rate theory applies."""
-
-
-class InsufficientDataError(ValueError):
-    """Not enough usable records to fit a rate."""

@@ -46,14 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .digital_nets import generate_net, load_direction_numbers
-from .errors import (
-    CapacityError,
-    ContractError,
-    InfeasibleRegimeError,
-    InsufficientDataError,
-    index_fields,
-    real_fields,
-)
+from .errors import CapacityError, ContractError, index_fields, real_fields
 from .finance import (
     GbmModel,
     PayoffSpec,
@@ -100,7 +93,7 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
     if not max_growth >= 0:  # also rejects NaN
         raise ContractError(f"growth exponent must be >= 0, got {max_growth}")
     if max_growth >= 1:
-        raise InfeasibleRegimeError(
+        raise ContractError(
             f"max growth exponent {max_growth} >= 1: the singularity bound "
             "is not even integrable, no rate is predicted"
         )
@@ -425,7 +418,7 @@ def fit_rate(records: Sequence[ErrorRecord]) -> RateFit:
     for rec in records:
         (excluded if rec.mean_abs_error == 0.0 else usable).append(rec)
     if len(usable) < MIN_FIT_RECORDS:
-        raise InsufficientDataError(
+        raise ContractError(
             f"rate fit needs >= {MIN_FIT_RECORDS} usable records, got {len(usable)}"
         )
     x = np.log2([rec.n for rec in usable])
@@ -474,7 +467,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
     if len(config.n_grid) < MIN_FIT_RECORDS:
         # refused before any replicate is drawn: fit_rate would refuse it after
-        raise InsufficientDataError(
+        raise ContractError(
             f"rate fit needs >= {MIN_FIT_RECORDS} usable records, "
             f"but n_grid has {len(config.n_grid)} sizes"
         )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError, NotPositiveDefiniteError, index_fields, real_fields
+from .errors import ContractError, index_fields, real_fields
 
 PAYOFF_KINDS = (
     "asian_call",
@@ -145,7 +145,9 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     for j in range(n):
         pivot = cov[j, j] - a[j, :j] @ a[j, :j]
         if pivot <= 0.0:
-            raise NotPositiveDefiniteError(j, pivot)
+            raise ContractError(
+                f"matrix is not positive definite: pivot {j} has value {pivot:.6g}"
+            )
         a[j, j] = math.sqrt(pivot)
         a[j + 1 :, j] = (cov[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / a[j, j]
     return a

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, real
+from .errors import CapacityError, ContractError, index, real
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,11 @@ class GrowthSpec:
 
     def __post_init__(self):
         try:
+            # iterable, but by character, byte or key, or in no coordinate order
+            if isinstance(self.exponents, (str, bytes, bytearray, Mapping, Set)):
+                raise TypeError
             exponents = tuple(real("exponents", a) for a in self.exponents)
-        except TypeError:  # a bare number, which is no sequence
+        except TypeError:  # those, and a bare number, which is no sequence
             raise ContractError(
                 f"exponents must be a sequence of reals, got {self.exponents!r}"
             ) from None
@@ -57,20 +61,6 @@ class GrowthSpec:
     @property
     def d(self) -> int:
         return len(self.exponents)
-
-    @property
-    def max_exponent(self) -> float:
-        return max(self.exponents)
-
-    @property
-    def feasible(self) -> bool:
-        """True when the convergence-rate theory applies (max A_i < 1)."""
-        return self.max_exponent < 1.0
-
-    @property
-    def square_integrable(self) -> bool:
-        """True when plain Monte Carlo is applicable (max A_i < 1/2)."""
-        return self.max_exponent < 0.5
 
     def bound(self, u: np.ndarray, v: Sequence[int]) -> float:
         """Growth bound on |d^v g| at u."""
@@ -181,6 +171,7 @@ def check_growth(
     The step adapts to min(u_i, 1-u_i)/8 per coordinate, so stencils stay
     inside the cube near the boundary.
     """
+    sample_count = index("sample_count", sample_count)
     d = spec.d
     if d > 4:
         raise CapacityError("mixed finite differences supported for d <= 4 only")

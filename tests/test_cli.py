@@ -17,6 +17,7 @@ import pytest
 from goldens import GOLDEN_CLI, PRICE_FORMATS, cli_price, cli_study
 
 import rqmc.cli
+import rqmc.errors
 import rqmc.experiment
 import rqmc.finance
 from rqmc.cli import main
@@ -1004,6 +1005,10 @@ def test_price_replications_capped(capsys):
         ("integrand = halfspace\nn_min = 1024\nn_max = 64\n", "n_max must be >= n_min"),
         ("integrand = halfspace\nn_min = 100\n", "sample sizes must be powers of 2, got 100"),
         ("integrand = halfspace\nn_max = 0\n", "sample sizes must be powers of 2, got 0"),
+        (
+            "integrand = halfspace\nn_min = 64\nn_max = 256\n",
+            "rate fit needs >= 4 usable records, but n_grid has 3 sizes",
+        ),
     ],
 )
 def test_rate_study_config_contract_errors(tmp_path, capsys, text, message):
@@ -1012,6 +1017,20 @@ def test_rate_study_config_contract_errors(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert err == "error: " + message.format(cfg=cfg) + "\n"
+
+
+def test_errors_defines_only_the_two_refusals():
+    # main turns a ValueError into exit 2; each refusal is one of these two,
+    # told apart from its siblings by its message, not by a type of its own
+    defined = {
+        name
+        for name, obj in vars(rqmc.errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == "rqmc.errors"
+    }
+    assert defined == {"ContractError", "CapacityError"}
+    assert issubclass(ContractError, ValueError) and issubclass(CapacityError, ValueError)
 
 
 def test_price_n_meets_the_study_size_rule(capsys):

@@ -18,12 +18,7 @@ from goldens import GOLDEN_REPORTS, report_digest
 from rqmc import experiment as ex
 from rqmc import finance
 from rqmc.digital_nets import generate_net
-from rqmc.errors import (
-    CapacityError,
-    ContractError,
-    InfeasibleRegimeError,
-    InsufficientDataError,
-)
+from rqmc.errors import CapacityError, ContractError
 from rqmc.experiment import (
     CATALOG,
     CATALOG_NAMES,
@@ -90,10 +85,12 @@ def test_theoretical_exponent_contracts():
         theoretical_exponent(2, 3, 0.0)
     with pytest.raises(ContractError):
         theoretical_exponent(2, 1, -0.1)
-    with pytest.raises(InfeasibleRegimeError):
-        theoretical_exponent(2, 1, 1.0)
-    with pytest.raises(InfeasibleRegimeError):
-        theoretical_exponent(2, 1, 1.2)
+    for max_growth in (1.0, 1.2):
+        with pytest.raises(
+            ContractError,
+            match=f"^max growth exponent {max_growth} >= 1: the singularity bound is not",
+        ):
+            theoretical_exponent(2, 1, max_growth)
     with pytest.raises(ContractError):
         theoretical_exponent(2, 1, math.nan)
 
@@ -361,7 +358,7 @@ def test_constant_integrand_has_zero_error(add_entry):
     assert rec.n == 64
     assert rec.mean_abs_error == 0.0
     assert rec.reference == 1.0
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ContractError, match="^rate fit needs >= 4 usable records, got 0$"):
         fit_rate(records)
 
 
@@ -540,9 +537,9 @@ def test_fit_excludes_zero_error_records():
 
 def test_fit_requires_four_usable_records():
     ns = [64, 128, 256]
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ContractError, match="^rate fit needs >= 4 usable records, got 3$"):
         fit_rate(synth_records(ns, [1e-2, 1e-3, 1e-4]))
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ContractError, match="^rate fit needs >= 4 usable records, got 0$"):
         fit_rate(synth_records([64] * 5, [0.0] * 5))
 
 
@@ -578,7 +575,9 @@ def test_run_study_refuses_short_grid_before_any_draw(add_entry):
 
     add_entry(replace(CATALOG["halfspace"], name="counted", f=f))
     cfg = base_config(integrand="counted", n_max=SMALL_GRID[MIN_FIT_RECORDS - 2])
-    with pytest.raises(InsufficientDataError, match="n_grid has 3 sizes"):
+    with pytest.raises(
+        ContractError, match="^rate fit needs >= 4 usable records, but n_grid has 3 sizes$"
+    ):
         run_study(cfg)
     assert calls == []
 

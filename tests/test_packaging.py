@@ -3,7 +3,8 @@
 No test builds or installs the package, so these read ``pyproject.toml``
 itself: the console script resolves to a callable, the package-data globs
 cover the direction-number table and every file of ``rqmc/data``, and the
-CI workflow pins the packages the project declares, no more and no fewer.
+CI workflow pins the packages the project declares, no more and no fewer,
+and compiles the sources under the oldest Python the project declares.
 """
 
 import importlib
@@ -46,3 +47,13 @@ def test_ci_install_pins_exactly_the_declared_dependencies():
     declared = project["dependencies"] + project["optional-dependencies"]["test"]
     names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in declared]
     assert pinned and sorted(p.lower() for p in pinned) == sorted(n.lower() for n in names)
+
+
+def test_ci_compiles_under_the_oldest_declared_python():
+    # the compile step runs on the Python its setup-python step installs; a
+    # raised requires-python, or a raised setup-python, alone fails here
+    floor = re.fullmatch(r">=\s*(\d+\.\d+)", PROJECT["project"]["requires-python"])
+    text = WORKFLOW.read_text()
+    before, step = text.split("- name: Compile under Python ", 1)
+    installed = re.findall(r'python-version:\s*"([^"]+)"', before)[-1]
+    assert floor and installed == floor.group(1) == step.split("\n", 1)[0]

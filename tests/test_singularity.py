@@ -1,6 +1,7 @@
 """Growth condition, its check on the catalog, and the 1-d extension laws."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -57,22 +58,19 @@ def test_growth_spec_validation():
             GrowthSpec(exponents, constant)
     with pytest.raises(ContractError, match="^exponents must be finite, got a number too"):
         GrowthSpec((0.5, 10**400))
-    # a bare number used to escape as "TypeError: 'float' object is not iterable"
-    with pytest.raises(ContractError, match="^exponents must be a sequence of reals, got 0.5$"):
-        GrowthSpec(0.5)
+    # a bare number used to escape as "TypeError: 'float' object is not
+    # iterable"; a str, bytes or dict used to be iterated, naming the first
+    # character, building (97.0, 98.0) from b"ab", taking the dict's keys, or
+    # giving a set's exponents in hash order, not coordinate order
+    for exponents in (0.5, "0.5", b"ab", bytearray(b"ab"), {0.5: 1}, {0.5, 0.7}):
+        with pytest.raises(
+            ContractError,
+            match=f"^exponents must be a sequence of reals, got {re.escape(repr(exponents))}$",
+        ):
+            GrowthSpec(exponents)
     spec = GrowthSpec((np.float32(0.5), 1), np.int64(2))
     assert spec == GrowthSpec((0.5, 1.0), 2.0)
     assert all(type(x) is float for x in (*spec.exponents, spec.constant))
-
-
-def test_growth_spec_regimes():
-    assert GrowthSpec((0.3, 0.4)).square_integrable
-    assert GrowthSpec((0.3, 0.4)).feasible
-    spec = GrowthSpec((0.3, 0.7))
-    assert not spec.square_integrable
-    assert spec.feasible
-    assert spec.max_exponent == 0.7
-    assert not GrowthSpec((1.5,)).feasible
 
 
 def test_growth_bound_values():
@@ -190,6 +188,13 @@ def test_growth_check_linear_function_passes():
     res = check_growth(lambda u: float(u[0]), GrowthSpec((0.5, 0.5)), sample_count=96)
     assert res.consistent
     assert res.samples_tested == 96
+    # a str or None used to escape as a TypeError from the fill loop, and 2.5
+    # or True ran the ladder alone
+    for bad in ("3", None, 2.5, True):
+        with pytest.raises(
+            ContractError, match=f"^sample_count must be an integer, got {bad!r}$"
+        ):
+            check_growth(lambda u: float(u[0]), GrowthSpec((0.5, 0.5)), sample_count=bad)
 
 
 def test_growth_check_accepts_matching_exponent():
