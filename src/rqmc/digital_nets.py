@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, index
 
 # Digits produced per coordinate; 53 keeps every generated coordinate an
 # exactly representable binary64 value.
@@ -85,6 +85,7 @@ class DirectionTable:
         ``j+1``; a point with index ``i`` is the XOR of the columns picked
         by the set bits of ``i``.
         """
+        d = index("d", d)
         if d < 1:
             raise ContractError(f"dimension must be >= 1, got {d}")
         if d > self.max_dim:
@@ -248,6 +249,7 @@ def generate_points(indices: np.ndarray | Sequence[int], d: int) -> PointSet:
 
 def generate_net(m: int, d: int) -> PointSet:
     """First ``2^m`` sequence points in ``d`` dimensions, in natural index order."""
+    m = index("m", m)
     if m < 0:
         raise ContractError("m must be >= 0")
     if m > PRECISION_DEPTH:
@@ -328,6 +330,7 @@ def verify_net(points, t: int, b: int = 2) -> VerifyResult:
     b : int
         Base, ``b >= 2``.
     """
+    t, b = index("t", t), index("b", b)
     if b < 2:
         raise ContractError("base must be >= 2")
     if isinstance(points, PointSet):
@@ -390,6 +393,7 @@ def certify_t(d: int, m_max: int) -> int:
     returns: at ``t = m_max`` each prefix's one shape has no digits, and its
     one cell holds all ``2^m = b^t`` points.
     """
+    m_max = index("m_max", m_max)
     full = generate_net(m_max, d)
     for t in range(m_max + 1):
         prefixes = (full.ints[: 2**m] for m in range(t, m_max + 1))

@@ -27,9 +27,10 @@ A small catalog of integrands with exact or closed-form reference values
 covers the regimes of interest: smooth, discontinuous, discontinuous with
 boundary singularities (axis-parallel and not), and option payoffs driven by
 the finance module under both path factorizations.  Every integrand, a catalog
-name or a ``PayoffSpec``, resolves once per study to one ``CatalogEntry`` of
-values: its name, d, d_u, maxA, exact mean and the function ``f(u)``, which
-reads d from ``u``.  A reference is a number or ``GEOMETRIC_ORACLE``, the price
+name, a ``PayoffSpec`` or a custom ``CatalogEntry``, resolves once per study to
+one ``CatalogEntry`` of values: its name, d, d_u, maxA, exact mean and the
+function ``f(u)``, which reads d from ``u``; a payoff's ``f`` is built only when
+its study runs.  A reference is a number or ``GEOMETRIC_ORACLE``, the price
 of the geometric payoff (S_G - K)^+, which is continuous with a kink on
 S_G = K; ``ot`` makes its indicator factor 1{S_G > K} axis-parallel.
 """
@@ -41,12 +42,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .digital_nets import generate_net, load_direction_numbers
-from .errors import CapacityError, ContractError, index_fields, real_fields
+from .errors import CapacityError, ContractError, index, index_fields, real, real_fields
 from .finance import (
     GbmModel,
     PayoffSpec,
@@ -76,10 +78,6 @@ MODEL_KEYS = dict(s0="s0", r="r", sigma="sigma", maturity="T", d="d", strike="K"
 
 # The one oracle: the geometric payoff's closed-form lognormal price.
 GEOMETRIC_ORACLE = "oracle:geometric_asian"
-_TAG_ONLY = (
-    f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
-    "which applies only to the geometric indicator payoff"
-)
 
 
 def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
@@ -88,9 +86,11 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
     d_u = d recovers the general-position prediction; d_u = 1
     (QMC-friendly, axis-parallel discontinuity) gives exponent 1 - maxA.
     """
+    d, d_u = index("d", d), index("d_u", d_u)
+    max_growth = real("max_growth", max_growth)
     if not 1 <= d_u <= d:
         raise ContractError("need 1 <= d_u <= d")
-    if not max_growth >= 0:  # also rejects NaN
+    if max_growth < 0:
         raise ContractError(f"growth exponent must be >= 0, got {max_growth}")
     if max_growth >= 1:
         raise ContractError(
@@ -102,15 +102,14 @@ def theoretical_exponent(d: int, d_u: int, max_growth: float) -> float:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to reproduce one rate study.
+    """Everything needed to reproduce one rate study, checked but not built.
 
     ``integrand`` is one of ``CATALOG_NAMES``, where ``geometric_ot`` and
-    ``geometric_cholesky`` name their ``PayoffSpec``, or a payoff bound to
-    a model and a path factor.  It resolves once, at construction, to
-    ``entry``, the ``CatalogEntry`` that the study evaluates and echoes;
-    ``entry`` is derived, not a constructor argument.  The entry alone
-    declares d_u and maxA, which the predicted rate reads; a custom study
-    declares them on its own ``CatalogEntry``.
+    ``geometric_cholesky`` name their ``PayoffSpec``, a payoff bound to a
+    model and a path factor, or a custom study's own ``CatalogEntry``.  It
+    resolves once, at construction, to ``entry``, the ``CatalogEntry`` that
+    the study echoes; ``entry`` is derived, not a constructor argument.  The
+    entry alone declares d_u and maxA, which the predicted rate reads.
 
     ``dimension`` and ``reference_value`` left as ``None`` are the entry's
     (d = 2 when the entry takes any d).  ``reference_value`` is the exact
@@ -125,12 +124,12 @@ class StudyConfig:
     ``n_max``: both powers of two, ``n_min <= n_max``.  ``n_min``, ``n_max``,
     ``replications``, ``master_seed`` and ``dimension`` take integers, and
     ``slack`` and a numeric ``reference_value`` finite reals (numpy's too,
-    not bools); others are a `ContractError` naming the field.  These, a
-    string ``reference_value`` other than the tag, and the caps
-    (`CapacityError`) come before any net, path factor or ``scipy.special`` load.
+    not bools); others are a `ContractError` naming the field.  A config
+    does no work: its refusals and the caps (`CapacityError`) build no net,
+    path factor or function and load no ``scipy.special``.
     """
 
-    integrand: str | PayoffSpec
+    integrand: str | CatalogEntry | PayoffSpec
     dimension: int | None = None
     reference_value: float | str | None = None
     n_min: int = 2**6
@@ -155,7 +154,6 @@ class StudyConfig:
         n, r = self.n_max, self.replications
         if r < 8:
             raise ContractError("need at least 8 replications")
-        # the caps, before _entry builds a path factor or loads scipy.special
         if n > 2**MAX_POINTS_LOG2:
             raise CapacityError(
                 f"at most 2^{MAX_POINTS_LOG2} points per replicate, got {n}"
@@ -174,35 +172,29 @@ class StudyConfig:
         real_fields(self, "slack")
         if self.slack < 0:
             raise ContractError(f"slack must be >= 0, got {self.slack}")
-        if isinstance(self.reference_value, str):
-            if self.reference_value != GEOMETRIC_ORACLE:
-                raise ContractError(_TAG_ONLY)
-        elif self.reference_value is not None:
-            real_fields(self, "reference_value")
-        integrand = _PAYOFF_STUDIES.get(self.integrand, self.integrand)
-        object.__setattr__(self, "integrand", integrand)
-        # Every sampler has the direction table's dimension cap (plain MC is
-        # the control for a net of the same d), checked before any factor.
-        d = integrand.model.d if isinstance(integrand, PayoffSpec) else self.dimension
-        if d is not None:
-            load_direction_numbers().direction_integers(d)
-        # A dimension the integrand cannot take is rejected before any net
-        # is drawn.
-        entry = _entry(integrand)
+        integrand, entry = _resolve(self.integrand)
         d = self.dimension if self.dimension is not None else entry.dimension or 2
+        # every sampler has the direction table's cap: plain MC is the
+        # control for a net of the same d
+        load_direction_numbers().direction_integers(d)
         if entry.dimension not in (None, d):
             raise ContractError(
                 f"integrand {entry.name!r} is defined for d={entry.dimension}"
             )
+        ref = entry.reference if self.reference_value is None else self.reference_value
+        if isinstance(ref, str):
+            # the tag is valid only as a payoff's own reference: the geometric's
+            if not (isinstance(integrand, PayoffSpec) and ref == entry.reference):
+                raise ContractError(
+                    f"reference_value must be a number or {GEOMETRIC_ORACLE!r}, "
+                    "which applies only to the geometric indicator payoff"
+                )
+        elif ref is not None:
+            ref = real("reference_value", ref)
+        object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "entry", entry)
         object.__setattr__(self, "dimension", d)
-        if self.reference_value is None:
-            object.__setattr__(self, "reference_value", entry.reference)
-        # the tag is valid only as the entry's own reference, which
-        # dataclasses.replace passes back in for a geometric study
-        tagged = isinstance(self.reference_value, str)
-        if tagged and entry.reference != GEOMETRIC_ORACLE:
-            raise ContractError(_TAG_ONLY)
+        object.__setattr__(self, "reference_value", ref)
 
     @property
     def n_grid(self) -> tuple[int, ...]:
@@ -211,28 +203,26 @@ class StudyConfig:
         return tuple(2**k for k in range(lo, hi + 1))
 
 
-def _entry(integrand: str | PayoffSpec) -> CatalogEntry:
-    """The catalog entry of a name, or the entry a payoff spec implies.
+def _resolve(integrand) -> tuple[str | CatalogEntry | PayoffSpec, CatalogEntry]:
+    """The integrand, a payoff study's name replaced by its spec, and its entry.
 
-    A payoff's ``f`` is ``finance.payoff_integrand(spec)``, made once per
-    study: that builds the path factor and loads ``scipy.special``.
+    It declares facts only: a payoff's entry has ``f = None``, and
+    ``replicate_estimates`` builds its function.
     """
-    if not isinstance(integrand, PayoffSpec):
-        entry = CATALOG.get(integrand)
-        if entry is None:
-            raise ContractError(f"unknown integrand {integrand!r}")
-        return entry
-    spec, d = integrand, integrand.model.d
-    geometric = spec.kind == "geometric_indicator_payoff"
-    return CatalogEntry(
-        name=f"{spec.kind}[{spec.factor}]",
-        dimension=d,
-        # the ot factor is rotated for the geometric weight only
-        irregular_dimension=1 if geometric and spec.factor == "ot" else d,
-        max_growth=0.0,
-        reference=GEOMETRIC_ORACLE if geometric else None,
-        f=payoff_integrand(spec),
-    )
+    named = _STUDIES.get(integrand) if isinstance(integrand, str) else integrand
+    if isinstance(named, CatalogEntry) and callable(named.f):
+        return integrand, named
+    if not isinstance(named, PayoffSpec):
+        raise ContractError(
+            f"unknown integrand {integrand!r}: need a name in CATALOG_NAMES, "
+            "a PayoffSpec or a CatalogEntry with a function f"
+        )
+    d, geometric = named.model.d, named.kind == "geometric_indicator_payoff"
+    # the ot factor is rotated for the geometric weight only
+    d_u = 1 if geometric and named.factor == "ot" else d
+    ref = GEOMETRIC_ORACLE if geometric else None
+    name = f"{named.kind}[{named.factor}]"
+    return named, CatalogEntry(name, d, d_u, 0.0, ref, f=None)
 
 
 @dataclass(frozen=True)
@@ -295,7 +285,7 @@ def resolve_reference(config: StudyConfig) -> float:
     ref = config.reference_value
     if ref is None:
         raise ContractError(
-            f"no oracle for payoff {config.integrand.kind!r}: "
+            f"no oracle for integrand {config.entry.name!r}: "
             "provide `reference = <value>`"
         )
     if ref == GEOMETRIC_ORACLE:
@@ -342,11 +332,12 @@ def replicate_estimates(config: StudyConfig) -> np.ndarray:
     threads and collect them in k order, so the estimates do not depend on
     the schedule; on an error the queued replicates are cancelled and the
     lowest failing k's error is raised.  Shorter grids run inline.
+
+    A payoff's function, ``payoff_integrand(spec)``, is built here once per
+    call, on the calling thread, before any replicate is drawn.
     """
-    f = config.entry.f
-    n_grid = config.n_grid
-    n_max = config.n_max
-    d = config.dimension
+    f = config.entry.f or payoff_integrand(config.integrand)
+    n_grid, n_max, d = config.n_grid, config.n_max, config.dimension
     chunk = chunk_rows(d)
     block = chunk * max(1, _BLOCK_COORDS // (chunk * d))
     if config.sampler == "scrambled_net":
@@ -490,19 +481,11 @@ def _g17(x: float) -> str:
 def report_to_csv(report: StudyReport) -> str:
     """Per-n error table; one row per sample size."""
     lines = ["integrand,sampler,n,R,mean_abs_error,std_error"]
+    cfg = report.config
     for rec in report.records:
-        lines.append(
-            ",".join(
-                [
-                    report.config.entry.name,
-                    report.config.sampler,
-                    str(rec.n),
-                    str(rec.replications),
-                    _g17(rec.mean_abs_error),
-                    _g17(rec.std_error),
-                ]
-            )
-        )
+        row = [cfg.entry.name, cfg.sampler, str(rec.n), str(rec.replications)]
+        row += [_g17(rec.mean_abs_error), _g17(rec.std_error)]
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -604,6 +587,9 @@ class CatalogEntry:
     point array to n values, reading d from ``u.shape[1]``, and its value
     at row i depends only on row i.  Studies rely on this: they evaluate
     each replicate once at the largest n and read smaller n off a prefix.
+    A payoff's entry states facts only: its ``f`` is ``None``, and a study
+    builds the payoff's function when it runs.  A custom study passes its
+    own entry as ``StudyConfig.integrand``.
     """
 
     name: str
@@ -611,14 +597,14 @@ class CatalogEntry:
     irregular_dimension: int
     max_growth: float
     reference: float | str | None
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray] | None
 
 
 # integral of (u1 u2)^-0.4 over {u1 + u2 < 3/2}; frozen from 40-digit
 # quadrature of (1/0.6)^2 - int_{1/2}^1 u^-0.4 (1 - (3/2-u)^0.6)/0.6 du
 _CORNER_SINGULAR_REF = 2.631626082020582
 
-CATALOG: dict[str, CatalogEntry] = {
+CATALOG = MappingProxyType({
     e.name: e
     for e in [
         CatalogEntry(
@@ -663,7 +649,7 @@ CATALOG: dict[str, CatalogEntry] = {
             f=lambda u: (u[:, 0] * u[:, 1]) ** -0.4 * (u[:, 0] + u[:, 1] < 1.5),
         ),
     ]
-}
+})
 
 # Payoff studies of the geometric payoff on the shared market constants,
 # one per factor.
@@ -674,4 +660,5 @@ _PAYOFF_STUDIES = {
     for factor in ("ot", "cholesky")
 }
 
-CATALOG_NAMES = tuple(CATALOG) + tuple(_PAYOFF_STUDIES)
+_STUDIES = {**CATALOG, **_PAYOFF_STUDIES}
+CATALOG_NAMES = tuple(_STUDIES)

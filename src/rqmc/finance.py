@@ -297,6 +297,8 @@ class PayoffSpec:
             raise ContractError(f"unknown payoff kind {self.kind!r}")
         if self.factor not in FACTOR_METHODS:
             raise ContractError(f"unknown factor method {self.factor!r}")
+        if not isinstance(self.model, GbmModel):
+            raise ContractError(f"model must be a GbmModel, got {self.model!r}")
         m = self.model
         if self.kind in ("asian_gamma", "asian_theta", "asian_vega"):
             # Gamma and vega divide log(S/S0) - (r + sigma^2/2) t by sigma, theta

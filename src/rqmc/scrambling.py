@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .digital_nets import PRECISION_DEPTH, PointSet
-from .errors import ContractError, index_fields
+from .errors import ContractError, index, index_fields
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -309,6 +309,7 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
     in [1, 2), and subtracting ``1 - 2^-53`` is exact by Sterbenz's lemma,
     since the double lies within a factor of two of it.
     """
+    n, d, start = index("n", n), index("d", d), index("start", start)
     if n < 0 or d < 1:
         raise ContractError("need n >= 0 and d >= 1")
     if not (0 <= start < 2**64 and start + n <= 2**64):

@@ -70,12 +70,14 @@ class GrowthSpec:
         return float(self.constant * np.prod(mins**powers))
 
 
-def _check_1d(A: float, eps: float) -> None:
-    """The domain of the 1-d laws: 0 < A < 1 and 0 < eps < 1/2."""
+def _check_1d(A: float, eps: float) -> tuple[float, float]:
+    """(A, eps) as floats, in the domain of the 1-d laws: 0 < A < 1, 0 < eps < 1/2."""
+    A, eps = real("A", A), real("eps", eps)
     if not 0.0 < A < 1.0:
         raise ContractError("exponent must lie in (0,1)")
     if not 0.0 < eps < 0.5:
         raise ContractError("eps must lie in (0, 1/2)")
+    return A, eps
 
 
 def extension_1d(A: float, u: float, eps: float) -> float:
@@ -86,7 +88,8 @@ def extension_1d(A: float, u: float, eps: float) -> float:
     on K(eps) and freezes at the region's edge values outside it.  u = 0
     is accepted (the surrogate is defined there even though g is not).
     """
-    _check_1d(A, eps)
+    A, eps = _check_1d(A, eps)
+    u = real("u", u)
     if not 0.0 <= u <= 1.0:
         raise ContractError("u must lie in [0,1]")
     return min(max(u, eps), 1.0 - eps) ** -A
@@ -94,7 +97,7 @@ def extension_1d(A: float, u: float, eps: float) -> float:
 
 def sup_extension_1d(A: float, eps: float) -> float:
     """Exact supremum of the 1-d surrogate: attained on [0, eps]."""
-    _check_1d(A, eps)
+    A, eps = _check_1d(A, eps)
     return eps**-A
 
 
@@ -105,7 +108,7 @@ def approx_error_1d(A: float, eps: float) -> float:
     contributes (1-eps)^(-A) eps - (1 - (1-eps)^(1-A))/(1-A).  The low
     term dominates as eps -> 0, giving the eps^(1-A) scaling law.
     """
-    _check_1d(A, eps)
+    A, eps = _check_1d(A, eps)
     low = (A / (1.0 - A)) * eps ** (1.0 - A)
     high = (1.0 - eps) ** -A * eps - (1.0 - (1.0 - eps) ** (1.0 - A)) / (1.0 - A)
     return low + high

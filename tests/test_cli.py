@@ -351,7 +351,8 @@ def test_rate_study_colon_separators(tmp_path, capsys):
 
 def test_rate_study_infeasible_growth(tmp_path, capsys, monkeypatch):
     # maxA is the integrand's own: an entry that declares maxA >= 1 has no
-    # predicted rate, and its study stops before the integrand is called
+    # predicted rate, and its study stops before the integrand is called.  A
+    # config file names no custom entry, so the file's study is routed to one.
     calls = []
 
     def f(u):
@@ -359,8 +360,12 @@ def test_rate_study_infeasible_growth(tmp_path, capsys, monkeypatch):
         return CATALOG["axis_singular"].f(u)
 
     entry = replace(CATALOG["axis_singular"], name="steep", max_growth=1.2, f=f)
-    monkeypatch.setitem(CATALOG, "steep", entry)
-    cfg = write_config(tmp_path, "integrand = steep\nn_min = 64\nn_max = 1024\nR = 8\n")
+    monkeypatch.setattr(
+        rqmc.cli, "StudyConfig", lambda _, **kwargs: StudyConfig(entry, **kwargs)
+    )
+    cfg = write_config(
+        tmp_path, "integrand = halfspace\nn_min = 64\nn_max = 1024\nR = 8\n"
+    )
     code, out, err = run(capsys, "rate-study", "--config", cfg)
     assert code == 2
     assert out == ""

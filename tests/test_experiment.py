@@ -17,7 +17,7 @@ from goldens import GOLDEN_REPORTS, report_digest
 
 from rqmc import experiment as ex
 from rqmc import finance
-from rqmc.digital_nets import generate_net
+from rqmc.digital_nets import certify_t, generate_net, verify_net
 from rqmc.errors import CapacityError, ContractError
 from rqmc.experiment import (
     CATALOG,
@@ -48,24 +48,12 @@ from rqmc.finance import (
     geometric_threshold,
     path_factor,
     payoff_eval,
+    payoff_integrand,
 )
 from rqmc.scrambling import ScrambleSeed, scramble, uniform_points
+from rqmc.singularity import extension_1d
 
 SMALL_GRID = (64, 128, 256, 512, 1024)
-
-
-@pytest.fixture
-def add_entry():
-    added = []
-
-    def _add(entry: CatalogEntry):
-        CATALOG[entry.name] = entry
-        added.append(entry.name)
-        return entry.name
-
-    yield _add
-    for name in added:
-        del CATALOG[name]
 
 
 # ---------------------------------------------------------------- exponent
@@ -185,7 +173,8 @@ def test_refusals_come_seed_then_sizes_then_caps(monkeypatch):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Make any net, path factor or ``scipy.special`` load fail the test."""
+    """Make any net, scramble, uniform draw, path factor, payoff function or
+    ``scipy.special`` load fail the test."""
 
     def work(*args, **kwargs):
         raise AssertionError("work before the refusal")
@@ -193,10 +182,90 @@ def no_work(monkeypatch):
     for module, name in (
         (ex, "payoff_integrand"),
         (ex, "generate_net"),
+        (ex, "scramble"),
+        (ex, "uniform_points"),
         (finance, "path_factor"),
         (finance, "_special"),
     ):
         monkeypatch.setattr(module, name, work)
+
+
+CUSTOM = CatalogEntry(
+    name="custom_linear",
+    dimension=None,
+    irregular_dimension=1,
+    max_growth=0.0,
+    reference=0.5,
+    f=lambda u: u[:, 0].copy(),
+)
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [*CATALOG_NAMES]
+    + [PayoffSpec(k, STANDARD_MODEL, f) for k in PAYOFF_KINDS for f in FACTOR_METHODS]
+    + [CUSTOM],
+    ids=lambda x: x if isinstance(x, str) else getattr(x, "name", None)
+    or f"{x.kind}[{x.factor}]",
+)
+def test_a_config_builds_nothing(no_work, integrand):
+    # A config states facts: a payoff's path factor, function and
+    # scipy.special wait for its study.  A payoff's config used to build
+    # them, so `StudyConfig("geometric_ot", dimension=3)` built the factor
+    # and loaded scipy.special before its refusal.
+    cfg = StudyConfig(integrand)
+    assert replace(cfg, master_seed=1).entry == cfg.entry
+    if isinstance(cfg.integrand, PayoffSpec):
+        assert cfg.entry.f is None
+    if cfg.entry.dimension is not None:
+        d = cfg.entry.dimension
+        with pytest.raises(ContractError, match=f"is defined for d={d}$"):
+            StudyConfig(integrand, dimension=d - 1)
+
+
+def test_each_study_builds_a_payoff_function_once_on_the_calling_thread(monkeypatch):
+    built = []
+
+    def counting(spec):
+        built.append(threading.current_thread())
+        return payoff_integrand(spec)
+
+    monkeypatch.setattr(ex, "payoff_integrand", counting)
+    monkeypatch.setattr(ex, "_PARALLEL_ROWS", 1024)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    spec = PayoffSpec("geometric_indicator_payoff", STANDARD_MODEL)
+    config = StudyConfig(spec, n_min=128, n_max=1024, replications=8)
+    assert built == []
+    for run in (
+        lambda: replicate_estimates(config),  # on the pool
+        lambda: run_study(config),
+        lambda: price_report(spec, 1024, 8, 0, "json"),
+    ):
+        built.clear()
+        run()
+        assert built == [threading.current_thread()]
+
+
+def test_front_door_types_are_refused_by_field(no_work):
+    # a list used to escape the alias lookup as "unhashable type: 'list'", and
+    # a str model to construct and fail a study with "no attribute 'd'"
+    with pytest.raises(ContractError, match=r"^unknown integrand \['x'\]: need a name"):
+        StudyConfig(["x"])
+    with pytest.raises(ContractError, match="^model must be a GbmModel, got 'x'$"):
+        PayoffSpec("asian_call", "x")
+    # a payoff's entry states facts only: with no function it is no integrand
+    with pytest.raises(ContractError, match="a CatalogEntry with a function f$"):
+        StudyConfig(StudyConfig("geometric_ot").entry)
+
+
+def test_catalog_is_read_only():
+    # a custom study passes its entry by value; no study adds to the catalog
+    with pytest.raises(TypeError):
+        CATALOG["custom_linear"] = CUSTOM
+    with pytest.raises(TypeError):
+        del CATALOG["halfspace"]
+    assert StudyConfig(CUSTOM).entry is CUSTOM
+    assert "custom_linear" not in CATALOG_NAMES
 
 
 def test_integer_fields_refuse_non_integers_before_any_work(no_work):
@@ -251,6 +320,39 @@ def test_real_fields_refuse_non_reals_before_any_work(no_work):
     for bad in bads + ("1", 10**400):
         with pytest.raises(ContractError, match="^s0 must be finite"):
             PayoffSpec("asian_call", replace(STANDARD_MODEL, s0=bad))
+
+
+@pytest.mark.parametrize(
+    "fn, args, field, bad",
+    [
+        (generate_net, (3.5, 2), "m", 3.5),  # was 12 points
+        (generate_net, (True, 2), "m", True),  # was 2 points
+        (generate_net, (3, 2.0), "d", 2.0),
+        (uniform_points, (ScrambleSeed(0), 4, 2, 1.5), "start", 1.5),  # was start 1
+        (uniform_points, (ScrambleSeed(0), 4.0, 2), "n", 4.0),
+        (uniform_points, (ScrambleSeed(0), 4, 2.0), "d", 2.0),
+        (verify_net, (generate_net(2, 2), 0.5), "t", 0.5),
+        (verify_net, (generate_net(2, 2), "0"), "t", "0"),
+        (verify_net, (generate_net(2, 2), True), "t", True),  # was t = 1
+        (verify_net, (generate_net(2, 2), 0, 2.0), "b", 2.0),
+        (certify_t, (2, 4.0), "m_max", 4.0),
+        (theoretical_exponent, (2.0, 1, 0.0), "d", 2.0),
+        (theoretical_exponent, (2, "1", 0.0), "d_u", "1"),
+        (theoretical_exponent, (2, 1, "0"), "max_growth", "0"),
+        (extension_1d, ("0.5", 0.3, 0.1), "A", "0.5"),
+        (extension_1d, (0.5, "0.3", 0.1), "u", "0.3"),
+        (extension_1d, (0.5, 0.3, True), "eps", True),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_public_functions_keep_the_number_contract(fn, args, field, bad):
+    # Each argument used to be truncated, taken as 0 or 1, or escape as a
+    # TypeError; now it is a ContractError naming the argument.
+    with pytest.raises(
+        ContractError,
+        match=f"^{field} must be (an integer|finite and real), got {re.escape(repr(bad))}$",
+    ):
+        fn(*args)
 
 
 def test_numpy_float_fields_write_the_bytes_of_their_floats():
@@ -341,18 +443,27 @@ def test_replicates_change_with_seed_and_n():
     assert not np.array_equal(a, b)
 
 
-def test_constant_integrand_has_zero_error(add_entry):
-    add_entry(
-        CatalogEntry(
-            name="const_one",
-            dimension=None,
-            irregular_dimension=1,
-            max_growth=0.0,
-            reference=1.0,
-            f=lambda u: np.ones(len(u)),
-        )
+def test_custom_entry_without_reference_is_named():
+    # the refusal used to name `config.integrand.kind`, which only a payoff
+    # has, and failed with "'str' object has no attribute 'kind'"
+    entry = replace(CUSTOM, name="no_reference", reference=None)
+    with pytest.raises(
+        ContractError,
+        match="^no oracle for integrand 'no_reference': provide `reference = <value>`$",
+    ):
+        run_study(base_config(integrand=entry, reference_value=None))
+
+
+def test_constant_integrand_has_zero_error():
+    entry = CatalogEntry(
+        name="const_one",
+        dimension=None,
+        irregular_dimension=1,
+        max_growth=0.0,
+        reference=1.0,
+        f=lambda u: np.ones(len(u)),
     )
-    cfg = base_config(integrand="const_one", reference_value=1.0)
+    cfg = base_config(integrand=entry, reference_value=1.0)
     records = expected_abs_error(cfg)
     rec = records[0]
     assert rec.n == 64
@@ -362,25 +473,21 @@ def test_constant_integrand_has_zero_error(add_entry):
         fit_rate(records)
 
 
-def test_linear_integrand_qmc_beats_mc(add_entry):
-    add_entry(
-        CatalogEntry(
-            name="linear_first",
-            dimension=None,
-            irregular_dimension=1,
-            max_growth=0.0,
-            reference=0.5,
-            f=lambda u: u[:, 0].copy(),
-        )
+def test_linear_integrand_qmc_beats_mc():
+    entry = CatalogEntry(
+        name="linear_first",
+        dimension=None,
+        irregular_dimension=1,
+        max_growth=0.0,
+        reference=0.5,
+        f=lambda u: u[:, 0].copy(),
     )
     (qmc,) = expected_abs_error(
-        base_config(
-            integrand="linear_first", reference_value=0.5, n_min=1024, n_max=1024
-        )
+        base_config(integrand=entry, reference_value=0.5, n_min=1024, n_max=1024)
     )
     (mc,) = expected_abs_error(
         base_config(
-            integrand="linear_first",
+            integrand=entry,
             reference_value=0.5,
             sampler="plain_mc",
             n_min=1024,
@@ -403,24 +510,22 @@ def test_plain_mc_error_matches_half_normal_law():
     assert expect / 2 < rec.mean_abs_error < expect * 2
 
 
-def test_nonfinite_integrand_reported(add_entry):
-    add_entry(
-        CatalogEntry(
-            name="blows_up",
-            dimension=None,
-            irregular_dimension=1,
-            max_growth=0.0,
-            reference=0.0,
-            f=lambda u: np.full(len(u), np.inf),
-        )
+def test_nonfinite_integrand_reported():
+    entry = CatalogEntry(
+        name="blows_up",
+        dimension=None,
+        irregular_dimension=1,
+        max_growth=0.0,
+        reference=0.0,
+        f=lambda u: np.full(len(u), np.inf),
     )
-    cfg = base_config(integrand="blows_up", reference_value=0.0, n_min=64, n_max=64)
+    cfg = base_config(integrand=entry, reference_value=0.0, n_min=64, n_max=64)
     with pytest.raises(ContractError, match="non-finite"):
         replicate_estimates(cfg)
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
-def test_integrand_must_give_one_value_per_point(add_entry, sampler):
+def test_integrand_must_give_one_value_per_point(sampler):
     # a block's values go into one buffer; one value short per block used
     # to pass, and an n = 512 estimate averaged 511 values
     for name, f in (
@@ -428,17 +533,15 @@ def test_integrand_must_give_one_value_per_point(add_entry, sampler):
         ("column", lambda u: np.ones((len(u), 1))),
         ("scalar", lambda u: 1.0),
     ):
-        add_entry(
-            CatalogEntry(
-                name=name,
-                dimension=None,
-                irregular_dimension=1,
-                max_growth=0.0,
-                reference=1.0,
-                f=f,
-            )
+        entry = CatalogEntry(
+            name=name,
+            dimension=None,
+            irregular_dimension=1,
+            max_growth=0.0,
+            reference=1.0,
+            f=f,
         )
-        cfg = base_config(integrand=name, n_min=512, n_max=512, sampler=sampler)
+        cfg = base_config(integrand=entry, n_min=512, n_max=512, sampler=sampler)
         with pytest.raises(ContractError, match=f"integrand '{name}' returned"):
             replicate_estimates(cfg)
 
@@ -555,26 +658,26 @@ def test_run_study_consistent_halfspace():
     assert report.fit.slope <= -2.0 / 3.0 + report.config.slack
 
 
-def test_run_study_flags_wrong_claim(add_entry):
+def test_run_study_flags_wrong_claim():
     # plain Monte Carlo cannot meet an exponent-1 claim, here one that an
     # entry makes for the halfspace indicator by declaring d_u = 1
     entry = replace(CATALOG["halfspace"], name="halfspace_d_u_1", irregular_dimension=1)
-    cfg = base_config(integrand=add_entry(entry), sampler="plain_mc", master_seed=2)
+    cfg = base_config(integrand=entry, sampler="plain_mc", master_seed=2)
     report = run_study(cfg)
     assert report.exponent == pytest.approx(1.0)
     assert not report.consistent
     assert report.verdict == "inconsistent"
 
 
-def test_run_study_refuses_short_grid_before_any_draw(add_entry):
+def test_run_study_refuses_short_grid_before_any_draw():
     calls = []
 
     def f(u):
         calls.append(1)
         return u[:, 0].copy()
 
-    add_entry(replace(CATALOG["halfspace"], name="counted", f=f))
-    cfg = base_config(integrand="counted", n_max=SMALL_GRID[MIN_FIT_RECORDS - 2])
+    entry = replace(CATALOG["halfspace"], name="counted", f=f)
+    cfg = base_config(integrand=entry, n_max=SMALL_GRID[MIN_FIT_RECORDS - 2])
     with pytest.raises(
         ContractError, match="^rate fit needs >= 4 usable records, but n_grid has 3 sizes$"
     ):
@@ -669,6 +772,7 @@ def chunk_block_estimates(cfg: StudyConfig) -> np.ndarray:
     # bytes were made with.
     d, n_max = cfg.dimension, cfg.n_max
     chunk = max(1, 2**17 // d**2)
+    f = cfg.entry.f or payoff_integrand(cfg.integrand)
     means = []
     for k in range(cfg.replications):
         seed = ScrambleSeed(cfg.master_seed, k)
@@ -677,7 +781,7 @@ def chunk_block_estimates(cfg: StudyConfig) -> np.ndarray:
         else:
             u = uniform_points(seed, n_max, d)
         vals = np.concatenate(
-            [cfg.entry.f(u[s : s + chunk]) for s in range(0, n_max, chunk)]
+            [f(u[s : s + chunk]) for s in range(0, n_max, chunk)]
         )
         means.append([vals[:n].mean() for n in cfg.n_grid])
     return np.array(means).T
@@ -804,26 +908,24 @@ def test_pooled_replicates_give_serial_bits(monkeypatch, sampler, n_max, thresho
     assert replicate_estimates(cfg).tobytes() == inline.tobytes()
 
 
-def test_pool_runs_replicates_off_the_calling_thread(monkeypatch, add_entry):
+def test_pool_runs_replicates_off_the_calling_thread(monkeypatch):
     callers = []
 
     def probe(u):
         callers.append(threading.current_thread())
         return u[:, 0].copy()
 
-    add_entry(
-        CatalogEntry(
-            name="thread_probe",
-            dimension=None,
-            irregular_dimension=1,
-            max_growth=0.0,
-            reference=0.5,
-            f=probe,
-        )
+    entry = CatalogEntry(
+        name="thread_probe",
+        dimension=None,
+        irregular_dimension=1,
+        max_growth=0.0,
+        reference=0.5,
+        f=probe,
     )
     monkeypatch.setattr(ex, "_PARALLEL_ROWS", 1024)
     here = threading.current_thread()
-    cfg = base_config(integrand="thread_probe", n_min=1024, n_max=1024)
+    cfg = base_config(integrand=entry, n_min=1024, n_max=1024)
     # one block per replicate, so one integrand call each
     for cpus, n_max, pooled in ((2, 512, False), (1, 1024, False), (2, 1024, True)):
         monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
@@ -834,7 +936,7 @@ def test_pool_runs_replicates_off_the_calling_thread(monkeypatch, add_entry):
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
-def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sampler):
+def test_pooled_error_names_lowest_failing_replicate(monkeypatch, sampler):
     # The integrand is NaN at one point of replicate 5 only.  Pooled and
     # inline runs raise the same error, and the pool cancels the replicates
     # still queued instead of running them all.
@@ -850,18 +952,16 @@ def test_pooled_error_names_lowest_failing_replicate(monkeypatch, add_entry, sam
         calls.append(1)
         return np.where((u == bad).all(axis=1), np.nan, u[:, 0])
 
-    add_entry(
-        CatalogEntry(
-            name="nan_in_5",
-            dimension=None,
-            irregular_dimension=1,
-            max_growth=0.0,
-            reference=0.5,
-            f=f,
-        )
+    entry = CatalogEntry(
+        name="nan_in_5",
+        dimension=None,
+        irregular_dimension=1,
+        max_growth=0.0,
+        reference=0.5,
+        f=f,
     )
     cfg = base_config(
-        integrand="nan_in_5", n_min=2**m, n_max=2**m, replications=reps, sampler=sampler
+        integrand=entry, n_min=2**m, n_max=2**m, replications=reps, sampler=sampler
     )
     monkeypatch.setattr(ex, "_PARALLEL_ROWS", 2**m)
     errors = {}
@@ -951,7 +1051,9 @@ def test_study_config_works_out_implied_fields():
     with pytest.raises(ContractError, match="unknown integrand"):
         StudyConfig("no_such_integrand")
     # an arithmetic payoff has no oracle: the study fails before any work
-    with pytest.raises(ContractError, match="no oracle for payoff 'asian_call'"):
+    with pytest.raises(
+        ContractError, match=r"^no oracle for integrand 'asian_call\[cholesky\]'"
+    ):
         run_study(chol)
 
 
@@ -975,8 +1077,7 @@ def test_ot_factor_cuts_only_the_geometric_indicator_along_u1():
     u = scramble(generate_net(14, STANDARD_MODEL.d), ScrambleSeed(0)).coords
     kappa = geometric_threshold(STANDARD_MODEL)
     for kind, single_cut in (("geometric_indicator_payoff", True), ("asian_call", False)):
-        entry = StudyConfig(PayoffSpec(kind, STANDARD_MODEL, "ot")).entry
-        pays = entry.f(u) > 0.0
+        pays = payoff_integrand(PayoffSpec(kind, STANDARD_MODEL, "ot"))(u) > 0.0
         top_idle, low_paying = u[~pays, 0].max(), u[pays, 0].min()
         assert (top_idle < low_paying) == single_cut, kind
         if single_cut:
@@ -1050,23 +1151,23 @@ def test_price_refuses_a_non_payoff_or_unknown_format_before_any_work(monkeypatc
         price_report(spec, 64, 8, 0, "xml")
 
 
-def test_string_reference_other_than_tag_is_refused(add_entry, no_work):
-    # an entry's own string reference is no licence: only the tag is a string
-    add_entry(
-        CatalogEntry(
+def test_string_reference_other_than_tag_is_refused(no_work):
+    # an entry's own string reference is no licence: only the tag is a string,
+    # and only as the geometric payoff's own
+    for tag in ("oracle:unknown", "oracle:geometric_asian"):
+        entry = CatalogEntry(
             name="tagged_other",
             dimension=None,
             irregular_dimension=1,
             max_growth=0.0,
-            reference="oracle:unknown",
+            reference=tag,
             f=lambda u: np.ones(len(u)),
         )
-    )
-    for ref in (None, "oracle:unknown"):
-        with pytest.raises(ContractError, match="a number or 'oracle:geometric"):
-            base_config(integrand="tagged_other", reference_value=ref)
-    # a non-tag string used to be refused only after _entry had built the
-    # payoff's path factor and loaded scipy.special
+        for ref in (None, tag):
+            with pytest.raises(ContractError, match="a number or 'oracle:geometric"):
+                base_config(integrand=entry, reference_value=ref)
+    # a non-tag string used to be refused only after the config had built
+    # the payoff's path factor and loaded scipy.special
     spec = PayoffSpec("asian_call", STANDARD_MODEL)
     for ref in ("0.5", "oracle:unknown", ""):
         with pytest.raises(ContractError, match="^reference_value must be a number or"):
