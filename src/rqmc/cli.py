@@ -15,7 +15,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .digital_nets import generate_net, load_direction_numbers, verify_net
+from .digital_nets import direction_integers, generate_net, verify_net
 from .errors import CapacityError, ContractError
 from .experiment import (
     MAX_POINTS_LOG2,
@@ -164,14 +164,11 @@ def _study_config_from_file(path: str, seed_flag: int | None) -> StudyConfig:
             overrides[field] = value
     if seed_flag is not None:
         overrides["master_seed"] = seed_flag
-    config = StudyConfig(integrand, **overrides)
-
-    if kv:
+    if kv:  # the file's own fault, before the config's checks
         raise ContractError(
-            f"config keys not used by integrand {config.entry.name!r}: "
-            + ", ".join(sorted(kv))
+            f"config keys not used by integrand {name!r}: " + ", ".join(sorted(kv))
         )
-    return config
+    return StudyConfig(integrand, **overrides)
 
 
 def _cmd_rate_study(args) -> int:
@@ -192,7 +189,7 @@ def _cmd_rate_study(args) -> int:
 
 def _model(values: dict) -> GbmModel:
     # a study refuses a d past the direction table before the model's domain
-    load_direction_numbers().direction_integers(max(values["d"], 1))
+    direction_integers(max(values["d"], 1))
     return GbmModel(**values)
 
 

@@ -13,11 +13,13 @@ rather than float comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +35,8 @@ _DATA_FILE = "joe_kuo_64.txt"
 _VERIFY_BUDGET = 10**8
 
 
-class DirectionTable:
-    """Per-dimension generator data parsed from a direction-number file.
+def parse_direction_numbers(text: str) -> Mapping[int, tuple]:
+    """Per-dimension generator data ``{d: (s, a, m)}`` of a direction-number file.
 
     File format (whitespace separated, ``#`` starts a comment line), one
     line per dimension ``d >= 2``::
@@ -44,86 +46,80 @@ class DirectionTable:
     where ``s`` is the degree of a primitive polynomial over GF(2), ``a``
     packs its middle coefficients, and the ``m_i`` are odd initial
     direction integers with ``m_i < 2^i``.  Dimension 1 is the van der
-    Corput identity and carries no line.
+    Corput identity and carries no line.  The mapping is read-only.
     """
-
-    def __init__(self, rows: dict[int, tuple[int, int, list[int]]]):
-        self._rows = rows
-        self.max_dim = max(rows) if rows else 1
-        self._cache: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def from_text(cls, text: str) -> "DirectionTable":
-        rows: dict[int, tuple[int, int, list[int]]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 4:
-                raise ValueError(f"direction-number line {lineno}: too few fields")
-            d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
-            ms = [int(x) for x in parts[3:]]
-            if len(ms) != s:
-                raise ValueError(
-                    f"direction-number line {lineno}: expected {s} initial "
-                    f"integers, got {len(ms)}"
-                )
-            for i, m in enumerate(ms, start=1):
-                if m % 2 == 0 or not 0 < m < 2**i:
-                    raise ValueError(
-                        f"direction-number line {lineno}: m_{i}={m} is not an "
-                        f"odd integer below 2^{i}"
-                    )
-            rows[d] = (s, a, ms)
-        return cls(rows)
-
-    def direction_integers(self, d: int) -> np.ndarray:
-        """Direction integers ``V[j, k]`` scaled to ``PRECISION_DEPTH`` digits.
-
-        ``V[j, k]`` is the generator column for digit ``k+1`` of dimension
-        ``j+1``; a point with index ``i`` is the XOR of the columns picked
-        by the set bits of ``i``.
-        """
-        d = index("d", d)
-        if d < 1:
-            raise ContractError(f"dimension must be >= 1, got {d}")
-        if d > self.max_dim:
-            raise CapacityError(
-                f"dimension {d} exceeds the bundled direction-number table "
-                f"(max {self.max_dim})"
+    rows: dict[int, tuple] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 4:
+            raise ValueError(f"direction-number line {lineno}: too few fields")
+        d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
+        ms = tuple(int(x) for x in parts[3:])
+        if len(ms) != s:
+            raise ValueError(
+                f"direction-number line {lineno}: expected {s} initial "
+                f"integers, got {len(ms)}"
             )
-        if d not in self._cache:
-            depth = PRECISION_DEPTH
-            v = np.zeros((d, depth), dtype=np.uint64)
-            # Dimension 1: identity generator matrix (van der Corput).
-            v[0, :] = [1 << (depth - k) for k in range(1, depth + 1)]
-            for j in range(2, d + 1):
-                s, a, m_init = self._rows[j]
-                m = list(m_init)
-                for k in range(s, depth):
-                    # m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
-                    #       ^ 2^s m_{k-s} ^ m_{k-s}
-                    new = m[k - s] ^ (m[k - s] << s)
-                    for i in range(1, s):
-                        if (a >> (s - 1 - i)) & 1:
-                            new ^= m[k - i] << i
-                    m.append(new)
-                v[j - 1, :] = [m[k] << (depth - 1 - k) for k in range(depth)]
-            self._cache[d] = v
-        return self._cache[d]
+        for i, m in enumerate(ms, start=1):
+            if m % 2 == 0 or not 0 < m < 2**i:
+                raise ValueError(
+                    f"direction-number line {lineno}: m_{i}={m} is not an "
+                    f"odd integer below 2^{i}"
+                )
+        rows[d] = (s, a, ms)
+    return MappingProxyType(rows)
 
 
-_default_table: DirectionTable | None = None
+@functools.cache
+def load_direction_numbers() -> Mapping[int, tuple]:
+    """The bundled direction-number file, parsed on the first call."""
+    text = resources.files("rqmc.data").joinpath(_DATA_FILE).read_text()
+    return parse_direction_numbers(text)
 
 
-def load_direction_numbers() -> DirectionTable:
-    """Parse the bundled direction-number file (cached)."""
-    global _default_table
-    if _default_table is None:
-        text = resources.files("rqmc.data").joinpath(_DATA_FILE).read_text()
-        _default_table = DirectionTable.from_text(text)
-    return _default_table
+def direction_integers(d: int) -> np.ndarray:
+    """Direction integers ``V[j, k]`` scaled to ``PRECISION_DEPTH`` digits.
+
+    ``V[j, k]`` is the generator column for digit ``k+1`` of dimension
+    ``j+1``; a point with index ``i`` is the XOR of the columns picked
+    by the set bits of ``i``.  The array is built once per ``d`` and is
+    read-only: every caller shares it.
+    """
+    d = index("d", d)
+    if d < 1:
+        raise ContractError(f"dimension must be >= 1, got {d}")
+    max_dim = max(load_direction_numbers(), default=1)
+    if d > max_dim:
+        raise CapacityError(
+            f"dimension {d} exceeds the bundled direction-number table "
+            f"(max {max_dim})"
+        )
+    return _direction_integers(d)
+
+
+@functools.cache  # called with 1 <= d <= the table's max only
+def _direction_integers(d: int) -> np.ndarray:
+    rows, depth = load_direction_numbers(), PRECISION_DEPTH
+    v = np.zeros((d, depth), dtype=np.uint64)
+    # Dimension 1: identity generator matrix (van der Corput).
+    v[0, :] = [1 << (depth - k) for k in range(1, depth + 1)]
+    for j in range(2, d + 1):
+        s, a, m_init = rows[j]
+        m = list(m_init)
+        for k in range(s, depth):
+            # m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
+            #       ^ 2^s m_{k-s} ^ m_{k-s}
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        v[j - 1, :] = [m[k] << (depth - 1 - k) for k in range(depth)]
+    v.flags.writeable = False
+    return v
 
 
 @dataclass
@@ -229,7 +225,7 @@ def generate_points(indices: np.ndarray | Sequence[int], d: int) -> PointSet:
     idx = _as_uint64(indices, "indices")
     if idx.ndim != 1:
         raise ContractError("indices must be one-dimensional")
-    v = load_direction_numbers().direction_integers(d)
+    v = direction_integers(d)
     out = np.zeros((idx.size, d), dtype=np.uint64)
     if idx.size:
         nbits = int(idx.max()).bit_length()
@@ -254,7 +250,7 @@ def generate_net(m: int, d: int) -> PointSet:
         raise ContractError("m must be >= 0")
     if m > PRECISION_DEPTH:
         raise CapacityError(f"m={m} exceeds {PRECISION_DEPTH}-digit precision")
-    load_direction_numbers().direction_integers(d)  # refuse d before 2^m indices
+    direction_integers(d)  # refuse d before 2^m indices
     return generate_points(np.arange(2**m, dtype=np.uint64), d)
 
 

@@ -13,6 +13,12 @@ class ContractError(ValueError):
     """A caller violated a precondition (distinct from a checked failure)."""
 
 
+def instance(name: str, value, cls: type) -> None:
+    """Refuse a ``value`` that is no ``cls`` with a `ContractError` naming ``name``."""
+    if not isinstance(value, cls):
+        raise ContractError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def index(name: str, value) -> int:
     """The int that ``operator.index`` gives ``value`` (numpy integers
     included); a bool, or a value it refuses, such as a float, is a

@@ -47,8 +47,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .digital_nets import generate_net, load_direction_numbers
-from .errors import CapacityError, ContractError, index, index_fields, real, real_fields
+from .digital_nets import direction_integers, generate_net
+from .errors import (
+    CapacityError, ContractError, index, index_fields, instance, real, real_fields
+)
 from .finance import (
     GbmModel,
     PayoffSpec,
@@ -109,7 +111,9 @@ class StudyConfig:
     model and a path factor, or a custom study's own ``CatalogEntry``.  It
     resolves once, at construction, to ``entry``, the ``CatalogEntry`` that
     the study echoes; ``entry`` is derived, not a constructor argument.  The
-    entry alone declares d_u and maxA, which the predicted rate reads.
+    entry alone declares d_u and maxA, which the predicted rate reads; a
+    custom entry whose name is no str, or whose d, d_u and maxA predict no
+    rate (`theoretical_exponent`), is refused.
 
     ``dimension`` and ``reference_value`` left as ``None`` are the entry's
     (d = 2 when the entry takes any d).  ``reference_value`` is the exact
@@ -176,11 +180,14 @@ class StudyConfig:
         d = self.dimension if self.dimension is not None else entry.dimension or 2
         # every sampler has the direction table's cap: plain MC is the
         # control for a net of the same d
-        load_direction_numbers().direction_integers(d)
+        direction_integers(d)
         if entry.dimension not in (None, d):
             raise ContractError(
                 f"integrand {entry.name!r} is defined for d={entry.dimension}"
             )
+        # a custom entry's declarations, checked before any draw
+        instance("name", entry.name, str)
+        theoretical_exponent(d, entry.irregular_dimension, entry.max_growth)
         ref = entry.reference if self.reference_value is None else self.reference_value
         if isinstance(ref, str):
             # the tag is valid only as a payoff's own reference: the geometric's

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError, index_fields, real_fields
+from .errors import ContractError, index_fields, instance, real_fields
 
 PAYOFF_KINDS = (
     "asian_call",
@@ -197,6 +197,7 @@ def path_factor(model: GbmModel, method: str) -> np.ndarray:
 
     The ``ot`` factor is rotated for the geometric-mean weight.
     """
+    instance("model", model, GbmModel)
     cov = covariance(model)
     if method == "cholesky":
         a = cholesky_factor(cov)
@@ -262,6 +263,8 @@ def generate_path(u, model: GbmModel, a: np.ndarray):
     product can round differently), so rows cut on chunk boundaries get
     the bits of one call on all rows.
     """
+    instance("model", model, GbmModel)
+    instance("a", a, np.ndarray)
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1:] != (model.d,):
         raise ContractError(f"points must have {model.d} coordinates")
@@ -297,8 +300,7 @@ class PayoffSpec:
             raise ContractError(f"unknown payoff kind {self.kind!r}")
         if self.factor not in FACTOR_METHODS:
             raise ContractError(f"unknown factor method {self.factor!r}")
-        if not isinstance(self.model, GbmModel):
-            raise ContractError(f"model must be a GbmModel, got {self.model!r}")
+        instance("model", self.model, GbmModel)
         m = self.model
         if self.kind in ("asian_gamma", "asian_theta", "asian_vega"):
             # Gamma and vega divide log(S/S0) - (r + sigma^2/2) t by sigma, theta
@@ -337,6 +339,7 @@ def payoff_eval(spec: PayoffSpec, s):
     Each Greek is the derivative of the discounted price V with respect
     to its parameter; theta is dV/dT, the change per unit of maturity.
     """
+    instance("spec", spec, PayoffSpec)
     s = np.array(s, dtype=np.float64)
     if s.shape[-1:] != (spec.model.d,):
         raise ContractError(f"paths must have {spec.model.d} dates")
@@ -420,6 +423,7 @@ def payoff_integrand(spec: PayoffSpec):
     Loads ``scipy.special`` on the calling thread: loaded by a pool's first
     replicates, it took about twice the CPU time (see BENCH_import.json).
     """
+    instance("spec", spec, PayoffSpec)
     a = path_factor(spec.model, spec.factor)
     _special()
     # fresh paths, positive in the model's domain: _payoff overwrites them unchecked

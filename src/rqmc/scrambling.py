@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .digital_nets import PRECISION_DEPTH, PointSet
-from .errors import ContractError, index, index_fields
+from .errors import ContractError, index, index_fields, instance
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -272,6 +272,8 @@ def scramble(points: PointSet, seed: ScrambleSeed) -> PointSet:
     XOR-ed there with its mask, so the call holds the result plus the
     kernel's 32 bytes a row.
     """
+    instance("points", points, PointSet)
+    instance("seed", seed, ScrambleSeed)
     in_depth = points.depth
     if in_depth > PRECISION_DEPTH:
         raise ContractError(f"input depth {in_depth} exceeds {PRECISION_DEPTH} digits")
@@ -309,6 +311,7 @@ def uniform_points(seed: ScrambleSeed, n: int, d: int, start: int = 0) -> np.nda
     in [1, 2), and subtracting ``1 - 2^-53`` is exact by Sterbenz's lemma,
     since the double lies within a factor of two of it.
     """
+    instance("seed", seed, ScrambleSeed)
     n, d, start = index("n", n), index("d", d), index("start", start)
     if n < 0 or d < 1:
         raise ContractError("need n >= 0 and d >= 1")

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from rqmc.digital_nets import (
     PRECISION_DEPTH,
-    DirectionTable,
     ElementaryInterval,
     PointSet,
     _cell_columns,
     _compositions,
     certify_t,
+    direction_integers,
     generate_net,
     generate_points,
     load_direction_numbers,
     locate_cell,
+    parse_direction_numbers,
     radical_inverse,
     verify_net,
 )
@@ -68,27 +69,39 @@ def test_radical_inverse_rejects_bad_inputs():
 
 
 def test_direction_table_covers_64_dimensions():
-    table = load_direction_numbers()
-    assert table.max_dim == 64
-    v = table.direction_integers(64)
+    assert max(load_direction_numbers()) == 64
+    v = direction_integers(64)
     assert v.shape == (64, PRECISION_DEPTH)
     assert v.dtype == np.uint64
 
 
 def test_direction_table_rejects_bad_lines():
     with pytest.raises(ValueError, match="too few"):
-        DirectionTable.from_text("2 1 0\n")
+        parse_direction_numbers("2 1 0\n")
     with pytest.raises(ValueError, match="expected 2"):
-        DirectionTable.from_text("3 2 1 1\n")
+        parse_direction_numbers("3 2 1 1\n")
     with pytest.raises(ValueError, match="odd"):
-        DirectionTable.from_text("2 1 0 2\n")  # m_1 = 2 is even
+        parse_direction_numbers("2 1 0 2\n")  # m_1 = 2 is even
     with pytest.raises(ValueError, match="odd"):
-        DirectionTable.from_text("3 2 1 1 5\n")  # m_2 = 5 >= 2^2
+        parse_direction_numbers("3 2 1 1 5\n")  # m_2 = 5 >= 2^2
 
 
 def test_direction_table_comments_and_blank_lines():
-    table = DirectionTable.from_text("# header\n\n2 1 0 1\n")
-    assert table.max_dim == 2
+    table = parse_direction_numbers("# header\n\n2 1 0 1\n")
+    assert max(table) == 2
+
+
+def test_direction_integers_are_read_only():
+    # every net of a d shares one array: a write into it used to change the
+    # points of every later net of that d
+    before = generate_net(3, 4).ints.copy()
+    v = direction_integers(4)
+    assert direction_integers(4) is v
+    with pytest.raises(ValueError, match="read-only"):
+        v[1, 0] ^= np.uint64(1)
+    np.testing.assert_array_equal(generate_net(3, 4).ints, before)
+    with pytest.raises(TypeError):
+        load_direction_numbers()[65] = (1, 0, (1,))
 
 
 def test_dimension_beyond_table_is_capacity_error():
@@ -206,7 +219,7 @@ def test_generate_points_is_xor_of_generator_columns():
         [[0, 1, 255, 256, 2**53 - 1], rng.integers(0, 2**53, 200, dtype=np.uint64)]
     ).astype(np.uint64)
     for d in (1, 3, 8):
-        v = load_direction_numbers().direction_integers(d).tolist()
+        v = direction_integers(d).tolist()
         pts = generate_points(idx, d).ints
         for row, i in zip(pts.tolist(), idx.tolist()):
             expect = [0] * d
@@ -454,7 +467,7 @@ def test_compositions_match_recursive_definition():
 
 def test_dimension_is_checked_by_the_direction_table():
     with pytest.raises(ContractError, match="dimension must be >= 1, got 0"):
-        load_direction_numbers().direction_integers(0)
+        direction_integers(0)
     # before the 2^m indices: 2^53 of them would not fit in memory
     with pytest.raises(ContractError, match="dimension must be >= 1, got -3"):
         generate_net(PRECISION_DEPTH, -3)

@@ -355,6 +355,29 @@ def test_public_functions_keep_the_number_contract(fn, args, field, bad):
         fn(*args)
 
 
+_U, _A = np.full((2, 4), 0.5), np.eye(4)
+
+
+@pytest.mark.parametrize(
+    "fn, args, field, kind",
+    [
+        (scramble, (np.zeros((2, 2), np.uint64), ScrambleSeed(0)), "points", "PointSet"),
+        (scramble, (generate_net(2, 2), 0), "seed", "ScrambleSeed"),
+        (uniform_points, (0, 4, 2), "seed", "ScrambleSeed"),
+        (generate_path, (_U, None, _A), "model", "GbmModel"),
+        (generate_path, (_U, STANDARD_MODEL, _A.tolist()), "a", "ndarray"),
+        (payoff_eval, (None, np.ones((2, 4))), "spec", "PayoffSpec"),
+        (payoff_integrand, (None,), "spec", "PayoffSpec"),
+        (path_factor, (None, "ot"), "model", "GbmModel"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_public_functions_refuse_wrong_types_by_argument(no_work, fn, args, field, kind):
+    # each used to escape as an AttributeError from the first attribute read
+    with pytest.raises(ContractError, match=f"^{field} must be a {kind}, got "):
+        fn(*args)
+
+
 def test_numpy_float_fields_write_the_bytes_of_their_floats():
     # A float32 model or reference used to draw every replicate and then fail
     # in report_to_json: "Object of type float32 is not JSON serializable".
@@ -452,6 +475,25 @@ def test_custom_entry_without_reference_is_named():
         match="^no oracle for integrand 'no_reference': provide `reference = <value>`$",
     ):
         run_study(base_config(integrand=entry, reference_value=None))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(name=5), "^name must be a str, got 5$"),
+        (dict(irregular_dimension=1.5), "^d_u must be an integer, got 1.5$"),
+        (dict(irregular_dimension=3), "^need 1 <= d_u <= d$"),
+        (dict(max_growth="0.1"), "^max_growth must be finite and real, got '0.1'$"),
+        (dict(max_growth=1.5), "^max growth exponent 1.5 >= 1: "),
+    ],
+    ids=["name", "fractional_d_u", "d_u_above_d", "str_max_growth", "max_growth_1.5"],
+)
+def test_custom_entry_declarations_are_checked_before_any_work(no_work, changes, message):
+    # a study took a custom entry unchecked: an int name ran a whole study and
+    # then failed report_to_csv with a TypeError, and a bare
+    # replicate_estimates drew every replicate of a maxA of 1.5 or a d_u of 1.5
+    with pytest.raises(ContractError, match=message):
+        StudyConfig(replace(CUSTOM, **changes))
 
 
 def test_constant_integrand_has_zero_error():

@@ -4,7 +4,8 @@ No test builds or installs the package, so these read ``pyproject.toml``
 itself: the console script resolves to a callable, the package-data globs
 cover the direction-number table and every file of ``rqmc/data``, and the
 CI workflow pins the packages the project declares, no more and no fewer,
-and compiles the sources under the oldest Python the project declares.
+runs every ``rqmc`` command from the installed package, and compiles the
+sources under the oldest Python the project declares.
 """
 
 import importlib
@@ -57,3 +58,15 @@ def test_ci_compiles_under_the_oldest_declared_python():
     before, step = text.split("- name: Compile under Python ", 1)
     installed = re.findall(r'python-version:\s*"([^"]+)"', before)[-1]
     assert floor and installed == floor.group(1) == step.split("\n", 1)[0]
+
+
+def test_ci_runs_every_command_from_the_installed_package():
+    # only the installed package runs without the checkout's src/ on the path:
+    # each command's step there exercises what it loads and reads (the
+    # direction table, scipy.special for a price, a rate-study config file)
+    step = WORKFLOW.read_text().split("- name: Installed console script", 1)[1]
+    run = step.split("- name:", 1)[0]
+    commands = re.findall(r"^\s*rqmc ([a-z-]+)", run, flags=re.MULTILINE)
+    assert commands == ["points", "verify-net", "price", "rate-study"]
+    assert re.search(r"^\s*rqmc rate-study --config study\.cfg$", run, flags=re.MULTILINE)
+    assert "> study.cfg" in run
